@@ -17,9 +17,10 @@ the interpretation of the composite state, whose system-1 factor is read
 at the fictitious time tilde_t = f(t) (see `wavepacket.time_map`).  Each
 emitted integration step therefore carries two clocks.
 
-The master equation is integrated with fixed-step classical RK4 acting on
-the vectorized density matrix; every step is re-Hermitized and
-trace-checked.
+The master equation is integrated with fixed-step classical RK4, applied
+as one step matrix (`step_matrix`) to the vectorized density matrix; the
+step matrix is checked for stability before the first step, and the
+history is re-Hermitized and trace-checked afterwards.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "build_h_eff",
     "lindblad_rhs",
     "liouvillian",
+    "step_matrix",
     "integrate_master",
     "heisenberg_consistency",
 ]
@@ -187,6 +189,17 @@ def liouvillian(model: CascadeModel) -> np.ndarray:
     return _superoperator(build_h0(model), build_jump_operator(model))
 
 
+def step_matrix(a: np.ndarray, h: float) -> np.ndarray:
+    """Classical RK4 step of y' = a y as one matrix: y <- P y.
+
+    For a constant generator the four stages collapse to
+    P = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.
+    """
+    ha = h * np.asarray(a, dtype=complex)
+    ident = np.eye(ha.shape[0], dtype=complex)
+    return ident + ha @ (ident + ha @ (ident + ha @ (ident + ha / 4.0) / 3.0) / 2.0)
+
+
 def _rk4_density_history(
     lmat: np.ndarray,
     rho0: np.ndarray,
@@ -194,37 +207,38 @@ def _rk4_density_history(
     dt: float,
     trace_tol: float = 1e-6,
 ) -> np.ndarray:
-    """Fixed-step RK4 on vec(rho); re-Hermitize and trace-check each step.
+    """Fixed-step RK4 on vec(rho), one step matrix checked for stability first.
 
-    rho0 may carry a leading batch axis, shape (B, dim, dim); the batch
-    shares one step loop.  Returns the history, shape
-    (n_steps + 1, [B,] dim, dim).
+    The history is re-Hermitized and trace-checked after the loop.  rho0
+    may carry a leading batch axis, shape (B, dim, dim); the batch shares
+    one step loop.  Returns the history, shape (n_steps + 1, [B,] dim, dim).
     """
+    pt = step_matrix(lmat, dt).T.copy()
+    if not np.all(np.isfinite(pt)):
+        raise IntegrationAbort(f"RK4 step matrix is not finite at dt={dt:g}")
+    radius = float(np.max(np.abs(np.linalg.eigvals(pt))))
+    if radius > 1.0 + 1e-12:
+        raise IntegrationAbort(
+            f"RK4 step matrix has spectral radius {radius:.6g} > 1; reduce the step size dt={dt:g}"
+        )
     batched = rho0.ndim == 3
     rho_b = rho0 if batched else rho0[None, :, :]
-    nb, dim = rho_b.shape[0], rho_b.shape[-1]
-    lt = lmat.T.copy()
-    history = np.empty((n_steps + 1, nb, dim, dim), dtype=complex)
+    history = np.empty((n_steps + 1, *rho_b.shape), dtype=complex)
     history[0] = rho_b
-    y = rho_b.reshape(nb, -1).astype(complex)
-    diag_idx = np.arange(dim) * (dim + 1)
+    flat = history.reshape(n_steps + 1, rho_b.shape[0], -1)
     for step in range(n_steps):
-        k1 = y @ lt
-        k2 = (y + 0.5 * dt * k1) @ lt
-        k3 = (y + 0.5 * dt * k2) @ lt
-        k4 = (y + dt * k3) @ lt
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = y.reshape(nb, dim, dim)
-        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-        trace_dev = np.abs(np.sum(rho.reshape(nb, -1)[:, diag_idx], axis=1) - 1.0)
-        worst = float(np.max(trace_dev)) if np.all(np.isfinite(trace_dev)) else math.inf
-        if worst > trace_tol:
+        flat[step + 1] = flat[step] @ pt
+    for lo in range(1, n_steps + 1, 4096):  # blocks: no temporary spans the whole history
+        block = history[lo : lo + 4096]
+        block[...] = 0.5 * (block + block.conj().swapaxes(-1, -2))
+        worst = np.max(np.abs(np.trace(block, axis1=-2, axis2=-1) - 1.0), axis=1)
+        bad = np.flatnonzero(~(worst <= trace_tol))  # NaN counts as bad
+        if bad.size:
+            step = lo + int(bad[0])
             raise IntegrationAbort(
-                f"trace deviation {worst:.3e} > {trace_tol:.1e} at step "
-                f"{step + 1} (t = {(step + 1) * dt:.6g}); reduce the step size dt={dt:g}"
+                f"trace deviation {worst[bad[0]]:.3e} > {trace_tol:.1e} at step "
+                f"{step} (t = {step * dt:.6g}); reduce the step size dt={dt:g}"
             )
-        y = rho.reshape(nb, -1)
-        history[step + 1] = rho
     return history if batched else history[:, 0]
 
 
@@ -264,7 +278,7 @@ class MasterRun:
         return np.abs(np.einsum("nii->n", self.rhos) - 1.0)
 
     def min_eigenvalues(self) -> np.ndarray:
-        return np.array([np.min(np.linalg.eigvalsh(r)) for r in self.rhos])
+        return np.min(np.linalg.eigvalsh(self.rhos), axis=1)
 
 
 def integrate_master(
@@ -280,8 +294,9 @@ def integrate_master(
     `wavepacket.TransformSpec` is supplied the fictitious system-1 clock
     is attached through the piecewise time map; otherwise tilde_t = t - tau.
 
-    Recommended dt * max(gamma1, gamma2, |beta|^2) <= 0.1; a trace
-    deviation above 1e-6 aborts with IntegrationAbort.
+    Recommended dt * max(gamma1, gamma2, |beta|^2) <= 0.1.  An RK4 step
+    matrix with spectral radius above 1 aborts with IntegrationAbort
+    before the first step, a trace deviation above 1e-6 after the loop.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if dt <= 0.0:
@@ -328,21 +343,6 @@ class ConsistencyReport:
     analytic_sigma1_deviation: float | None
 
 
-def _rk4_affine(mat: np.ndarray, const: np.ndarray, v0: np.ndarray, n_steps: int, dt: float) -> np.ndarray:
-    """RK4 history for v' = mat v + const; returns (n_steps + 1, len(v0))."""
-    out = np.empty((n_steps + 1, v0.size), dtype=complex)
-    out[0] = v0
-    v = v0.astype(complex)
-    for step in range(n_steps):
-        k1 = mat @ v + const
-        k2 = mat @ (v + 0.5 * dt * k1) + const
-        k3 = mat @ (v + 0.5 * dt * k2) + const
-        k4 = mat @ (v + dt * k3) + const
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[step + 1] = v
-    return out
-
-
 def heisenberg_consistency(
     model: CascadeModel,
     t_span: tuple[float, float],
@@ -370,17 +370,20 @@ def heisenberg_consistency(
     w1, w2 = model.frame_omegas()
     g1 = math.sqrt(model.gamma1)
     g2 = math.sqrt(model.gamma2)
-    mat = np.array(
+    # the affine flow v' = M v + b as a linear flow on (v, 1)
+    aug = np.array(
         [
-            [-(model.gamma1 / 2.0 + 1j * w1), 0.0],
-            [-g1 * g2, -(model.gamma2 / 2.0 + 1j * w2)],
+            [-(model.gamma1 / 2.0 + 1j * w1), 0.0, -g1 * model.beta],
+            [-g1 * g2, -(model.gamma2 / 2.0 + 1j * w2), -g2 * model.beta],
+            [0.0, 0.0, 0.0],
         ],
         dtype=complex,
     )
-    const = np.array([-g1 * model.beta, -g2 * model.beta], dtype=complex)
-    v0 = np.array([run.sigma1[0], run.sigma2[0]], dtype=complex)
-    n_steps = run.times.size - 1
-    amp = _rk4_affine(mat, const, v0, n_steps, dt)
+    p = step_matrix(aug, dt)
+    amp = np.empty((run.times.size, 3), dtype=complex)
+    amp[0] = [run.sigma1[0], run.sigma2[0], 1.0]
+    for step in range(run.times.size - 1):
+        amp[step + 1] = p @ amp[step]
     dev1 = float(np.max(np.abs(amp[:, 0] - run.sigma1)))
     dev2 = float(np.max(np.abs(amp[:, 1] - run.sigma2)))
     analytic = None

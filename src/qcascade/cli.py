@@ -110,24 +110,29 @@ def load_config(path) -> RunConfig:
     )
 
 
+def _finite(v) -> bool:
+    # a number (not a bool) that fits a finite float; json.loads accepts NaN and Infinity
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _number(section: dict, section_name: str, key: str, default=None) -> float:
     if key not in section:
         if default is None:
             raise ConfigError(f"{section_name}.{key}: required number")
         return float(default)
     v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{section_name}.{key}: expected a number, got {v!r}")
+    if not _finite(v):
+        raise ConfigError(f"{section_name}.{key}: expected a finite number, got {v!r}")
     return float(v)
 
 
 def _beta(model: dict) -> complex:
     v = model.get("beta", 0.0)
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+    if _finite(v):
         return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
+    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite, v)):
         return complex(float(v[0]), float(v[1]))
-    raise ConfigError("model.beta: expected a number or a [re, im] pair")
+    raise ConfigError("model.beta: expected a finite number or a [re, im] pair")
 
 
 def build_model(cfg: RunConfig) -> CascadeModel:
@@ -153,8 +158,8 @@ def _auto_or_number(section: dict, name: str, key: str) -> float | None:
     if key not in section or section[key] == "auto":
         return None
     v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{name}.{key}: expected a number or 'auto', got {v!r}")
+    if not _finite(v):
+        raise ConfigError(f"{name}.{key}: expected a finite number or 'auto', got {v!r}")
     return float(v)
 
 
@@ -194,12 +199,8 @@ def _numerics(cfg: RunConfig) -> dict:
     out["dt"] = _number(n, "numerics", "dt", 0.0) if "dt" in n else None
     if "t_span" in n:
         span = n["t_span"]
-        if (
-            not isinstance(span, (list, tuple))
-            or len(span) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in span)
-        ):
-            raise ConfigError("numerics.t_span: expected [t0, t1]")
+        if not isinstance(span, (list, tuple)) or len(span) != 2 or not all(map(_finite, span)):
+            raise ConfigError(f"numerics.t_span: expected [t0, t1] of finite numbers, got {span!r}")
         out["t_span"] = (float(span[0]), float(span[1]))
     else:
         out["t_span"] = None
@@ -221,10 +222,8 @@ def _numerics(cfg: RunConfig) -> dict:
     out["initial_state"] = initial
     snaps = n.get("snapshot_times")
     if snaps is not None:
-        if not isinstance(snaps, (list, tuple)) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in snaps
-        ):
-            raise ConfigError("numerics.snapshot_times: expected a list of numbers")
+        if not isinstance(snaps, (list, tuple)) or not all(map(_finite, snaps)):
+            raise ConfigError("numerics.snapshot_times: expected a list of finite numbers")
         snaps = [float(v) for v in snaps]
     out["snapshot_times"] = snaps
     out["x_max"] = _number(n, "numerics", "x_max", 0.0) if "x_max" in n else None

@@ -1,13 +1,13 @@
 """Monte-Carlo wave-function unraveling of the cascaded master equation.
 
 Each trajectory evolves a pure state under the non-Hermitian generator
-H_eff (fixed-step RK4, no renormalization, so the norm decays between
-jumps) punctuated by photon-counting jumps: per step the conditional
-jump probability is delta_p = dt <J+J> / <psi|psi>, a uniform variate is
-compared against it, and on a jump the state is replaced by the
-normalized J psi.  Observables are sampled from the renormalized state;
-the raw decaying norm is recorded for jump statistics.  Averaging the
-per-trajectory observables over the ensemble converges to the master
+H_eff (fixed-step RK4 as one step matrix, no renormalization, so the norm
+decays between jumps) punctuated by photon-counting jumps: per step the
+conditional jump probability is delta_p = dt <J+J> / <psi|psi>, a uniform
+variate is compared against it, and on a jump the state is replaced by
+the normalized J psi.  Observables are sampled from the renormalized
+state; the raw decaying norm is recorded for jump statistics.  Averaging
+the per-trajectory observables over the ensemble converges to the master
 equation at the usual 1/sqrt(n_traj) rate.
 
 Randomness comes from a counter-based generator: the variate for
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeModel, IntegrationAbort, build_h_eff, build_jump_operator
+from .cascade import CascadeModel, IntegrationAbort, build_h_eff, build_jump_operator, step_matrix
 from .hilbert import validate_state_vector
 
 __all__ = [
@@ -155,7 +155,7 @@ def _mc_core(
 
     Returns (jump times, jump count per trajectory).
     """
-    heff = build_h_eff(model)
+    prop = step_matrix(-1j * build_h_eff(model), dt)
     jop = build_jump_operator(model)
     t0, t1 = float(t_span[0]), float(t_span[1])
     n_steps = int(round((t1 - t0) / dt))
@@ -179,11 +179,7 @@ def _mc_core(
             )
         u = _uniforms(keys, step)
         jump = u < delta_p
-        k1 = -1j * _apply(heff, psi)
-        k2 = -1j * _apply(heff, psi + (0.5 * dt) * k1)
-        k3 = -1j * _apply(heff, psi + (0.5 * dt) * k2)
-        k4 = -1j * _apply(heff, psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        psi = _apply(prop, psi)
         if np.any(jump):
             jp = jpsi[jump]
             jn = np.sqrt(np.sum(np.abs(jp) ** 2, axis=1))

@@ -23,6 +23,7 @@ from qcascade.cascade import (
     integrate_master,
     lindblad_rhs,
     liouvillian,
+    step_matrix,
 )
 from qcascade.hilbert import composite_ket, dagger, density_from_ket, kron, two_level_ket
 from qcascade.wavepacket import TransformSpec
@@ -265,3 +266,60 @@ def test_integrate_master_input_validation():
         integrate_master(rho0, m, (1.0, 0.0), 0.1)
     with pytest.raises(ValueError):
         integrate_master(np.eye(3) / 3.0, m, (0.0, 1.0), 0.1)
+
+
+def rk4_stages(a, y, h):
+    # one classical RK4 step of y' = a y, stage by stage
+    k1 = a @ y
+    k2 = a @ (y + 0.5 * h * k1)
+    k3 = a @ (y + 0.5 * h * k2)
+    k4 = a @ (y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_step_matrix_equals_one_rk4_step():
+    rng = np.random.default_rng(7)
+    m = CascadeModel(gamma1=1.0, gamma2=0.7, omega1=0.3, omega2=0.4, beta=0.5, rotating_frame=False)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    g1, g2 = math.sqrt(m.gamma1), math.sqrt(m.gamma2)
+    # Heisenberg amplitudes with the drive as a constant third component
+    aug = np.array(
+        [
+            [-(m.gamma1 / 2.0 + 1j * m.omega1), 0.0, -g1 * m.beta],
+            [-g1 * g2, -(m.gamma2 / 2.0 + 1j * m.omega2), -g2 * m.beta],
+            [0.0, 0.0, 0.0],
+        ],
+        dtype=complex,
+    )
+    cases = [
+        (liouvillian(m), random_density(rng).reshape(-1), 1e-3),
+        (-1j * build_h_eff(m), psi, 0.01),
+        (aug, np.array([0.3 - 0.1j, 0.2j, 1.0]), 0.01),
+    ]
+    for a, y, h in cases:
+        assert np.max(np.abs(step_matrix(a, h) @ y - rk4_stages(a, y, h))) <= 1e-15
+
+
+def test_unstable_step_aborts_before_stepping():
+    # at dt = 3 the step matrix of the Liouvillian grows some mode; with
+    # zero steps requested the abort can only come from the up-front check
+    lmat = liouvillian(CascadeModel(gamma1=1.0, gamma2=1.0))
+    rho0 = density_from_ket(composite_ket("eg"))
+    for n_steps in (0, 10):
+        with pytest.raises(IntegrationAbort, match="spectral radius") as info:
+            cascade._rk4_density_history(lmat, rho0, n_steps, 3.0)
+        assert "dt=3" in str(info.value)
+
+
+def test_nonfinite_step_matrix_aborts():
+    lmat = liouvillian(CascadeModel(gamma1=math.nan, gamma2=1.0))
+    with pytest.raises(IntegrationAbort, match="not finite"):
+        cascade._rk4_density_history(lmat, density_from_ket(composite_ket("eg")), 10, 1e-3)
+
+
+def test_min_eigenvalues_match_per_state():
+    m = CascadeModel(gamma1=1.0, gamma2=0.5, beta=0.3)
+    run = integrate_master(plus_g_density(), m, (0.0, 2.0), 0.01)
+    per_state = np.array([np.min(np.linalg.eigvalsh(r)) for r in run.rhos])
+    assert np.array_equal(run.min_eigenvalues(), per_state)

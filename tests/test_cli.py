@@ -290,6 +290,19 @@ def test_exit_2_on_invalid_config(tmp_path, capsys):
     assert cli.main(["--config", str(bad_json)]) == 2
 
 
+def test_exit_2_on_nonfinite_numbers(tmp_path, capsys):
+    # json accepts NaN and Infinity; they must be reported as bad input
+    nan_rate = write_config(tmp_path, model={"gamma1": math.nan})
+    assert cli.main(["--config", str(nan_rate)]) == 2
+    assert "model.gamma1" in capsys.readouterr().err
+    inf_span = write_config(
+        tmp_path, name="inf.json", experiment="lindblad", numerics={"t_span": [0.0, math.inf]}
+    )
+    assert "Infinity" in inf_span.read_text()
+    assert cli.main(["--config", str(inf_span)]) == 2
+    assert "numerics.t_span" in capsys.readouterr().err
+
+
 def test_validate_only(tmp_path, capsys):
     good = write_config(tmp_path)
     assert cli.main(["--config", str(good), "--validate-only"]) == 0

@@ -20,6 +20,23 @@ def grid(t0, t1, h):
     return t0 + h * np.arange(int(round((t1 - t0) / h)) + 1)
 
 
+def drive_stagewise(xi, gamma2, omega2, h):
+    # reference: RK4 stage by stage with drive samples on the half-step grid
+    lam = -(gamma2 / 2.0 + 1j * omega2)
+    g = math.sqrt(gamma2)
+    c = 0.0j
+    out = [c]
+    for k in range((xi.size - 1) // 2):
+        x0, xm, x1 = xi[2 * k], xi[2 * k + 1], xi[2 * k + 2]
+        k1 = lam * c - g * x0
+        k2 = lam * (c + 0.5 * h * k1) - g * xm
+        k3 = lam * (c + 0.5 * h * k2) - g * xm
+        k4 = lam * (c + h * k3) - g * x1
+        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(c)
+    return np.array(out)
+
+
 def test_emit_envelope_values():
     t = grid(0.0, 10.0, 1e-3)
     env = emit_envelope(1.0, 0.0, 1.0, t)
@@ -215,3 +232,15 @@ def test_check_time_reversed_envelope_pure_reversal():
     tilde = np.exp(-0.5 * (-t))
     direct = np.exp(0.5 * t)
     assert np.max(np.abs(tilde - direct)) < 1e-12
+
+
+def test_drive_system2_matches_stagewise_rk4():
+    h = 2e-3
+    t = grid(0.0, 12.0, h)
+    half = grid(0.0, 12.0, h / 2.0)
+    rng = np.random.default_rng(3)
+    drive = np.exp(-0.3 * half + 2.0j * half) + 0.1 * rng.normal(size=half.size)
+    env = Envelope(0.0, h / 2.0, drive)
+    res = drive_system2(env, 1.3, 0.7, 0.0, t)
+    ref = drive_stagewise(env.samples, 1.3, 0.7, h)
+    assert np.max(np.abs(res.c2 - ref)) <= 1e-13 * np.max(np.abs(ref))
