@@ -283,6 +283,10 @@ def validate(cfg: RunConfig) -> list[str]:
             diags.append("numerics.n_traj: must be at least 1")
         if not 0 <= num["seed"] < 2**64:
             diags.append("numerics.seed: must fit in an unsigned 64-bit integer")
+        if num["record_stride"] < 1:
+            diags.append("numerics.record_stride: must be at least 1")
+    if cfg.experiment == "phases" and num["nx"] < 2:
+        diags.append("numerics.nx: must be at least 2")
     if num["initial_state"] not in INITIAL_STATES:
         diags.append(
             f"numerics.initial_state: unknown {num['initial_state']!r}, "
@@ -341,12 +345,23 @@ def _cell(v) -> str:
     return repr(f)
 
 
-def _write_csv(path: Path, comments: list[str], header: list[str], rows) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+_CSV_BLOCK = 4096  # rows formatted per write
+
+
+def _cells(col) -> list[str]:
+    if isinstance(col, np.ndarray) and col.dtype == np.float64:
+        return ["" if v != v else repr(v) for v in col.tolist()]  # NaN as an empty field
+    return list(map(_cell, col.tolist() if isinstance(col, np.ndarray) else col))
+
+
+def _write_csv(path: Path, comments: list[str], header: list[str], columns) -> None:
+    """Write equal-length columns under '#' comments, streamed in blocks of rows."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [_cells(col[lo : lo + _CSV_BLOCK]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _provenance(cfg: RunConfig) -> str:
@@ -387,7 +402,6 @@ def _run_decay(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
     s2 = np.einsum("nij,ji->n", eg, cascade.SIGMA2_MINUS)
     coh = np.einsum("nij,ji->n", plus, cascade.SIGMA1_MINUS)
     ratio = coh / coh[0]
-    rows = zip(times, p1, p2, s1.real, s1.imag, s2.real, s2.imag, ratio.real, ratio.imag)
     csv_path = out_dir / "decay.csv"
     _write_csv(
         csv_path,
@@ -399,7 +413,7 @@ def _run_decay(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
         ],
         ["t", "P1", "P2", "re_sigma1", "im_sigma1", "re_sigma2", "im_sigma2",
          "decay_re", "decay_im"],
-        rows,
+        [times, p1, p2, s1.real, s1.imag, s2.real, s2.imag, ratio.real, ratio.imag],
     )
     paths = [csv_path]
     if emit_svg:
@@ -421,20 +435,6 @@ def _run_lindblad(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
     rho0 = density_from_ket(_initial_ket(num["initial_state"]))
     spec = build_transform_spec(cfg, model) if cfg.transform is not None else None
     run_ = cascade.integrate_master(rho0, model, num["t_span"], num["dt"], transform=spec)
-    trace_dev = run_.trace_deviation()
-    min_eig = run_.min_eigenvalues()
-    rows = zip(
-        run_.times,
-        run_.tilde_t,
-        run_.p1,
-        run_.p2,
-        run_.sigma1.real,
-        run_.sigma1.imag,
-        run_.sigma2.real,
-        run_.sigma2.imag,
-        trace_dev,
-        min_eig,
-    )
     csv_path = out_dir / "lindblad.csv"
     _write_csv(
         csv_path,
@@ -442,7 +442,8 @@ def _run_lindblad(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
          f"initial state {num['initial_state']}"],
         ["t", "tilde_t", "P1", "P2", "re_sigma1", "im_sigma1", "re_sigma2",
          "im_sigma2", "trace_dev", "min_eig"],
-        rows,
+        [run_.times, run_.tilde_t, run_.p1, run_.p2, run_.sigma1.real, run_.sigma1.imag,
+         run_.sigma2.real, run_.sigma2.imag, run_.trace_deviation(), run_.min_eigenvalues()],
     )
     paths = [csv_path]
     if emit_svg:
@@ -476,7 +477,6 @@ def _run_trajectories(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Pat
     p2_me = master.p2[:: num["record_stride"]][: ens.times.size]
     dev = np.abs(ens.p2 - p2_me)
     csv_path = out_dir / "trajectories.csv"
-    rows = zip(ens.times, ens.p1, ens.p2, ens.sem_p2, p2_me, dev)
     _write_csv(
         csv_path,
         [
@@ -487,7 +487,7 @@ def _run_trajectories(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Pat
             f"max_abs_dev = {float(np.max(dev))!r}",
         ],
         ["t", "P1", "P2", "sem_P2", "P2_master", "abs_dev"],
-        rows,
+        [ens.times, ens.p1, ens.p2, ens.sem_p2, p2_me, dev],
     )
     edges = np.linspace(num["t_span"][0], num["t_span"][1], 51)
     counts, _ = np.histogram(ens.jump_times, bins=edges)
@@ -496,7 +496,7 @@ def _run_trajectories(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Pat
         hist_path,
         [_provenance(cfg), "jump-time histogram"],
         ["bin_lo", "bin_hi", "count"],
-        zip(edges[:-1], edges[1:], counts),
+        [edges[:-1], edges[1:], counts],
     )
     paths = [csv_path, hist_path]
     if emit_svg:
@@ -534,13 +534,7 @@ def _run_transform(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
     pre_lo = (spec.T - sched.t_f) / spec.alpha
     pre_hi = (spec.T - sched.t_s) / spec.alpha
     window = at_device.slice_window(pre_lo, pre_hi)
-    rows = [
-        ("in", t, v.real, v.imag, abs(v))
-        for t, v in zip(at_device.times, at_device.samples)
-    ] + [
-        ("out", t, v.real, v.imag, abs(v))
-        for t, v in zip(out_env.times, out_env.samples)
-    ]
+    samples = np.concatenate([at_device.samples, out_env.samples])
     csv_path = out_dir / "transform.csv"
     _write_csv(
         csv_path,
@@ -557,7 +551,13 @@ def _run_transform(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
             f"n_zero_filled = {out_env.n_zero_filled}",
         ],
         ["segment", "t", "re", "im", "abs"],
-        rows,
+        [
+            ["in"] * at_device.samples.size + ["out"] * out_env.samples.size,
+            np.concatenate([at_device.times, out_env.times]),
+            samples.real,
+            samples.imag,
+            np.hypot(samples.real, samples.imag),  # abs() per element, as in phases
+        ],
     )
     paths = [csv_path]
     if emit_svg:
@@ -601,13 +601,13 @@ def _run_phases(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
     if x_max is None or x_max <= 0.0:
         x_max = spec.c * (sched.t_f + 2.0 * spec.Delta)
     xs = np.linspace(0.0, x_max, num["nx"])
-    rows = []
-    for k, t_snap in enumerate(snaps):
-        for x in xs:
-            amp, tag = wavepacket.assemble_piecewise_field(
-                float(x), float(t_snap), emitted, transformed, spec, sched
-            )
-            rows.append((k, t_snap, x, abs(amp), amp.real, amp.imag, tag.value))
+    fields = [
+        wavepacket.assemble_piecewise_field(xs, float(t_snap), emitted, transformed, spec, sched)
+        for t_snap in snaps
+    ]
+    amps = np.concatenate([np.zeros(0, dtype=complex), *(amp for amp, _ in fields)])
+    # abs() per element: np.hypot equals it, np.abs may differ in the last bit
+    mags = np.hypot(amps.real, amps.imag)
     csv_path = out_dir / "phases.csv"
     _write_csv(
         csv_path,
@@ -621,27 +621,25 @@ def _run_phases(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
             "snapshot_times = " + ",".join(repr(float(s)) for s in snaps),
         ],
         ["snapshot", "t", "x", "abs", "re", "im", "tag"],
-        rows,
+        [
+            np.repeat(np.arange(len(snaps)), xs.size),
+            np.repeat(np.asarray(snaps, dtype=float), xs.size),
+            np.tile(xs, len(snaps)),
+            mags,
+            amps.real,
+            amps.imag,
+            [tag.value for _, tags in fields for tag in tags],
+        ],
     )
     paths = [csv_path]
     if emit_svg:
         svg_path = out_dir / "phases.svg"
-        series = []
-        for k, t_snap in enumerate(snaps):
-            amps = np.array(
-                [
-                    abs(
-                        wavepacket.assemble_piecewise_field(
-                            float(x), float(t_snap), emitted, transformed, spec, sched
-                        )[0]
-                    )
-                    for x in xs
-                ]
-            )
-            series.append((xs, amps, f"t = {t_snap:.6g}"))
         line_plot(
             svg_path,
-            series,
+            [
+                (xs, mags[k * xs.size : (k + 1) * xs.size], f"t = {t_snap:.6g}")
+                for k, t_snap in enumerate(snaps)
+            ],
             title="transformation phases",
             xlabel="x (c/gamma1)",
             ylabel="|A|",
@@ -684,7 +682,7 @@ def _run_timemap(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
             "vertical_gap = " + repr(sched.t_f - sched.t_s),
         ],
         ["t", "f", "f_slope", "f_inv", "f_inv_slope"],
-        rows,
+        list(zip(*rows)),
     )
     paths = [csv_path]
     if emit_svg:
@@ -733,7 +731,7 @@ def _run_transfer(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
             f"fidelity_on = {on.fidelity!r} (equal superposition |a|^2 = |b|^2 = 1/2)",
         ],
         ["t", "P2_off", "P2_on"],
-        zip(off.times, off.p2, on.p2),
+        [off.times, off.p2, on.p2],
     )
     paths = [csv_path]
     if emit_svg:

@@ -17,6 +17,7 @@ _PALETTE = ("#0a4570", "#af1a2e", "#055805", "#b06f00", "#5b2d8c", "#006d66")
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 64, 16, 34, 46
+_BLOCK = 4096  # polyline points formatted at a time
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -40,6 +41,15 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 def _fmt(v: float) -> str:
     return f"{v:.6g}"
+
+
+def _points(cx: np.ndarray, cy: np.ndarray) -> str:
+    """Polyline points 'x,y x,y ...' to two decimals, formatted a block at a time."""
+    blocks = []
+    for lo in range(0, cx.size, _BLOCK):
+        flat = np.column_stack((cx[lo : lo + _BLOCK], cy[lo : lo + _BLOCK])).ravel().tolist()
+        blocks.append(" ".join(["%.2f,%.2f"] * (len(flat) // 2)) % tuple(flat))
+    return " ".join(blocks)
 
 
 def line_plot(
@@ -66,10 +76,11 @@ def line_plot(
     y_lo -= pad
     y_hi += pad
 
-    def px(x: float) -> float:
+    # elementwise on arrays in the same operation order, so scalars and arrays agree bit for bit
+    def px(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
-    def py(y: float) -> float:
+    def py(y):
         return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
 
     parts = [
@@ -119,23 +130,15 @@ def line_plot(
         color = _PALETTE[idx % len(_PALETTE)]
         sx = np.asarray(sx, dtype=float)
         sy = np.asarray(sy, dtype=float)
-        good = np.isfinite(sx) & np.isfinite(sy)
-        segment: list[str] = []
-        for ok, x, y in zip(good, sx, sy):
-            if ok:
-                segment.append(f"{px(x):.2f},{py(y):.2f}")
-            elif segment:
-                if len(segment) > 1:
-                    parts.append(
-                        f'<polyline points="{" ".join(segment)}" fill="none" '
-                        f'stroke="{color}" stroke-width="1.5"/>'
-                    )
-                segment = []
-        if len(segment) > 1:
-            parts.append(
-                f'<polyline points="{" ".join(segment)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
+        cx, cy = px(sx), py(sy)
+        # one polyline per run of at least two finite points between non-finite ones
+        cuts = [-1, *np.flatnonzero(~(np.isfinite(sx) & np.isfinite(sy))).tolist(), sx.size]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            if hi - lo > 2:
+                parts.append(
+                    f'<polyline points="{_points(cx[lo + 1 : hi], cy[lo + 1 : hi])}" '
+                    f'fill="none" stroke="{color}" stroke-width="1.5"/>'
+                )
         ly = _MT + 16 + 16 * idx
         parts.append(
             f'<line x1="{_W - _MR - 150}" y1="{ly}" x2="{_W - _MR - 122}" y2="{ly}" '

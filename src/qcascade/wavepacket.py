@@ -467,13 +467,13 @@ def heaviside(x: float) -> float:
 
 
 def assemble_piecewise_field(
-    x: float,
+    x,
     t: float,
     initial: Envelope,
     transformed: Envelope | None,
     spec: TransformSpec,
     schedule: PhaseSchedule,
-) -> tuple[complex, PhaseTag]:
+) -> tuple[complex, PhaseTag] | tuple[np.ndarray, np.ndarray]:
     """Field amplitude at (x, t) through the four transformation phases.
 
     `initial` is the emitted envelope sqrt(gamma1) <s1-(s)> as a function
@@ -482,19 +482,27 @@ def assemble_piecewise_field(
     time.  Downstream of the device the retarded time t - (x - X)/c
     selects the vacuum gap, the transformed packet, or the untouched
     initial field; elsewhere the initial field propagates freely.
+
+    A scalar x gives (amplitude, PhaseTag); a 1-d array of positions gives
+    a complex amplitude array and an object array of tags, with one
+    envelope interpolation per branch.
     """
-    if x >= spec.X:
-        retarded = t - (x - spec.X) / spec.c
-        if schedule.t_i < retarded < schedule.t_s:
-            return 0.0j, PhaseTag.VACUUM
-        if schedule.t_s < retarded < schedule.t_f:
-            if transformed is None:
-                return 0.0j, PhaseTag.TRANSFORMED
-            return complex(transformed.interp(retarded)), PhaseTag.TRANSFORMED
-    u = heaviside(x)
-    if u == 0.0:
-        return 0.0j, PhaseTag.INITIAL
-    return u * complex(initial.interp(t - x / spec.c)), PhaseTag.INITIAL
+    scalar = np.isscalar(x)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    retarded = t - (xs - spec.X) / spec.c
+    downstream = xs >= spec.X
+    vacuum = downstream & (schedule.t_i < retarded) & (retarded < schedule.t_s)
+    produced = downstream & (schedule.t_s < retarded) & (retarded < schedule.t_f)
+    free = ~(vacuum | produced) & (xs >= 0.0)
+    amp = np.zeros(xs.shape, dtype=complex)
+    if transformed is not None:
+        amp[produced] = transformed.interp(retarded[produced])
+    # u(x), with u(0) = 1/2, scales the initial branch only: a float x complex product
+    # by 1.0 can still turn an imaginary -0.0 into +0.0
+    u = np.where(xs[free] == 0.0, heaviside(0.0), 1.0)
+    amp[free] = u * initial.interp(t - xs[free] / spec.c)
+    tags = np.select([vacuum, produced], [PhaseTag.VACUUM, PhaseTag.TRANSFORMED], PhaseTag.INITIAL)
+    return (complex(amp[0]), tags[0]) if scalar else (amp, tags)
 
 
 def time_map(

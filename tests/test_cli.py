@@ -115,13 +115,86 @@ def test_decay_run_matches_analytics(tmp_path):
     assert abs(decay_re[k] - math.exp(-0.5)) < 1e-6
 
 
-def test_csv_byte_determinism(tmp_path):
-    path = write_config(tmp_path, numerics={"dt": 0.01, "t_span": [0.0, 2.0]})
-    cli.main(["--config", str(path)])
-    first = (tmp_path / "out" / "decay.csv").read_bytes()
-    cli.main(["--config", str(path)])
-    second = (tmp_path / "out" / "decay.csv").read_bytes()
-    assert first == second
+_FIG2_RUN = {"transform": dict(FIG2_TRANSFORM), "numerics": {"dt": 0.01, "t_span": [0.0, 40.0]}}
+DETERMINISM_CONFIGS = {
+    "decay": {"numerics": {"dt": 0.01, "t_span": [0.0, 2.0]}},
+    "phases": dict(_FIG2_RUN, numerics={"dt": 0.01, "t_span": [0.0, 40.0], "nx": 97}),
+    "transform": _FIG2_RUN,
+    "timemap": _FIG2_RUN,
+    "transfer": {"model": {"gamma1": 2.0, "gamma2": 1.0}, "numerics": {"dt": 0.01, "t_span": None}},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(DETERMINISM_CONFIGS))
+def test_csv_byte_determinism(tmp_path, experiment):
+    # every CSV and SVG writer path, re-run on the same config
+    path = write_config(tmp_path, experiment=experiment, **DETERMINISM_CONFIGS[experiment])
+    outputs = [tmp_path / "out" / f"{experiment}.{ext}" for ext in ("csv", "svg")]
+    assert cli.main(["--config", str(path), "--svg"]) == 0
+    first = [p.read_bytes() for p in outputs]
+    assert cli.main(["--config", str(path), "--svg"]) == 0
+    assert [p.read_bytes() for p in outputs] == first
+
+
+def _reference_write_csv(path, comments, header, rows):
+    """The row-at-a-time writer the column writer replaced, kept as the byte reference."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(cli._cell(v) for v in row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("n", [0, 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1])
+def test_write_csv_matches_row_writer(tmp_path, n):
+    specials = [math.nan, -0.0, 5e-324, 1e300, -1.0 / 3.0, math.inf, 0.0, 2.5e-310]
+    floats = np.resize(np.array(specials), n)
+    pairs = np.column_stack((floats[::-1], floats))
+    columns = [
+        floats,
+        np.arange(n, dtype=np.int64) * 7,  # histogram counts
+        [("in", "out", "")[k % 3] for k in range(n)],
+        [None if k % 4 == 0 else (k if k % 4 == 1 else 0.5 * k) for k in range(n)],
+        pairs[:, 0],  # strided float64 view
+        tuple(np.float64(v) for v in floats[::-1]),  # what zip(*rows) hands over
+        np.arange(n) % 2 == 0,
+    ]
+    header = ["f", "count", "tag", "maybe", "strided", "f_rev", "flag"]
+    cli._write_csv(tmp_path / "new.csv", ["config {}", "units"], header, columns)
+    _reference_write_csv(tmp_path / "ref.csv", ["config {}", "units"], header, zip(*columns))
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert new.count(b"\n") == 3 + n
+
+
+@pytest.mark.parametrize("experiment", ["phases", "transform"])
+def test_abs_column_is_abs_of_re_im(tmp_path, experiment):
+    # re and im are written exactly (repr), so abs must equal Python's abs() of them bit for bit
+    path = write_config(
+        tmp_path,
+        experiment=experiment,
+        model={"gamma1": 1.0, "gamma2": 0.5, "omega1": 3.0, "rotating_frame": False},
+        **dict(DETERMINISM_CONFIGS["phases"], transform=dict(FIG2_TRANSFORM, omega0=1.5)),
+    )
+    assert cli.main(["--config", str(path)]) == 0
+    _, header, rows = read_csv(tmp_path / "out" / f"{experiment}.csv")
+    re, im, mag = (column(header, rows, name) for name in ("re", "im", "abs"))
+    assert sum(v != 0.0 for v in im) > len(rows) // 4
+    assert mag == [abs(complex(a, b)) for a, b in zip(re, im)]
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [("phases", "nx", 0), ("phases", "nx", -5),
+     ("trajectories", "record_stride", 0), ("trajectories", "record_stride", -1)],
+)
+def test_exit_2_on_bad_grid_sizes(tmp_path, capsys, experiment, key, value):
+    numerics = {"dt": 0.01, "t_span": [0.0, 40.0], "n_traj": 10, key: value}
+    path = write_config(tmp_path, experiment=experiment, transform=dict(FIG2_TRANSFORM),
+                        numerics=numerics)
+    assert cli.main(["--config", str(path)]) == 2
+    assert f"numerics.{key}: must be at least" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_lindblad_run_quality_columns(tmp_path):

@@ -289,6 +289,59 @@ def test_assemble_piecewise_field_fig2():
     assert abs(amp - math.exp(-(31.0 - 12.0) / 2.0)) < 1e-10
 
 
+def _scalar_field_reference(x, t, initial, transformed, spec, schedule):
+    """Point-by-point field assembly as written before the array path existed."""
+    if x >= spec.X:
+        retarded = t - (x - spec.X) / spec.c
+        if schedule.t_i < retarded < schedule.t_s:
+            return 0.0j, PhaseTag.VACUUM
+        if schedule.t_s < retarded < schedule.t_f:
+            if transformed is None:
+                return 0.0j, PhaseTag.TRANSFORMED
+            return complex(transformed.interp(retarded)), PhaseTag.TRANSFORMED
+    u = heaviside(x)
+    if u == 0.0:
+        return 0.0j, PhaseTag.INITIAL
+    return u * complex(initial.interp(t - x / spec.c)), PhaseTag.INITIAL
+
+
+def _bits(values):
+    # raw float64 bits of the real and imaginary parts: equal bits means equal signs of zero
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("lab_frame", [False, True])
+def test_assemble_piecewise_field_array_matches_scalar(lab_frame):
+    env = decaying_envelope()
+    if lab_frame:  # real and imaginary parts change sign along the packet
+        env = Envelope(env.t0, env.dt, env.samples * np.exp(-3j * env.times))
+    transformed = apply_u_time_domain(env, FIG2)
+    sched = phase_schedule(FIG2)
+    # unit steps: x < 0, x = 0 and x = X = 12 are on the grid, and for t = 36 the
+    # retarded time t - (x - X) is exactly t_f, t_s and t_i at x = 18, 30 and 36
+    xs = np.linspace(-4.0, 48.0, 105)
+    assert {-1.0, 0.0, 12.0, 18.0, 30.0, 36.0} <= set(xs.tolist())
+    for t in (6.0, 15.0, 18.0, 24.0, 30.0, 36.0, 48.0):
+        for produced in (transformed, None):
+            amps, tags = assemble_piecewise_field(xs, t, env, produced, FIG2, sched)
+            ref = [_scalar_field_reference(x, t, env, produced, FIG2, sched) for x in xs.tolist()]
+            assert amps.shape == xs.shape and tags.shape == xs.shape
+            assert np.array_equal(_bits(amps), _bits([a for a, _ in ref]))
+            assert list(tags) == [tag for _, tag in ref]
+            scalar = [
+                assemble_piecewise_field(x, t, env, produced, FIG2, sched) for x in xs.tolist()
+            ]
+            assert np.array_equal(_bits([a for a, _ in scalar]), _bits(amps))
+            assert all(type(a) is complex for a, _ in scalar)
+            assert [tag for _, tag in scalar] == list(tags)
+    # every branch was reached, including the boundaries of the production window
+    amps, tags = assemble_piecewise_field(xs, 36.0, env, transformed, FIG2, sched)
+    at = dict(zip(xs.tolist(), tags))
+    assert at[18.0] is at[30.0] is at[36.0] is PhaseTag.INITIAL
+    assert at[24.0] is PhaseTag.TRANSFORMED and at[33.0] is PhaseTag.VACUUM
+    assert amps[xs.tolist().index(-1.0)] == 0.0
+
+
 def test_time_map_values():
     sched = phase_schedule(FIG2)
     assert time_map(20.0, FIG2, sched, 0.0) == pytest.approx(17.0)
