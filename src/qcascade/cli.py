@@ -272,12 +272,10 @@ def validate(cfg: RunConfig) -> list[str]:
                 "exceeds the bound 0.1"
             )
         if cfg.experiment == "trajectories":
-            b = 4.0 * dt * (model.gamma1 + model.gamma2 + abs(model.beta) ** 2)
-            if b >= 0.1:
-                diags.append(
-                    f"numerics.dt: 4*dt*(gamma1 + gamma2 + |beta|^2) = {b:.3g} "
-                    "must stay below 0.1 for trajectories"
-                )
+            try:
+                trajectory._check_step_bound(model, dt)
+            except ValueError as exc:
+                diags.append(f"numerics.dt: {exc}")
     if cfg.experiment == "trajectories":
         if num["n_traj"] < 1:
             diags.append("numerics.n_traj: must be at least 1")
@@ -287,6 +285,8 @@ def validate(cfg: RunConfig) -> list[str]:
             diags.append("numerics.record_stride: must be at least 1")
     if cfg.experiment == "phases" and num["nx"] < 2:
         diags.append("numerics.nx: must be at least 2")
+    if cfg.experiment == "phases" and num["snapshot_times"] == []:
+        diags.append("numerics.snapshot_times: must list at least one time")
     if num["initial_state"] not in INITIAL_STATES:
         diags.append(
             f"numerics.initial_state: unknown {num['initial_state']!r}, "

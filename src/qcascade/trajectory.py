@@ -14,8 +14,13 @@ Randomness comes from a counter-based generator: the variate for
 (seed, trajectory, step) is a 64-bit hash of the triple, so runs are
 reproducible bit for bit, any trajectory can be recomputed in isolation,
 and results do not depend on how the ensemble is batched or scheduled.
-The ensemble reduction is performed in a fixed order (whole-ensemble
-sums at each recorded step), independent of any execution parallelism.
+
+Trajectories that share a jump history hold bitwise-equal states, so the
+ensemble propagates one state per live jump history and maps each
+trajectory to its history's state.  Only trajectories whose state can
+jump draw a variate.  The ensemble reduction runs over the
+per-trajectory values in a fixed order (whole-ensemble sums at each
+recorded step), independent of any execution parallelism.
 """
 
 from __future__ import annotations
@@ -151,7 +156,13 @@ def _mc_core(
     record_stride: int,
     on_record,
 ) -> tuple[list[float], np.ndarray]:
-    """Shared step loop; calls on_record(slot, psi, norm2) at sampled steps.
+    """Shared step loop over jump histories.
+
+    Every operation acts row by row, so trajectories with the same jump
+    history hold bitwise-equal states.  The loop therefore propagates one
+    row of ``states`` per live history, and ``cls[i]`` is the row of
+    trajectory i.  Calls on_record(slot, states, norm2, cls) at sampled
+    steps; a per-trajectory quantity is a per-row one indexed by ``cls``.
 
     Returns (jump times, jump count per trajectory).
     """
@@ -160,37 +171,58 @@ def _mc_core(
     t0, t1 = float(t_span[0]), float(t_span[1])
     n_steps = int(round((t1 - t0) / dt))
     n = streams.size
-    psi = np.tile(np.asarray(psi0, dtype=complex), (n, 1))
-    norm2 = np.sum(np.abs(psi) ** 2, axis=1)
+    states = np.array(psi0, dtype=complex).reshape(1, -1)
+    cls = np.zeros(n, dtype=np.intp)
+    sizes = np.array([n])
+    norm2 = np.sum(np.abs(states) ** 2, axis=1)
     keys = _stream_keys(seed, streams)
     jump_times: list[float] = []
     jump_counts = np.zeros(n, dtype=np.int64)
     slot = 0
-    on_record(slot, psi, norm2)
+    on_record(slot, states, norm2, cls)
     for step in range(n_steps):
-        jpsi = _apply(jop, psi)
+        jpsi = _apply(jop, states)
         jj = np.sum(np.abs(jpsi) ** 2, axis=1)
         delta_p = dt * jj / norm2
+        # every row has members here, so this is the max over trajectories
         worst = float(np.max(delta_p))
         if not math.isfinite(worst) or worst > 0.1:
             raise IntegrationAbort(
                 f"jump probability per step {worst:.3g} > 0.1 at t = "
                 f"{t0 + step * dt:.6g}; reduce dt={dt:g}"
             )
-        u = _uniforms(keys, step)
-        jump = u < delta_p
-        psi = _apply(prop, psi)
-        if np.any(jump):
-            jp = jpsi[jump]
+        states = _apply(prop, states)
+        # u in [0, 1) is never below delta_p = 0: only trajectories whose
+        # row can jump draw a variate
+        p = delta_p[cls]
+        cand = np.flatnonzero(p)
+        jumpers = cand[_uniforms(keys[cand], step) < p[cand]]
+        if jumpers.size:
+            # the jumpers leaving one row share one new state, J psi / |J psi|
+            rows, new_row, moved = np.unique(
+                cls[jumpers], return_inverse=True, return_counts=True
+            )
+            jp = jpsi[rows]
             jn = np.sqrt(np.sum(np.abs(jp) ** 2, axis=1))
-            psi[jump] = jp / jn[:, None]
+            new = jp / jn[:, None]
+            # a row left by all its members takes the new state in place, so
+            # no row is ever empty; any other row's jumpers get a new row
+            left = sizes[rows] - moved
+            kept = left > 0
+            dest = np.where(kept, states.shape[0] + np.cumsum(kept) - 1, rows)
+            if kept.any():
+                states = np.concatenate([states, new[kept]])
+                sizes = np.concatenate([sizes, moved[kept]])
+            states[dest] = new
+            sizes[rows] = np.where(kept, left, moved)
+            cls[jumpers] = dest[new_row]
             t_jump = t0 + (step + 1) * dt
-            jump_times.extend([t_jump] * int(np.count_nonzero(jump)))
-            jump_counts[jump] += 1
-        norm2 = np.sum(np.abs(psi) ** 2, axis=1)
+            jump_times.extend([t_jump] * jumpers.size)
+            jump_counts[jumpers] += 1
+        norm2 = np.sum(np.abs(states) ** 2, axis=1)
         if (step + 1) % record_stride == 0:
             slot += 1
-            on_record(slot, psi, norm2)
+            on_record(slot, states, norm2, cls)
     return jump_times, jump_counts
 
 
@@ -226,11 +258,12 @@ def evolve_trajectory(
     p1 = np.empty(times.size)
     p2 = np.empty(times.size)
 
-    def record(slot, psi, norm2):
-        norms[slot] = math.sqrt(float(norm2[0]))
-        a, b = _populations(psi, norm2)
-        p1[slot] = float(a[0])
-        p2[slot] = float(b[0])
+    def record(slot, states, norm2, cls):
+        row = cls[0]
+        norms[slot] = math.sqrt(float(norm2[row]))
+        a, b = _populations(states, norm2)
+        p1[slot] = float(a[row])
+        p2[slot] = float(b[row])
 
     streams = np.array([stream_index], dtype=np.uint64)
     jump_times, _ = _mc_core(
@@ -251,9 +284,10 @@ def ensemble_average(
 ) -> EnsembleResult:
     """Average n_traj trajectories (streams 0 .. n_traj-1).
 
-    The whole ensemble advances in lock step and reductions run over the
-    full trajectory axis at once, so the result is a deterministic
-    function of (psi0, model, cfg) alone.
+    Trajectories with the same jump history share one propagated state,
+    and reductions run over the full trajectory axis at once, so the
+    result is a deterministic function of (psi0, model, cfg) alone and
+    equals the mean of the single trajectories bit for bit.
     """
     validate_state_vector(psi0)
     _check_step_bound(model, cfg.dt)
@@ -262,8 +296,9 @@ def ensemble_average(
     p2_mean = np.empty(times.size)
     p2_sq = np.empty(times.size)
 
-    def record(slot, psi, norm2):
-        a, b = _populations(psi, norm2)
+    def record(slot, states, norm2, cls):
+        a, b = _populations(states, norm2)
+        a, b = a[cls], b[cls]
         p1_mean[slot] = float(np.mean(a))
         p2_mean[slot] = float(np.mean(b))
         p2_sq[slot] = float(np.mean(b * b))

@@ -122,18 +122,21 @@ DETERMINISM_CONFIGS = {
     "transform": _FIG2_RUN,
     "timemap": _FIG2_RUN,
     "transfer": {"model": {"gamma1": 2.0, "gamma2": 1.0}, "numerics": {"dt": 0.01, "t_span": None}},
+    "trajectories": {"numerics": {"dt": 0.01, "t_span": [0.0, 3.0], "n_traj": 200}},
 }
 
 
 @pytest.mark.parametrize("experiment", sorted(DETERMINISM_CONFIGS))
 def test_csv_byte_determinism(tmp_path, experiment):
-    # every CSV and SVG writer path, re-run on the same config
+    # every CSV and SVG writer path, re-run on the same config; every file
+    # the run writes is compared (trajectories also writes trajectories_jumps.csv)
     path = write_config(tmp_path, experiment=experiment, **DETERMINISM_CONFIGS[experiment])
-    outputs = [tmp_path / "out" / f"{experiment}.{ext}" for ext in ("csv", "svg")]
+    out = tmp_path / "out"
     assert cli.main(["--config", str(path), "--svg"]) == 0
-    first = [p.read_bytes() for p in outputs]
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {f"{experiment}.csv", f"{experiment}.svg"} <= first.keys()
     assert cli.main(["--config", str(path), "--svg"]) == 0
-    assert [p.read_bytes() for p in outputs] == first
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
 def _reference_write_csv(path, comments, header, rows):
@@ -195,6 +198,26 @@ def test_exit_2_on_bad_grid_sizes(tmp_path, capsys, experiment, key, value):
     assert cli.main(["--config", str(path)]) == 2
     assert f"numerics.{key}: must be at least" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_exit_2_on_empty_snapshot_times(tmp_path, capsys):
+    numerics = {"dt": 0.01, "t_span": [0.0, 40.0], "snapshot_times": []}
+    path = write_config(tmp_path, experiment="phases", transform=dict(FIG2_TRANSFORM),
+                        numerics=numerics)
+    assert cli.main(["--config", str(path), "--svg"]) == 2
+    assert "numerics.snapshot_times: must list at least one time" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_trajectory_step_bound(tmp_path):
+    # dt*max(rates) = 0.02 passes the generic bound; 4*dt*(g1 + g2) = 0.16 does not
+    path = write_config(tmp_path, experiment="trajectories",
+                        numerics={"dt": 0.02, "t_span": [0.0, 1.0], "n_traj": 10})
+    diags = cli.validate(cli.load_config(path))
+    assert diags == [
+        "numerics.dt: trajectory step too large: 4*dt*(gamma1 + gamma2 + |beta|^2) = 0.16 "
+        "must stay below 0.1"
+    ]
 
 
 def test_lindblad_run_quality_columns(tmp_path):

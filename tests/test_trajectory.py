@@ -10,6 +10,7 @@ from qcascade.cascade import (
     build_h_eff,
     build_jump_operator,
     integrate_master,
+    step_matrix,
 )
 from qcascade.hilbert import composite_ket, density_from_ket
 from qcascade.trajectory import (
@@ -184,7 +185,7 @@ def test_delta_p_abort_in_core():
     # reachable only past the public dt bound: exercise the core guard
     recorded = []
 
-    def sink(slot, psi, norm2):
+    def sink(slot, states, norm2, cls):
         recorded.append(slot)
 
     with pytest.raises(IntegrationAbort, match="jump probability"):
@@ -204,3 +205,123 @@ def test_unnormalized_psi0_rejected():
     cfg = TrajectoryConfig(dt=0.01, n_traj=1, seed=4, t_span=(0.0, 1.0))
     with pytest.raises(ValueError):
         evolve_trajectory(2.0 * PSI_EG, MODEL, cfg, 0)
+
+
+def _reference_mc_core(psi0, model, dt, t_span, seed, streams, record_stride, on_record):
+    # the per-trajectory step loop that propagated one state row per
+    # trajectory, kept as the bit-level reference for the shared-row core
+    prop = step_matrix(-1j * build_h_eff(model), dt)
+    jop = build_jump_operator(model)
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    n_steps = int(round((t1 - t0) / dt))
+    n = streams.size
+    psi = np.tile(np.asarray(psi0, dtype=complex), (n, 1))
+    norm2 = np.sum(np.abs(psi) ** 2, axis=1)
+    keys = tj._stream_keys(seed, streams)
+    jump_times: list[float] = []
+    jump_counts = np.zeros(n, dtype=np.int64)
+    slot = 0
+    on_record(slot, psi, norm2)
+    for step in range(n_steps):
+        jpsi = tj._apply(jop, psi)
+        jj = np.sum(np.abs(jpsi) ** 2, axis=1)
+        delta_p = dt * jj / norm2
+        worst = float(np.max(delta_p))
+        if not math.isfinite(worst) or worst > 0.1:
+            raise IntegrationAbort(
+                f"jump probability per step {worst:.3g} > 0.1 at t = "
+                f"{t0 + step * dt:.6g}; reduce dt={dt:g}"
+            )
+        u = tj._uniforms(keys, step)
+        jump = u < delta_p
+        psi = tj._apply(prop, psi)
+        if np.any(jump):
+            jp = jpsi[jump]
+            jn = np.sqrt(np.sum(np.abs(jp) ** 2, axis=1))
+            psi[jump] = jp / jn[:, None]
+            t_jump = t0 + (step + 1) * dt
+            jump_times.extend([t_jump] * int(np.count_nonzero(jump)))
+            jump_counts[jump] += 1
+        norm2 = np.sum(np.abs(psi) ** 2, axis=1)
+        if (step + 1) % record_stride == 0:
+            slot += 1
+            on_record(slot, psi, norm2)
+    return jump_times, jump_counts
+
+
+def _reference_with_rows(psi0, model, dt, t_span, seed, streams, record_stride, on_record):
+    # the reference behind the shared-row sink: trajectory i owns row i
+    ident = np.arange(streams.size)
+
+    def sink(slot, psi, norm2):
+        on_record(slot, psi, norm2, ident)
+
+    return _reference_mc_core(psi0, model, dt, t_span, seed, streams, record_stride, sink)
+
+
+CORE_CASES = {
+    "beta0_eg": (CascadeModel(1.0, 1.0), "eg", TrajectoryConfig(0.01, 400, 5, (0.0, 6.0))),
+    "beta03_gg": (
+        CascadeModel(1.0, 1.0, beta=0.3), "gg", TrajectoryConfig(0.005, 300, 31, (0.0, 4.0))
+    ),
+    "ee_lab_frame": (
+        CascadeModel(1.0, 1.0, omega2=0.4, rotating_frame=False),
+        "ee",
+        TrajectoryConfig(0.01, 300, 8, (0.0, 5.0)),
+    ),
+    # 500 steps: the last 3 are not followed by a record
+    "beta05_ee_stride7": (
+        CascadeModel(1.3, 0.8, beta=0.5),
+        "ee",
+        TrajectoryConfig(0.01, 300, 17, (0.0, 5.0), record_stride=7),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORE_CASES))
+def test_mc_core_matches_per_row_reference(case):
+    # per-trajectory norms, populations, jump times and counts, bit for bit
+    model, label, cfg = CORE_CASES[case]
+    streams = np.arange(cfg.n_traj, dtype=np.uint64)
+    args = (composite_ket(label), model, cfg.dt, cfg.t_span, cfg.seed, streams, cfg.record_stride)
+
+    def recorder(out):
+        def sink(slot, states, norm2, cls):
+            a, b = tj._populations(states, norm2)
+            out.append((np.sqrt(norm2)[cls], a[cls], b[cls]))
+
+        return sink
+
+    got, ref = [], []
+    times, counts = tj._mc_core(*args, recorder(got))
+    ref_times, ref_counts = _reference_with_rows(*args, recorder(ref))
+    assert len(got) == len(ref) == tj._record_times(cfg).size
+    for g, r in zip(got, ref):
+        for x, y in zip(g, r):
+            assert np.array_equal(x, y)
+    assert times == ref_times
+    assert np.array_equal(counts, ref_counts)
+    assert 0 < counts.sum()
+
+
+@pytest.mark.parametrize("case", sorted(CORE_CASES))
+def test_ensemble_average_matches_per_row_reference(case, monkeypatch):
+    model, label, cfg = CORE_CASES[case]
+    got = ensemble_average(composite_ket(label), model, cfg)
+    monkeypatch.setattr(tj, "_mc_core", _reference_with_rows)
+    ref = ensemble_average(composite_ket(label), model, cfg)
+    for name in ("times", "p1", "p2", "sem_p2", "jump_times"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert got.mean_jumps == ref.mean_jumps
+
+
+@pytest.mark.parametrize("case", sorted(CORE_CASES))
+def test_evolve_trajectory_matches_per_row_reference(case, monkeypatch):
+    model, label, cfg = CORE_CASES[case]
+    streams = (0, 3, 11, 12345)
+    got = [evolve_trajectory(composite_ket(label), model, cfg, k) for k in streams]
+    monkeypatch.setattr(tj, "_mc_core", _reference_with_rows)
+    ref = [evolve_trajectory(composite_ket(label), model, cfg, k) for k in streams]
+    for g, r in zip(got, ref):
+        for name in ("times", "norms", "p1", "p2", "jump_times"):
+            assert np.array_equal(getattr(g, name), getattr(r, name)), name
