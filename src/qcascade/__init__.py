@@ -14,7 +14,6 @@ from .cascade import (
     CascadeModel,
     IntegrationAbort,
     MasterRun,
-    TwoClockState,
     build_h0,
     build_h_eff,
     build_h_ex,

@@ -34,7 +34,6 @@ from .hilbert import identity, kron, ladder_two_level
 
 __all__ = [
     "CascadeModel",
-    "TwoClockState",
     "MasterRun",
     "IntegrationAbort",
     "ConsistencyReport",
@@ -46,6 +45,7 @@ __all__ = [
     "lindblad_rhs",
     "liouvillian",
     "step_matrix",
+    "time_grid",
     "integrate_master",
     "heisenberg_consistency",
 ]
@@ -103,19 +103,6 @@ class CascadeModel:
         if self.rotating_frame:
             return 0.0, 0.0
         return self.omega1, self.omega2
-
-
-@dataclass
-class TwoClockState:
-    """Joint state tagged with laboratory time and the system-1 clock.
-
-    tilde_t is None while the fictitious clock is undefined (the
-    buffering window of the transformation).
-    """
-
-    t: float
-    tilde_t: float | None
-    rho: np.ndarray
 
 
 def build_h_sys(model: CascadeModel) -> np.ndarray:
@@ -200,6 +187,16 @@ def step_matrix(a: np.ndarray, h: float) -> np.ndarray:
     return ident + ha @ (ident + ha @ (ident + ha @ (ident + ha / 4.0) / 3.0) / 2.0)
 
 
+def time_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
+    """Fixed-step grid t0 + k dt for k = 0 .. round((t1 - t0)/dt).
+
+    The one time-grid rule of the integrators and the CLI: t1 is rounded
+    to a whole number of steps.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    return t0 + dt * np.arange(int(round((t1 - t0) / dt)) + 1)
+
+
 def _rk4_density_history(
     lmat: np.ndarray,
     rho0: np.ndarray,
@@ -264,16 +261,6 @@ class MasterRun:
         self.sigma1 = np.einsum("nij,ji->n", self.rhos, SIGMA1_MINUS)
         self.sigma2 = np.einsum("nij,ji->n", self.rhos, SIGMA2_MINUS)
 
-    def states(self) -> list[TwoClockState]:
-        return [
-            TwoClockState(
-                t=float(t),
-                tilde_t=None if math.isnan(tt) else float(tt),
-                rho=rho,
-            )
-            for t, tt, rho in zip(self.times, self.tilde_t, self.rhos)
-        ]
-
     def trace_deviation(self) -> np.ndarray:
         return np.abs(np.einsum("nii->n", self.rhos) - 1.0)
 
@@ -306,9 +293,8 @@ def integrate_master(
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"rho0 must be 4x4 for the two-level pair, got {rho0.shape}")
-    n_steps = int(round((t1 - t0) / dt))
-    times = t0 + dt * np.arange(n_steps + 1)
-    rhos = _rk4_density_history(liouvillian(model), rho0, n_steps, dt)
+    times = time_grid(t_span, dt)
+    rhos = _rk4_density_history(liouvillian(model), rho0, times.size - 1, dt)
     if transform is not None:
         from .wavepacket import phase_schedule, time_map
 

@@ -5,12 +5,16 @@ Usage: qcascade [EXPERIMENT] --config cfg.json [--out DIR] [--svg]
 
 The config is a single JSON file with nested sections (model, transform,
 numerics, output); the optional positional argument overrides the
-experiment named in the config.  Each run writes <experiment>.csv
-(comma-separated, '#'-prefixed header comments embedding the resolved
-config, undefined values encoded as empty fields) and optionally a
-self-contained <experiment>.svg.  All outputs are in the natural units
-of the problem (time in 1/gamma1, length in c/gamma1) and are
-byte-identical for identical configs, seed included.
+experiment named in the config.  Each experiment is one entry of
+EXPERIMENTS: a function of (config, model, numerics) that returns its
+tables and its plot, and `run` does all the writing.  Each table becomes
+<stem>.csv (comma-separated, '#'-prefixed header comments embedding the
+resolved config, undefined values encoded as empty fields); every
+experiment writes <experiment>.csv, and trajectories also writes
+trajectories_jumps.csv.  The plot optionally becomes a self-contained
+<experiment>.svg.  All outputs are in the natural units of the problem
+(time in 1/gamma1, length in c/gamma1) and are byte-identical for
+identical configs, seed included.
 
 Exit status: 0 on success, 2 for an invalid config (the message names
 the offending field), 3 when an integrator aborts.
@@ -34,16 +38,6 @@ from .svgplot import line_plot
 from .wavepacket import TransformSpec, matched_timing, phase_schedule
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "validate", "run", "main"]
-
-EXPERIMENTS = (
-    "decay",
-    "lindblad",
-    "trajectories",
-    "transform",
-    "phases",
-    "timemap",
-    "transfer",
-)
 
 INITIAL_STATES = ("eg", "ge", "ee", "gg", "plus_g")
 
@@ -304,10 +298,14 @@ def validate(cfg: RunConfig) -> list[str]:
                 f"transform.X: device position {spec.X} must satisfy 0 < X < c*tau = "
                 f"{spec.c * model.tau}"
             )
+        if cfg.experiment in ("transform", "phases") and dt is not None and dt > 0.5 * spec.Delta:
+            # the production window's preimage is Delta long: two samples need dt <= Delta/2
+            diags.append(
+                f"numerics.dt: {dt:.6g} exceeds transform.Delta/2 = {0.5 * spec.Delta:.6g}, "
+                "so the production window can hold fewer than two samples"
+            )
         if cfg.experiment in ("transform", "phases") and span is not None:
-            sched = phase_schedule(spec)
-            pre_lo = (spec.T - sched.t_f) / spec.alpha
-            pre_hi = (spec.T - sched.t_s) / spec.alpha
+            pre_lo, pre_hi = _preimage(spec)
             shift = spec.X / spec.c
             if span[0] + shift > pre_lo + 1e-9 or span[1] + shift < pre_hi - 1e-9:
                 diags.append(
@@ -325,6 +323,8 @@ def validate(cfg: RunConfig) -> list[str]:
     out_dir = cfg.output.get("directory", ".")
     if not isinstance(out_dir, str):
         diags.append("output.directory: expected a string path")
+    elif any(p.exists() and not p.is_dir() for p in (Path(out_dir), *Path(out_dir).parents)):
+        diags.append(f"output.directory: {out_dir!r} is or lies under an existing file")
     if not isinstance(cfg.output.get("emit_svg", False), bool):
         diags.append("output.emit_svg: expected a boolean")
     return diags
@@ -382,31 +382,20 @@ def _initial_ket(name: str) -> np.ndarray:
     return composite_ket(name)
 
 
-def _run_decay(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
-    model = build_model(cfg)
-    num = _numerics(cfg)
-    dt = num["dt"]
-    t0, t1 = num["t_span"]
-    n_steps = int(round((t1 - t0) / dt))
-    rho_eg = density_from_ket(_initial_ket("eg"))
-    rho_plus = density_from_ket(_initial_ket("plus_g"))
-    hist = cascade._rk4_density_history(
-        cascade.liouvillian(model), np.stack([rho_eg, rho_plus]), n_steps, dt
-    )
-    times = t0 + dt * np.arange(n_steps + 1)
+def _decay(cfg: RunConfig, model: CascadeModel, num: dict):
+    times = cascade.time_grid(num["t_span"], num["dt"])
+    rho0 = np.stack([density_from_ket(_initial_ket(name)) for name in ("eg", "plus_g")])
+    hist = cascade._rk4_density_history(cascade.liouvillian(model), rho0, times.size - 1, num["dt"])
     eg = hist[:, 0]
-    plus = hist[:, 1]
     p1 = np.einsum("nij,ji->n", eg, cascade.NUMBER1).real
     p2 = np.einsum("nij,ji->n", eg, cascade.NUMBER2).real
     s1 = np.einsum("nij,ji->n", eg, cascade.SIGMA1_MINUS)
     s2 = np.einsum("nij,ji->n", eg, cascade.SIGMA2_MINUS)
-    coh = np.einsum("nij,ji->n", plus, cascade.SIGMA1_MINUS)
+    coh = np.einsum("nij,ji->n", hist[:, 1], cascade.SIGMA1_MINUS)
     ratio = coh / coh[0]
-    csv_path = out_dir / "decay.csv"
-    _write_csv(
-        csv_path,
+    table = (
+        "decay",
         [
-            _provenance(cfg),
             _units_comment(model),
             "free decay: P columns from |e,g>, decay_* = <sigma1->(t)/<sigma1->(0) "
             "from ((|e>+|g>)/sqrt2) (x) |g>",
@@ -415,53 +404,27 @@ def _run_decay(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
          "decay_re", "decay_im"],
         [times, p1, p2, s1.real, s1.imag, s2.real, s2.imag, ratio.real, ratio.imag],
     )
-    paths = [csv_path]
-    if emit_svg:
-        svg_path = out_dir / "decay.svg"
-        line_plot(
-            svg_path,
-            [(times, p1, "P1"), (times, p2, "P2"), (times, np.abs(ratio), "|decay|")],
-            title="free decay",
-            xlabel="t (1/gamma1)",
-            ylabel="probability / amplitude",
-        )
-        paths.append(svg_path)
-    return paths
+    series = [(times, p1, "P1"), (times, p2, "P2"), (times, np.abs(ratio), "|decay|")]
+    return [table], (series, "free decay", "t (1/gamma1)", "probability / amplitude")
 
 
-def _run_lindblad(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
-    model = build_model(cfg)
-    num = _numerics(cfg)
+def _lindblad(cfg: RunConfig, model: CascadeModel, num: dict):
     rho0 = density_from_ket(_initial_ket(num["initial_state"]))
     spec = build_transform_spec(cfg, model) if cfg.transform is not None else None
     run_ = cascade.integrate_master(rho0, model, num["t_span"], num["dt"], transform=spec)
-    csv_path = out_dir / "lindblad.csv"
-    _write_csv(
-        csv_path,
-        [_provenance(cfg), _units_comment(model),
-         f"initial state {num['initial_state']}"],
+    table = (
+        "lindblad",
+        [_units_comment(model), f"initial state {num['initial_state']}"],
         ["t", "tilde_t", "P1", "P2", "re_sigma1", "im_sigma1", "re_sigma2",
          "im_sigma2", "trace_dev", "min_eig"],
         [run_.times, run_.tilde_t, run_.p1, run_.p2, run_.sigma1.real, run_.sigma1.imag,
          run_.sigma2.real, run_.sigma2.imag, run_.trace_deviation(), run_.min_eigenvalues()],
     )
-    paths = [csv_path]
-    if emit_svg:
-        svg_path = out_dir / "lindblad.svg"
-        line_plot(
-            svg_path,
-            [(run_.times, run_.p1, "P1"), (run_.times, run_.p2, "P2")],
-            title="master equation",
-            xlabel="t (1/gamma1)",
-            ylabel="excitation probability",
-        )
-        paths.append(svg_path)
-    return paths
+    series = [(run_.times, run_.p1, "P1"), (run_.times, run_.p2, "P2")]
+    return [table], (series, "master equation", "t (1/gamma1)", "excitation probability")
 
 
-def _run_trajectories(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
-    model = build_model(cfg)
-    num = _numerics(cfg)
+def _trajectories(cfg: RunConfig, model: CascadeModel, num: dict):
     tcfg = trajectory.TrajectoryConfig(
         dt=num["dt"],
         n_traj=num["n_traj"],
@@ -476,70 +439,56 @@ def _run_trajectories(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Pat
     )
     p2_me = master.p2[:: num["record_stride"]][: ens.times.size]
     dev = np.abs(ens.p2 - p2_me)
-    csv_path = out_dir / "trajectories.csv"
-    _write_csv(
-        csv_path,
-        [
-            _provenance(cfg),
-            _units_comment(model),
-            f"n_traj = {ens.n_traj}, seed = {num['seed']}",
-            f"mean_jumps = {ens.mean_jumps!r}",
-            f"max_abs_dev = {float(np.max(dev))!r}",
-        ],
-        ["t", "P1", "P2", "sem_P2", "P2_master", "abs_dev"],
-        [ens.times, ens.p1, ens.p2, ens.sem_p2, p2_me, dev],
-    )
     edges = np.linspace(num["t_span"][0], num["t_span"][1], 51)
     counts, _ = np.histogram(ens.jump_times, bins=edges)
-    hist_path = out_dir / "trajectories_jumps.csv"
-    _write_csv(
-        hist_path,
-        [_provenance(cfg), "jump-time histogram"],
-        ["bin_lo", "bin_hi", "count"],
-        [edges[:-1], edges[1:], counts],
-    )
-    paths = [csv_path, hist_path]
-    if emit_svg:
-        svg_path = out_dir / "trajectories.svg"
-        line_plot(
-            svg_path,
-            [(ens.times, ens.p2, "P2 ensemble"), (ens.times, p2_me, "P2 master")],
-            title=f"quantum trajectories (n = {ens.n_traj})",
-            xlabel="t (1/gamma1)",
-            ylabel="P2",
-        )
-        paths.append(svg_path)
-    return paths
+    tables = [
+        (
+            "trajectories",
+            [
+                _units_comment(model),
+                f"n_traj = {ens.n_traj}, seed = {num['seed']}",
+                f"mean_jumps = {ens.mean_jumps!r}",
+                f"max_abs_dev = {float(np.max(dev))!r}",
+            ],
+            ["t", "P1", "P2", "sem_P2", "P2_master", "abs_dev"],
+            [ens.times, ens.p1, ens.p2, ens.sem_p2, p2_me, dev],
+        ),
+        (
+            "trajectories_jumps",
+            ["jump-time histogram"],
+            ["bin_lo", "bin_hi", "count"],
+            [edges[:-1], edges[1:], counts],
+        ),
+    ]
+    series = [(ens.times, ens.p2, "P2 ensemble"), (ens.times, p2_me, "P2 master")]
+    return tables, (series, f"quantum trajectories (n = {ens.n_traj})", "t (1/gamma1)", "P2")
 
 
-def _device_envelope(model: CascadeModel, spec: TransformSpec, num: dict):
-    """Emitted envelope referenced to device time (shifted by X/c)."""
-    t0, t1 = num["t_span"]
-    dt = num["dt"]
-    grid = t0 + dt * np.arange(int(round((t1 - t0) / dt)) + 1)
+def _emitted(model: CascadeModel, num: dict):
+    """Envelope system 1 emits, sampled on the numerics time grid."""
     w1, _ = model.frame_omegas()
-    emitted = transfer.emit_envelope(
-        model.gamma1, w1, 1.0, grid, rotating_frame=model.rotating_frame
+    return transfer.emit_envelope(
+        model.gamma1, w1, 1.0, cascade.time_grid(num["t_span"], num["dt"]),
+        rotating_frame=model.rotating_frame,
     )
-    return emitted.shifted(spec.X / spec.c)
 
 
-def _run_transform(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
-    model = build_model(cfg)
-    num = _numerics(cfg)
+def _preimage(spec: TransformSpec) -> tuple[float, float]:
+    """Device-time window (T - t_f)/alpha .. (T - t_s)/alpha that production consumes."""
+    sched = phase_schedule(spec)
+    return (spec.T - sched.t_f) / spec.alpha, (spec.T - sched.t_s) / spec.alpha
+
+
+def _transform(cfg: RunConfig, model: CascadeModel, num: dict):
     spec = build_transform_spec(cfg, model)
     sched = phase_schedule(spec)
-    at_device = _device_envelope(model, spec, num)
+    at_device = _emitted(model, num).shifted(spec.X / spec.c)
     out_env = wavepacket.apply_u_time_domain(at_device, spec)
-    pre_lo = (spec.T - sched.t_f) / spec.alpha
-    pre_hi = (spec.T - sched.t_s) / spec.alpha
-    window = at_device.slice_window(pre_lo, pre_hi)
+    window = at_device.slice_window(*_preimage(spec))
     samples = np.concatenate([at_device.samples, out_env.samples])
-    csv_path = out_dir / "transform.csv"
-    _write_csv(
-        csv_path,
+    table = (
+        "transform",
         [
-            _provenance(cfg),
             _units_comment(model),
             f"alpha = {spec.alpha!r}, omega0 = {spec.omega0!r}, T = {spec.T!r}",
             f"schedule.t_i = {sched.t_i!r}",
@@ -559,35 +508,17 @@ def _run_transform(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
             np.hypot(samples.real, samples.imag),  # abs() per element, as in phases
         ],
     )
-    paths = [csv_path]
-    if emit_svg:
-        svg_path = out_dir / "transform.svg"
-        line_plot(
-            svg_path,
-            [
-                (at_device.times, np.abs(at_device.samples), "|in| at device"),
-                (out_env.times, np.abs(out_env.samples), "|out|"),
-            ],
-            title="wave-packet transformation",
-            xlabel="t (1/gamma1)",
-            ylabel="|A|",
-        )
-        paths.append(svg_path)
-    return paths
+    series = [
+        (at_device.times, np.abs(at_device.samples), "|in| at device"),
+        (out_env.times, np.abs(out_env.samples), "|out|"),
+    ]
+    return [table], (series, "wave-packet transformation", "t (1/gamma1)", "|A|")
 
 
-def _run_phases(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
-    model = build_model(cfg)
-    num = _numerics(cfg)
+def _phases(cfg: RunConfig, model: CascadeModel, num: dict):
     spec = build_transform_spec(cfg, model)
     sched = phase_schedule(spec)
-    t0, t1 = num["t_span"]
-    dt = num["dt"]
-    grid = t0 + dt * np.arange(int(round((t1 - t0) / dt)) + 1)
-    w1, _ = model.frame_omegas()
-    emitted = transfer.emit_envelope(
-        model.gamma1, w1, 1.0, grid, rotating_frame=model.rotating_frame
-    )
+    emitted = _emitted(model, num)
     transformed = wavepacket.apply_u_time_domain(emitted.shifted(spec.X / spec.c), spec)
     snaps = num["snapshot_times"]
     if snaps is None:
@@ -608,11 +539,9 @@ def _run_phases(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
     amps = np.concatenate([np.zeros(0, dtype=complex), *(amp for amp, _ in fields)])
     # abs() per element: np.hypot equals it, np.abs may differ in the last bit
     mags = np.hypot(amps.real, amps.imag)
-    csv_path = out_dir / "phases.csv"
-    _write_csv(
-        csv_path,
+    table = (
+        "phases",
         [
-            _provenance(cfg),
             _units_comment(model),
             f"schedule.t_i = {sched.t_i!r}",
             f"schedule.t_s = {sched.t_s!r}",
@@ -631,26 +560,14 @@ def _run_phases(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
             [tag.value for _, tags in fields for tag in tags],
         ],
     )
-    paths = [csv_path]
-    if emit_svg:
-        svg_path = out_dir / "phases.svg"
-        line_plot(
-            svg_path,
-            [
-                (xs, mags[k * xs.size : (k + 1) * xs.size], f"t = {t_snap:.6g}")
-                for k, t_snap in enumerate(snaps)
-            ],
-            title="transformation phases",
-            xlabel="x (c/gamma1)",
-            ylabel="|A|",
-        )
-        paths.append(svg_path)
-    return paths
+    series = [
+        (xs, mags[k * xs.size : (k + 1) * xs.size], f"t = {t_snap:.6g}")
+        for k, t_snap in enumerate(snaps)
+    ]
+    return [table], (series, "transformation phases", "x (c/gamma1)", "|A|")
 
 
-def _run_timemap(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
-    model = build_model(cfg)
-    num = _numerics(cfg)
+def _timemap(cfg: RunConfig, model: CascadeModel, num: dict):
     spec = build_transform_spec(cfg, model)
     sched = phase_schedule(spec)
     span = num["t_span"]
@@ -659,21 +576,14 @@ def _run_timemap(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
     dt = num["dt"]
     if dt is None or dt <= 0.0:
         dt = (span[1] - span[0]) / 600.0
-    ts = span[0] + dt * np.arange(int(round((span[1] - span[0]) / dt)) + 1)
-    rows = []
-    f_vals = []
-    for t in ts:
-        f = wavepacket.time_map(float(t), spec, sched, model.tau)
-        fs = wavepacket.time_map_slope(float(t), spec, sched)
-        g = wavepacket.time_map_inverse(float(t), spec, sched, model.tau)
-        gs = wavepacket.time_map_inverse_slope(float(t), spec, sched, model.tau)
-        rows.append((t, f, fs, g, gs))
-        f_vals.append(np.nan if f is None else f)
-    csv_path = out_dir / "timemap.csv"
-    _write_csv(
-        csv_path,
+    ts = cascade.time_grid(span, dt)
+    f = [wavepacket.time_map(float(t), spec, sched, model.tau) for t in ts]
+    f_slope = [wavepacket.time_map_slope(float(t), spec, sched) for t in ts]
+    f_inv = [wavepacket.time_map_inverse(float(t), spec, sched, model.tau) for t in ts]
+    f_inv_slope = [wavepacket.time_map_inverse_slope(float(t), spec, sched, model.tau) for t in ts]
+    table = (
+        "timemap",
         [
-            _provenance(cfg),
             _units_comment(model),
             f"schedule.t_i = {sched.t_i!r}",
             f"schedule.t_s = {sched.t_s!r}",
@@ -682,45 +592,27 @@ def _run_timemap(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
             "vertical_gap = " + repr(sched.t_f - sched.t_s),
         ],
         ["t", "f", "f_slope", "f_inv", "f_inv_slope"],
-        list(zip(*rows)),
+        [ts, f, f_slope, f_inv, f_inv_slope],
     )
-    paths = [csv_path]
-    if emit_svg:
-        g_vals = [
-            np.nan
-            if (v := wavepacket.time_map_inverse(float(t), spec, sched, model.tau)) is None
-            else v
-            for t in ts
-        ]
-        svg_path = out_dir / "timemap.svg"
-        line_plot(
-            svg_path,
-            [(ts, np.array(f_vals), "f(t)"), (ts, np.array(g_vals), "f_inv(t)")],
-            title="system-1 clock maps",
-            xlabel="t (1/gamma1)",
-            ylabel="mapped time",
-        )
-        paths.append(svg_path)
-    return paths
+    series = [
+        (ts, np.array([np.nan if v is None else v for v in vals]), label)
+        for vals, label in ((f, "f(t)"), (f_inv, "f_inv(t)"))
+    ]
+    return [table], (series, "system-1 clock maps", "t (1/gamma1)", "mapped time")
 
 
-def _run_transfer(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
-    model = build_model(cfg)
-    num = _numerics(cfg)
+def _transfer(cfg: RunConfig, model: CascadeModel, num: dict):
     spec = build_transform_spec(cfg, model)
-    sched = phase_schedule(spec)
-    dt = num["dt"]
     span = num["t_span"]
     if span is None:
-        span = (0.0, sched.t_f + 10.0 / model.gamma2)
-    grid = span[0] + dt * np.arange(int(round((span[1] - span[0]) / dt)) + 1)
-    comparison = transfer.transfer_experiment(model, spec=spec, t_grid=grid)
+        span = (0.0, phase_schedule(spec).t_f + 10.0 / model.gamma2)
+    comparison = transfer.transfer_experiment(
+        model, spec=spec, t_grid=cascade.time_grid(span, num["dt"])
+    )
     off, on = comparison.off, comparison.on
-    csv_path = out_dir / "transfer.csv"
-    _write_csv(
-        csv_path,
+    table = (
+        "transfer",
         [
-            _provenance(cfg),
             _units_comment(model),
             f"alpha = {spec.alpha!r}, omega0 = {spec.omega0!r}, T = {spec.T!r}, "
             f"Delta = {spec.Delta!r}, X = {spec.X!r}",
@@ -733,40 +625,43 @@ def _run_transfer(cfg: RunConfig, out_dir: Path, emit_svg: bool) -> list[Path]:
         ["t", "P2_off", "P2_on"],
         [off.times, off.p2, on.p2],
     )
-    paths = [csv_path]
-    if emit_svg:
-        svg_path = out_dir / "transfer.svg"
-        line_plot(
-            svg_path,
-            [(off.times, off.p2, "transform off"), (on.times, on.p2, "transform on")],
-            title="state transfer",
-            xlabel="t (1/gamma1)",
-            ylabel="P2",
-        )
-        paths.append(svg_path)
-    return paths
+    series = [(off.times, off.p2, "transform off"), (on.times, on.p2, "transform on")]
+    return [table], (series, "state transfer", "t (1/gamma1)", "P2")
 
 
-_RUNNERS = {
-    "decay": _run_decay,
-    "lindblad": _run_lindblad,
-    "trajectories": _run_trajectories,
-    "transform": _run_transform,
-    "phases": _run_phases,
-    "timemap": _run_timemap,
-    "transfer": _run_transfer,
+# Each experiment maps (cfg, model, numerics) to (tables, plot): tables is a
+# list of (stem, comments, header, columns) written as <stem>.csv, plot is
+# (series, title, xlabel, ylabel) drawn as <experiment>.svg.
+EXPERIMENTS = {
+    "decay": _decay,
+    "lindblad": _lindblad,
+    "trajectories": _trajectories,
+    "transform": _transform,
+    "phases": _phases,
+    "timemap": _timemap,
+    "transfer": _transfer,
 }
 
 
 def run(cfg: RunConfig) -> list[Path]:
     """Run the configured experiment; returns the artifact paths.
 
-    Assumes the config already passed validate().
+    Each table goes to <stem>.csv under the provenance comment, then the
+    plot to <experiment>.svg when SVG output is on.  Assumes the config
+    already passed validate().
     """
     out_dir = Path(cfg.output.get("directory", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    emit_svg = bool(cfg.output.get("emit_svg", False))
-    return _RUNNERS[cfg.experiment](cfg, out_dir, emit_svg)
+    experiment = EXPERIMENTS[cfg.experiment]
+    tables, (series, title, xlabel, ylabel) = experiment(cfg, build_model(cfg), _numerics(cfg))
+    paths = []
+    for stem, comments, header, columns in tables:
+        paths.append(out_dir / f"{stem}.csv")
+        _write_csv(paths[-1], [_provenance(cfg), *comments], header, columns)
+    if cfg.output.get("emit_svg", False):
+        paths.append(out_dir / f"{cfg.experiment}.svg")
+        line_plot(paths[-1], series, title=title, xlabel=xlabel, ylabel=ylabel)
+    return paths
 
 
 def main(argv: list[str] | None = None) -> int:

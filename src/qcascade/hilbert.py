@@ -2,13 +2,12 @@
 
 Operators, state vectors and density matrices are plain complex numpy
 arrays; the array shape carries the dimension (operators are square 2-d
-arrays, kets are 1-d).  Everything here targets dimensions 2-4 per
-subsystem with composites up to 16, so dense storage throughout.
+arrays, kets are 1-d).  Everything here targets two-level subsystems
+and their 4-dimensional composite, so dense storage throughout.
 
 Basis conventions, fixed once so matrix values are comparable everywhere:
 
 * two-level system: (|e>, |g>) at indices (0, 1),
-* three-level Lambda system: (|e>, |g1>, |g2>) at indices (0, 1, 2),
 * composites: system 1 is always the left Kronecker factor.
 
 All returned arrays are freshly allocated; callers may mutate them freely
@@ -25,13 +24,7 @@ __all__ = [
     "two_level_ket",
     "composite_ket",
     "ladder_two_level",
-    "lambda_system_ops",
     "kron",
-    "dagger",
-    "commutator",
-    "anticommutator",
-    "expectation",
-    "projector",
     "density_from_ket",
     "validate_state_vector",
     "validate_density_matrix",
@@ -73,7 +66,7 @@ def composite_ket(labels: str) -> np.ndarray:
 def ladder_two_level() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (sigma_minus, sigma_plus, sigma_z) for one two-level system.
 
-    sigma_minus |e> = |g>, sigma_plus = dagger(sigma_minus) and
+    sigma_minus |e> = |g>, sigma_plus is its conjugate transpose and
     sigma_z = diag(+1, -1) on (|e>, |g>).  The Pauli relations
     [s+, s-] = sz and [sz, s+-] = +-2 s+- hold exactly (integer entries).
     """
@@ -83,85 +76,9 @@ def ladder_two_level() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sm, sp, sz
 
 
-def lambda_system_ops() -> dict[str, np.ndarray]:
-    """Transition operators of a three-level Lambda system.
-
-    Basis (|e>, |g1>, |g2>).  Keys: 'lower1' = |g1><e|, 'lower2' = |g2><e|,
-    'raise1', 'raise2' are their daggers.  Each lowering operator is
-    nilpotent (A @ A = 0).
-    """
-    lower1 = np.zeros((3, 3), dtype=complex)
-    lower1[1, 0] = 1.0
-    lower2 = np.zeros((3, 3), dtype=complex)
-    lower2[2, 0] = 1.0
-    return {
-        "lower1": lower1,
-        "lower2": lower2,
-        "raise1": dagger(lower1),
-        "raise2": dagger(lower2),
-    }
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with system 1 as the left factor."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T.copy()
-
-
-def _check_same_square(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what}: first operand is not a square matrix, shape {a.shape}")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError(f"{what}: second operand is not a square matrix, shape {b.shape}")
-    if a.shape != b.shape:
-        raise ValueError(f"{what}: dimension mismatch {a.shape} vs {b.shape}")
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b - b @ a; raises ValueError on dimension mismatch."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    _check_same_square(a, b, "commutator")
-    return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b + b @ a; raises ValueError on dimension mismatch."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    _check_same_square(a, b, "anticommutator")
-    return a @ b + b @ a
-
-
-def expectation(state: np.ndarray, a: np.ndarray) -> complex:
-    """<psi|A|psi> for a ket, or Tr(rho A) for a density matrix."""
-    state = np.asarray(state, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expectation: operator is not square, shape {a.shape}")
-    if state.ndim == 1:
-        if state.shape[0] != a.shape[0]:
-            raise ValueError(
-                f"expectation: ket dim {state.shape[0]} != operator dim {a.shape[0]}"
-            )
-        return complex(state.conj() @ (a @ state))
-    if state.ndim == 2:
-        if state.shape != a.shape:
-            raise ValueError(
-                f"expectation: density matrix {state.shape} != operator {a.shape}"
-            )
-        return complex(np.trace(state @ a))
-    raise ValueError(f"expectation: state must be 1-d or 2-d, got ndim {state.ndim}")
-
-
-def projector(psi: np.ndarray) -> np.ndarray:
-    """|psi><psi| (not normalized)."""
-    psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
 
 
 def density_from_ket(psi: np.ndarray) -> np.ndarray:

@@ -30,7 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeModel, IntegrationAbort, build_h_eff, build_jump_operator, step_matrix
+from .cascade import (
+    CascadeModel,
+    IntegrationAbort,
+    build_h_eff,
+    build_jump_operator,
+    step_matrix,
+    time_grid,
+)
 from .hilbert import validate_state_vector
 
 __all__ = [
@@ -168,8 +175,7 @@ def _mc_core(
     """
     prop = step_matrix(-1j * build_h_eff(model), dt)
     jop = build_jump_operator(model)
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    n_steps = int(round((t1 - t0) / dt))
+    times = time_grid(t_span, dt)
     n = streams.size
     states = np.array(psi0, dtype=complex).reshape(1, -1)
     cls = np.zeros(n, dtype=np.intp)
@@ -180,7 +186,7 @@ def _mc_core(
     jump_counts = np.zeros(n, dtype=np.int64)
     slot = 0
     on_record(slot, states, norm2, cls)
-    for step in range(n_steps):
+    for step in range(times.size - 1):
         jpsi = _apply(jop, states)
         jj = np.sum(np.abs(jpsi) ** 2, axis=1)
         delta_p = dt * jj / norm2
@@ -189,7 +195,7 @@ def _mc_core(
         if not math.isfinite(worst) or worst > 0.1:
             raise IntegrationAbort(
                 f"jump probability per step {worst:.3g} > 0.1 at t = "
-                f"{t0 + step * dt:.6g}; reduce dt={dt:g}"
+                f"{times[step]:.6g}; reduce dt={dt:g}"
             )
         states = _apply(prop, states)
         # u in [0, 1) is never below delta_p = 0: only trajectories whose
@@ -216,8 +222,7 @@ def _mc_core(
             states[dest] = new
             sizes[rows] = np.where(kept, left, moved)
             cls[jumpers] = dest[new_row]
-            t_jump = t0 + (step + 1) * dt
-            jump_times.extend([t_jump] * jumpers.size)
+            jump_times.extend([float(times[step + 1])] * jumpers.size)
             jump_counts[jumpers] += 1
         norm2 = np.sum(np.abs(states) ** 2, axis=1)
         if (step + 1) % record_stride == 0:
@@ -227,10 +232,7 @@ def _mc_core(
 
 
 def _record_times(cfg: TrajectoryConfig) -> np.ndarray:
-    t0, t1 = cfg.t_span
-    n_steps = int(round((t1 - t0) / cfg.dt))
-    steps = np.arange(0, n_steps + 1, cfg.record_stride)
-    return t0 + cfg.dt * steps
+    return time_grid(cfg.t_span, cfg.dt)[:: cfg.record_stride]
 
 
 def _populations(psi: np.ndarray, norm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

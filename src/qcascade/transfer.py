@@ -37,7 +37,6 @@ from .wavepacket import (
 )
 
 __all__ = [
-    "AmplitudeState",
     "TransferResult",
     "TransferComparison",
     "TimeReversalReport",
@@ -47,19 +46,6 @@ __all__ = [
     "transfer_experiment",
     "check_time_reversed_envelope",
 ]
-
-
-@dataclass
-class AmplitudeState:
-    """Excited-state amplitudes of the pair at one instant.
-
-    In the single-excitation sector |c1|^2 + |c2|^2 <= 1; the missing
-    weight is in the field or the shared ground state.
-    """
-
-    c1: complex
-    c2: complex
-    t: float
 
 
 @dataclass(eq=False)
@@ -99,31 +85,6 @@ class TimeReversalReport:
     omega0: float
     magnitude_rate: float
     phase_rate: float
-
-
-def amplitude_states(
-    gamma1: float,
-    omega1: float,
-    result: TransferResult,
-    rotating_frame: bool = True,
-    c1_0: complex = 1.0,
-) -> list[AmplitudeState]:
-    """Pair the driven c2 series with the emitter's decaying amplitude.
-
-    Checks the single-excitation weight bound |c1|^2 + |c2|^2 <= 1 at every
-    sample (up to 1e-9 slack for integrator round-off).
-    """
-    w = 0.0 if rotating_frame else omega1
-    c1 = c1_0 * np.exp(-(gamma1 / 2.0 + 1j * w) * result.times)
-    c1 = np.where(result.times >= 0.0, c1, c1_0)
-    weight = np.abs(c1) ** 2 + np.abs(result.c2) ** 2
-    worst = float(np.max(weight))
-    if worst > 1.0 + 1e-9:
-        raise ValueError(f"single-excitation weight {worst} exceeds 1")
-    return [
-        AmplitudeState(c1=complex(a), c2=complex(b), t=float(t))
-        for a, b, t in zip(c1, result.c2, result.times)
-    ]
 
 
 def qubit_transfer_fidelity(p2_max: float, excited_weight: float = 0.5) -> float:

@@ -32,7 +32,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -56,10 +55,6 @@ __all__ = [
     "time_map_slope",
     "time_map_inverse_slope",
     "gap_geometry",
-    "write_envelope",
-    "read_envelope",
-    "write_spectrum",
-    "read_spectrum",
 ]
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -562,64 +557,3 @@ def gap_geometry(spec: TransformSpec, schedule: PhaseSchedule) -> tuple[float, f
     is blocked during production, f(t_f) - f(t_s) = t_f - t_s = alpha Delta.
     """
     return schedule.t_s - schedule.t_i, schedule.t_f - schedule.t_s
-
-
-def _write_records(path, header_lines: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def write_envelope(env: Envelope, path, time_unit: str = "1/gamma1",
-                   amplitude_unit: str = "sqrt(gamma1)") -> None:
-    """Text records t,re,im with a header naming the units."""
-    rows = zip(env.times, env.samples.real, env.samples.imag)
-    _write_records(path, [f"envelope t [{time_unit}], amplitude [{amplitude_unit}]",
-                          "columns: t,re,im"], rows)
-
-
-def read_envelope(path) -> Envelope:
-    data = _read_records(path, 3)
-    t = data[:, 0]
-    dt = float(t[1] - t[0])
-    if np.any(np.abs(np.diff(t) - dt) > 1e-9 * abs(dt)):
-        raise ValueError(f"{path}: envelope grid is not uniform")
-    return Envelope(float(t[0]), dt, data[:, 1] + 1j * data[:, 2])
-
-
-def write_spectrum(spec: Spectrum, path, freq_unit: str = "gamma1",
-                   amplitude_unit: str = "1/sqrt(gamma1)") -> None:
-    """Text records nu,re,im with a header naming the units."""
-    rows = zip(spec.nus, spec.samples.real, spec.samples.imag)
-    _write_records(path, [f"spectrum nu [{freq_unit}], amplitude [{amplitude_unit}]",
-                          f"t_ref = {spec.t_ref!r}", "columns: nu,re,im"], rows)
-
-
-def read_spectrum(path) -> Spectrum:
-    t_ref = 0.0
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.startswith("# t_ref = "):
-            t_ref = float(line.removeprefix("# t_ref = "))
-    data = _read_records(path, 3)
-    nu = data[:, 0]
-    dnu = float(nu[1] - nu[0])
-    if np.any(np.abs(np.diff(nu) - dnu) > 1e-9 * abs(dnu)):
-        raise ValueError(f"{path}: spectrum grid is not uniform")
-    return Spectrum(float(nu[0]), dnu, data[:, 1] + 1j * data[:, 2], t_ref=t_ref)
-
-
-def _read_records(path, n_cols: int) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise ValueError(f"{path}: expected {n_cols} comma-separated fields, got {line!r}")
-        rows.append([float(p) for p in parts])
-    if len(rows) < 2:
-        raise ValueError(f"{path}: fewer than two data records")
-    return np.asarray(rows, dtype=float)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +119,8 @@ def test_decay_run_matches_analytics(tmp_path):
 _FIG2_RUN = {"transform": dict(FIG2_TRANSFORM), "numerics": {"dt": 0.01, "t_span": [0.0, 40.0]}}
 DETERMINISM_CONFIGS = {
     "decay": {"numerics": {"dt": 0.01, "t_span": [0.0, 2.0]}},
+    # the FIG2 buffering window leaves tilde_t empty for 12 < t < 18
+    "lindblad": _FIG2_RUN,
     "phases": dict(_FIG2_RUN, numerics={"dt": 0.01, "t_span": [0.0, 40.0], "nx": 97}),
     "transform": _FIG2_RUN,
     "timemap": _FIG2_RUN,
@@ -126,16 +129,20 @@ DETERMINISM_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(DETERMINISM_CONFIGS))
-def test_csv_byte_determinism(tmp_path, experiment):
-    # every CSV and SVG writer path, re-run on the same config; every file
-    # the run writes is compared (trajectories also writes trajectories_jumps.csv)
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_csv_byte_determinism(tmp_path, capsys, experiment):
+    # every experiment re-run on the same config writes exactly the same
+    # files, byte for byte, and main prints exactly their paths
     path = write_config(tmp_path, experiment=experiment, **DETERMINISM_CONFIGS[experiment])
     out = tmp_path / "out"
+    stems = [experiment, "trajectories_jumps"] if experiment == "trajectories" else [experiment]
+    printed = [str(out / f"{stem}.csv") for stem in stems] + [str(out / f"{experiment}.svg")]
     assert cli.main(["--config", str(path), "--svg"]) == 0
+    assert capsys.readouterr().out.splitlines() == printed
     first = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert {f"{experiment}.csv", f"{experiment}.svg"} <= first.keys()
+    assert first.keys() == {Path(p).name for p in printed}
     assert cli.main(["--config", str(path), "--svg"]) == 0
+    assert capsys.readouterr().out.splitlines() == printed
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
@@ -207,6 +214,32 @@ def test_exit_2_on_empty_snapshot_times(tmp_path, capsys):
     assert cli.main(["--config", str(path), "--svg"]) == 2
     assert "numerics.snapshot_times: must list at least one time" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_exit_2_on_output_directory_at_a_file(tmp_path, capsys, sub):
+    # the directory is an existing file, or would lie under one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    path = write_config(tmp_path, output={"directory": str(blocker / sub)})
+    assert cli.main(["--config", str(path)]) == 2
+    assert "output.directory" in capsys.readouterr().err
+    assert cli.main(["--config", str(path), "--validate-only"]) == 2
+    assert "output.directory" in capsys.readouterr().out
+    assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("experiment", ["transform", "phases"])
+def test_exit_2_when_production_window_can_hold_one_sample(tmp_path, capsys, experiment):
+    # slow rates keep dt*gamma small; the window's preimage is Delta = 6 long
+    setup = {"experiment": experiment, "model": {"gamma1": 0.001, "gamma2": 0.001},
+             "transform": dict(FIG2_TRANSFORM)}
+    path = write_config(tmp_path, numerics={"dt": 20.0, "t_span": [0.0, 40.0]}, **setup)
+    assert cli.main(["--config", str(path)]) == 2
+    assert "numerics.dt" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    edge = write_config(tmp_path, name="edge.json", numerics={"dt": 3.0, "t_span": [0.0, 40.0]}, **setup)
+    assert cli.main(["--config", str(edge)]) == 0
 
 
 def test_validate_trajectory_step_bound(tmp_path):

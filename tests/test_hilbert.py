@@ -2,18 +2,11 @@ import numpy as np
 import pytest
 
 from qcascade.hilbert import (
-    anticommutator,
-    basis,
-    commutator,
     composite_ket,
-    dagger,
     density_from_ket,
-    expectation,
     identity,
     kron,
     ladder_two_level,
-    lambda_system_ops,
-    projector,
     two_level_ket,
     validate_density_matrix,
     validate_state_vector,
@@ -25,29 +18,17 @@ SM, SP, SZ = ladder_two_level()
 def test_ladder_definitions():
     e, g = two_level_ket("e"), two_level_ket("g")
     assert np.array_equal(SM @ e, g)
-    assert np.array_equal(SP, dagger(SM))
+    assert np.array_equal(SP, SM.conj().T)
     assert np.array_equal(SZ, np.diag([1.0 + 0j, -1.0]))
     # sigma+ sigma- projects onto the excited state
-    assert np.array_equal(SP @ SM, projector(e))
+    assert np.array_equal(SP @ SM, np.outer(e, e.conj()))
 
 
 def test_pauli_algebra_exact():
-    assert np.array_equal(commutator(SP, SM), SZ)
-    assert np.array_equal(commutator(SZ, SM), -2.0 * SM)
-    assert np.array_equal(commutator(SZ, SP), 2.0 * SP)
-    assert np.array_equal(anticommutator(SP, SM), identity(2))
-
-
-def test_lambda_system():
-    ops = lambda_system_ops()
-    e = basis(3, 0)
-    g1 = basis(3, 1)
-    assert np.array_equal(ops["lower1"] @ e, g1)
-    assert np.array_equal(ops["lower1"] @ ops["lower1"], np.zeros((3, 3)))
-    assert np.array_equal(ops["lower2"] @ ops["lower2"], np.zeros((3, 3)))
-    # raise2 lower2 projects onto |e>
-    assert np.array_equal(ops["raise2"] @ ops["lower2"], projector(e))
-    assert np.array_equal(ops["raise1"], dagger(ops["lower1"]))
+    assert np.array_equal(SP @ SM - SM @ SP, SZ)
+    assert np.array_equal(SZ @ SM - SM @ SZ, -2.0 * SM)
+    assert np.array_equal(SZ @ SP - SP @ SZ, 2.0 * SP)
+    assert np.array_equal(SP @ SM + SM @ SP, identity(2))
 
 
 def test_kron_basics():
@@ -70,39 +51,14 @@ def test_kron_properties_random():
         assert np.array_equal(kron(a, b + c), kron(a, b) + kron(a, c))
 
 
-def test_dagger_involution_random():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert np.array_equal(dagger(dagger(a)), a)
-
-
-def test_commutator_antisymmetry_and_errors():
-    assert np.array_equal(commutator(SZ, SZ), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        commutator(SZ, identity(4))
-    with pytest.raises(ValueError):
-        anticommutator(identity(3), identity(4))
-    with pytest.raises(ValueError):
-        expectation(two_level_ket("e"), identity(4))
-
-
-def test_expectation_values():
-    e = two_level_ket("e")
-    assert expectation(e, SZ) == 1.0 + 0j
-    assert expectation(two_level_ket("g"), SZ) == -1.0 + 0j
-    rho = density_from_ket(e)
-    assert expectation(rho, SP @ SM) == pytest.approx(1.0)
-
-
 def test_expectation_hermitian_real_on_density():
     rng = np.random.default_rng(11)
     for _ in range(20):
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         rho = density_from_ket(psi)
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = h + dagger(h)
-        assert abs(expectation(rho, h).imag) < 1e-12
+        h = h + h.conj().T
+        assert abs(np.trace(rho @ h).imag) < 1e-12
         validate_density_matrix(rho)
 
 

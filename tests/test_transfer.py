@@ -6,7 +6,6 @@ import pytest
 from qcascade.cascade import CascadeModel, integrate_master
 from qcascade.hilbert import composite_ket, density_from_ket
 from qcascade.transfer import (
-    amplitude_states,
     check_time_reversed_envelope,
     drive_system2,
     emit_envelope,
@@ -194,10 +193,11 @@ def test_amplitude_states_weight_bound():
     t = grid(0.0, 10.0, h)
     env = emit_envelope(1.0, 0.0, 1.0, grid(0.0, 10.0, h / 2.0))
     res = drive_system2(env, 1.0, 0.0, 0.0, t)
-    states = amplitude_states(1.0, 0.0, res)
-    assert len(states) == t.size
-    assert states[0].c1 == 1.0 and states[0].c2 == 0.0
-    weights = np.array([abs(s.c1) ** 2 + abs(s.c2) ** 2 for s in states])
+    assert res.c2.size == t.size and res.c2[0] == 0.0
+    # single-excitation sector: the emitter keeps c1 = exp(-gamma1 t/2), so
+    # |c1|^2 + |c2|^2 <= 1 at every sample, up to integrator round-off
+    c1 = np.exp(-0.5 * res.times)
+    weights = np.abs(c1) ** 2 + np.abs(res.c2) ** 2
     assert np.max(weights) <= 1.0 + 1e-9
 
 

@@ -19,15 +19,11 @@ from qcascade.wavepacket import (
     heaviside,
     matched_timing,
     phase_schedule,
-    read_envelope,
-    read_spectrum,
     spectrum_to_envelope,
     time_map,
     time_map_inverse,
     time_map_inverse_slope,
     time_map_slope,
-    write_envelope,
-    write_spectrum,
 )
 
 FIG2 = TransformSpec(alpha=2.0, omega0=0.0, T=54.0, Delta=6.0, X=12.0)
@@ -386,27 +382,3 @@ def test_gap_geometry():
     f_at = lambda t: time_map(t, FIG2, sched, 0.0)
     assert f_at(sched.t_f) - f_at(sched.t_s) == vertical
     assert f_at(12.0 + 1e-9) is None and f_at(18.0 - 1e-9) is None
-
-
-def test_envelope_file_roundtrip(tmp_path):
-    env = decaying_envelope(dt=0.05, t1=4.0)
-    path = tmp_path / "env.csv"
-    write_envelope(env, path)
-    back = read_envelope(path)
-    assert back.t0 == pytest.approx(env.t0)
-    assert back.dt == pytest.approx(env.dt)
-    assert np.max(np.abs(back.samples - env.samples)) < 1e-15
-    text = path.read_text()
-    assert text.startswith("#") and "t,re,im" in text
-
-
-def test_spectrum_file_roundtrip(tmp_path):
-    env = decaying_envelope(dt=0.05, t1=4.0)
-    spec = envelope_to_spectrum(env)
-    path = tmp_path / "spec.csv"
-    write_spectrum(spec, path)
-    back = read_spectrum(path)
-    assert back.nu0 == pytest.approx(spec.nu0)
-    assert back.dnu == pytest.approx(spec.dnu)
-    assert back.t_ref == pytest.approx(spec.t_ref)
-    assert np.max(np.abs(back.samples - spec.samples)) < 1e-12
