@@ -123,10 +123,16 @@ def _number(section: dict, section_name: str, key: str, default=None) -> float:
 def _beta(model: dict) -> complex:
     v = model.get("beta", 0.0)
     if _finite(v):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite, v)):
-        return complex(float(v[0]), float(v[1]))
-    raise ConfigError("model.beta: expected a finite number or a [re, im] pair")
+        beta = complex(v)
+    elif isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite, v)):
+        beta = complex(float(v[0]), float(v[1]))
+    else:
+        raise ConfigError("model.beta: expected a finite number or a [re, im] pair")
+    # |beta|^2 sets the rate bound; hypot and * overflow to inf where ** raises
+    mag = math.hypot(beta.real, beta.imag)
+    if not math.isfinite(mag * mag):
+        raise ConfigError(f"model.beta: |beta|^2 of {v!r} overflows a float")
+    return beta
 
 
 def build_model(cfg: RunConfig) -> CascadeModel:
@@ -258,6 +264,12 @@ def validate(cfg: RunConfig) -> list[str]:
             diags.append("numerics.t_span: required for this experiment")
     elif span[1] <= span[0]:
         diags.append("numerics.t_span: must satisfy t1 > t0")
+    elif dt is not None and dt > 0.0 and (span[1] - span[0]) / dt <= 0.5:
+        # cascade.time_grid rounds (t1 - t0)/dt, half to even, to the step count
+        diags.append(
+            f"numerics.t_span: [{span[0]:.6g}, {span[1]:.6g}] is at most half a step "
+            f"dt = {dt:.6g} long, so it holds no step"
+        )
     if model is not None and dt is not None and dt > 0.0:
         scale = max(model.gamma1, model.gamma2, abs(model.beta) ** 2)
         if dt * scale > 0.1:
@@ -265,11 +277,6 @@ def validate(cfg: RunConfig) -> list[str]:
                 f"numerics.dt: dt*max(gamma1, gamma2, |beta|^2) = {dt * scale:.3g} "
                 "exceeds the bound 0.1"
             )
-        if cfg.experiment == "trajectories":
-            try:
-                trajectory._check_step_bound(model, dt)
-            except ValueError as exc:
-                diags.append(f"numerics.dt: {exc}")
     if cfg.experiment == "trajectories":
         if num["n_traj"] < 1:
             diags.append("numerics.n_traj: must be at least 1")

@@ -2,25 +2,39 @@
 
 Each trajectory evolves a pure state under the non-Hermitian generator
 H_eff (fixed-step RK4 as one step matrix, no renormalization, so the norm
-decays between jumps) punctuated by photon-counting jumps: per step the
-conditional jump probability is delta_p = dt <J+J> / <psi|psi>, a uniform
-variate is compared against it, and on a jump the state is replaced by
-the normalized J psi.  Observables are sampled from the renormalized
-state; the raw decaying norm is recorded for jump statistics.  Averaging
-the per-trajectory observables over the ensemble converges to the master
-equation at the usual 1/sqrt(n_traj) rate.
+decays between jumps) punctuated by photon-counting jumps, drawn by the
+waiting-time rule (Dum, Zoller & Ritsch, PRA 45, 4879 (1992); Plenio &
+Knight, RMP 70, 101 (1998)): a trajectory holds a threshold r, uniform in
+[0, 1), and jumps at the first step after which the squared norm of its
+unnormalized state falls below r.  The state is then replaced by the
+normalized J psi of the post-step state, and the next threshold is drawn.
+Observables are sampled from the renormalized state; the raw decaying
+norm is recorded for jump statistics.  Averaging the per-trajectory
+observables over the ensemble converges to the master equation at the
+usual 1/sqrt(n_traj) rate.
 
-Randomness comes from a counter-based generator: the variate for
-(seed, trajectory, step) is a 64-bit hash of the triple, so runs are
-reproducible bit for bit, any trajectory can be recomputed in isolation,
-and results do not depend on how the ensemble is batched or scheduled.
+Randomness comes from a counter-based generator: the j-th threshold of
+trajectory k is a 64-bit hash of (seed, k, j), so any trajectory can be
+recomputed in isolation.
 
 Trajectories that share a jump history hold bitwise-equal states, so the
-ensemble propagates one state per live jump history and maps each
-trajectory to its history's state.  Only trajectories whose state can
-jump draw a variate.  The ensemble reduction runs over the
-per-trajectory values in a fixed order (whole-ensemble sums at each
-recorded step), independent of any execution parallelism.
+ensemble propagates one state row per live jump history.  The members of
+each row form one contiguous segment of a permutation of the
+trajectories, sorted by threshold in descending order, so the jumpers of
+a row at a step are a prefix of its segment, found by binary search.  The
+prefix moves to a new row, or the row takes the new state in place when
+all its members jump; only the jumpers are re-sorted.  A row whose state
+the step leaves bitwise unchanged, with <J+J> = 0 and no member lost, is a
+fixed point that can never jump again: it is retired from the step loop
+and its size-weighted observables are added to the records once.  Work
+per step therefore scales with the live rows; only jumps and the initial
+sort touch single trajectories.
+
+Every trajectory's jump history, and so its state at every step, is
+bit-for-bit independent of the ensemble it runs in, and repeated runs are
+byte-identical.  Ensemble records are size-weighted sums over rows, so
+their additions, unlike the histories, are grouped by the rows the
+ensemble holds.
 """
 
 from __future__ import annotations
@@ -64,26 +78,34 @@ def _stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
     return _finalize(keys)
 
 
-def _uniforms(keys: np.ndarray, step: int) -> np.ndarray:
-    # step constant folded in python ints to keep numpy scalar overflow silent
-    c = np.uint64(((step + 1) * 0xD1B54A32D192ED03) & 0xFFFFFFFFFFFFFFFF)
+def _uniforms(keys: np.ndarray, counters) -> np.ndarray:
+    # counters: one int for every key, or one per key; kept as an array so
+    # the uint64 product wraps silently instead of warning as a scalar would
+    c = (np.asarray(counters, dtype=np.uint64).reshape(-1) + np.uint64(1)) * np.uint64(
+        0xD1B54A32D192ED03
+    )
     v = _finalize(keys ^ c)
     return (v >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def uniform_counter(seed: int, stream: int, step: int) -> float:
-    """Uniform [0, 1) variate keyed by (seed, stream, step)."""
+def uniform_counter(seed: int, stream: int, counter: int) -> float:
+    """Uniform [0, 1) variate keyed by (seed, stream, counter).
+
+    The trajectories draw the threshold for their j-th jump with
+    counter = j.
+    """
     keys = _stream_keys(seed, np.array([stream], dtype=np.uint64))
-    return float(_uniforms(keys, step)[0])
+    return float(_uniforms(keys, counter)[0])
 
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
     """Numerics of a trajectory run.
 
-    The step must satisfy 4 dt (gamma1 + gamma2 + |beta|^2) < 0.1 so the
-    first-order jump sampling stays in its validity regime; the bound is
-    checked against the model when a run starts.
+    Jumps follow the waiting-time rule, which has no first-order sampling
+    error in dt, so dt needs no trajectory-specific bound.  The run still
+    aborts with IntegrationAbort if a row's jump probability per step,
+    dt <J+J> / <psi|psi>, exceeds 0.1.
     """
 
     dt: float
@@ -135,22 +157,44 @@ class EnsembleResult:
     n_traj: int
 
 
-def _check_step_bound(model: CascadeModel, dt: float) -> None:
-    bound = 4.0 * dt * (model.gamma1 + model.gamma2 + abs(model.beta) ** 2)
-    if bound >= 0.1:
-        raise ValueError(
-            "trajectory step too large: 4*dt*(gamma1 + gamma2 + |beta|^2) = "
-            f"{bound:.3g} must stay below 0.1"
-        )
-
-
 def _apply(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
     # (op @ psi_i) row-wise with a fixed accumulation order over k, so the
     # result is independent of how the trajectory axis is batched
     out = psi[:, 0, None] * op[None, :, 0]
-    for k in range(1, op.shape[0]):
+    for k in range(1, op.shape[1]):
         out = out + psi[:, k, None] * op[None, :, k]
     return out
+
+
+def _rowsum(a: np.ndarray) -> np.ndarray:
+    # row sums adding the columns in order: what np.sum(a, axis=1) gives
+    # for four columns, without the overhead of a reduction over a short axis
+    out = a[:, 0]
+    for k in range(1, a.shape[1]):
+        out = out + a[:, k]
+    return out
+
+
+def _norm2(states: np.ndarray) -> np.ndarray:
+    return _rowsum(np.abs(states) ** 2)
+
+
+def _prefix_lengths(neg: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.ndarray):
+    """Count the entries below target in each ascending segment neg[lo:hi].
+
+    One binary search runs over all segments at once; the first entry of
+    every segment is known to be below its target.
+    """
+    first = lo
+    lo = lo + 1
+    active = lo < hi
+    while active.any():
+        mid = (lo + hi) >> 1
+        below = neg[np.minimum(mid, neg.size - 1)] < target
+        lo = np.where(active & below, mid + 1, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active = lo < hi
+    return lo - first
 
 
 def _mc_core(
@@ -161,74 +205,121 @@ def _mc_core(
     seed: int,
     streams: np.ndarray,
     record_stride: int,
-    on_record,
-) -> tuple[list[float], np.ndarray]:
-    """Shared step loop over jump histories.
+    observe,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared step loop over jump histories (see the module docstring).
 
-    Every operation acts row by row, so trajectories with the same jump
-    history hold bitwise-equal states.  The loop therefore propagates one
-    row of ``states`` per live history, and ``cls[i]`` is the row of
-    trajectory i.  Calls on_record(slot, states, norm2, cls) at sampled
-    steps; a per-trajectory quantity is a per-row one indexed by ``cls``.
+    observe(states, norm2) maps row states and their squared norms to a
+    (q, rows) array of per-row values.  At every record_stride-th step,
+    and at the start, the core adds these up weighted by row size:
+    records[s] holds the ensemble sums of the s-th sampled step, over live
+    rows in row order plus the retired rows' sums.
 
-    Returns (jump times, jump count per trajectory).
+    Returns (records, jump steps, jump trajectories): jump i happened on
+    trajectory jump_trajs[i] (an index into streams) at step jump_steps[i],
+    in step order.
     """
-    prop = step_matrix(-1j * build_h_eff(model), dt)
     jop = build_jump_operator(model)
+    # one pass over the rows gives J psi, for the guard, and the step P psi
+    jop_prop = np.concatenate([jop, step_matrix(-1j * build_h_eff(model), dt)])
+    dim = jop.shape[0]
     times = time_grid(t_span, dt)
     n = streams.size
-    states = np.array(psi0, dtype=complex).reshape(1, -1)
-    cls = np.zeros(n, dtype=np.intp)
-    sizes = np.array([n])
-    norm2 = np.sum(np.abs(states) ** 2, axis=1)
     keys = _stream_keys(seed, streams)
-    jump_times: list[float] = []
-    jump_counts = np.zeros(n, dtype=np.int64)
+    jumps = np.zeros(n, dtype=np.int64)
+    # perm lists the trajectories row segment by row segment; neg holds
+    # their negated thresholds, ascending within each segment
+    neg = -_uniforms(keys, 0)
+    perm = np.argsort(neg, kind="stable")
+    neg = neg[perm]
+    states = np.array(psi0, dtype=complex).reshape(1, -1)
+    norm2 = _norm2(states)
+    start = np.zeros(1, dtype=np.intp)
+    size = np.array([n], dtype=np.intp)
+    values = observe(states, norm2)
+    records = np.empty(((times.size - 1) // record_stride + 1, values.shape[0]))
+    records[0] = np.sum(values * size, axis=1)
+    retired = np.zeros(values.shape[0])
+    jump_steps: list[int] = []
+    jumped: list[np.ndarray] = []
     slot = 0
-    on_record(slot, states, norm2, cls)
     for step in range(times.size - 1):
-        jpsi = _apply(jop, states)
-        jj = np.sum(np.abs(jpsi) ** 2, axis=1)
-        delta_p = dt * jj / norm2
-        # every row has members here, so this is the max over trajectories
-        worst = float(np.max(delta_p))
+        if not size.size:
+            break  # every row is a fixed point
+        stepped = _apply(jop_prop, states)
+        mag2 = np.abs(stepped) ** 2
+        jj, norm2_after = _rowsum(mag2[:, :dim]), _rowsum(mag2[:, dim:])
+        worst = float(np.max(dt * jj / norm2))
         if not math.isfinite(worst) or worst > 0.1:
             raise IntegrationAbort(
                 f"jump probability per step {worst:.3g} > 0.1 at t = "
                 f"{times[step]:.6g}; reduce dt={dt:g}"
             )
-        states = _apply(prop, states)
-        # u in [0, 1) is never below delta_p = 0: only trajectories whose
-        # row can jump draw a variate
-        p = delta_p[cls]
-        cand = np.flatnonzero(p)
-        jumpers = cand[_uniforms(keys[cand], step) < p[cand]]
-        if jumpers.size:
-            # the jumpers leaving one row share one new state, J psi / |J psi|
-            rows, new_row, moved = np.unique(
-                cls[jumpers], return_inverse=True, return_counts=True
-            )
-            jp = jpsi[rows]
-            jn = np.sqrt(np.sum(np.abs(jp) ** 2, axis=1))
-            new = jp / jn[:, None]
-            # a row left by all its members takes the new state in place, so
-            # no row is ever empty; any other row's jumpers get a new row
-            left = sizes[rows] - moved
-            kept = left > 0
-            dest = np.where(kept, states.shape[0] + np.cumsum(kept) - 1, rows)
-            if kept.any():
-                states = np.concatenate([states, new[kept]])
-                sizes = np.concatenate([sizes, moved[kept]])
-            states[dest] = new
-            sizes[rows] = np.where(kept, left, moved)
-            cls[jumpers] = dest[new_row]
-            jump_times.extend([float(times[step + 1])] * jumpers.size)
-            jump_counts[jumpers] += 1
-        norm2 = np.sum(np.abs(states) ** 2, axis=1)
+        before = states
+        states, norm2 = stepped[:, dim:], norm2_after
+        # rows whose largest threshold exceeds the squared norm have jumpers
+        jumping = neg[start] < -norm2
+        hit = np.flatnonzero(jumping)
+        # rows to retire: <J+J> = 0, no member lost and the state unchanged
+        dark = np.empty(0, dtype=np.intp)
+        if not jj.all():
+            dark = np.flatnonzero((jj == 0.0) & ~jumping)
+            dark = dark[(states[dark] == before[dark]).all(axis=1)]
+        if hit.size:
+            lo, sz = start[hit], size[hit]
+            if hit.size == 1:
+                h = int(lo[0])
+                count = np.searchsorted(neg[h : h + int(sz[0])], -norm2[hit])
+            else:
+                count = _prefix_lengths(neg, lo, lo + sz, -norm2[hit])
+            jpsi = _apply(jop, states[hit])
+            new = jpsi / np.sqrt(_norm2(jpsi))[:, None]
+            new2 = _norm2(new)
+            # the jumpers sit at lo .. lo + count of each hit row
+            total = int(count.sum())
+            if total == hit.size:
+                pos = lo
+            else:
+                pos = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(total)
+            traj = perm[pos]
+            jumps[traj] += 1
+            thr = -_uniforms(keys[traj], jumps[traj])
+            if total > hit.size:
+                # re-sort only the jumpers, within their new row
+                order = np.lexsort((thr, np.repeat(np.arange(hit.size), count)))
+                perm[pos] = traj[order]
+                thr = thr[order]
+            neg[pos] = thr
+            jump_steps.append(step)
+            jumped.append(traj)
+            # a row left by all its members takes the new state in place;
+            # the jumpers of any other row become a new row on its prefix,
+            # and hit then names the row each new state goes to
+            whole = count == sz
+            if not whole.all():
+                part = np.flatnonzero(~whole)
+                rows = hit[part]
+                hit[part] = size.size + np.arange(part.size)
+                states = np.concatenate([states, new[part]])
+                norm2 = np.concatenate([norm2, new2[part]])
+                start = np.concatenate([start, lo[part]])
+                size = np.concatenate([size, count[part]])
+                start[rows] += count[part]
+                size[rows] -= count[part]
+            states[hit] = new
+            norm2[hit] = new2
+        if dark.size:
+            retired = retired + np.sum(observe(states[dark], norm2[dark]) * size[dark], axis=1)
+            live = np.ones(size.size, dtype=bool)
+            live[dark] = False
+            states, norm2, start, size = states[live], norm2[live], start[live], size[live]
         if (step + 1) % record_stride == 0:
             slot += 1
-            on_record(slot, states, norm2, cls)
-    return jump_times, jump_counts
+            records[slot] = np.sum(observe(states, norm2) * size, axis=1) + retired
+    records[slot + 1 :] = retired
+    counts = np.array([t.size for t in jumped], dtype=np.intp)
+    jump_trajs = np.concatenate([np.zeros(0, dtype=np.intp), *jumped])
+    return records, np.repeat(np.array(jump_steps, dtype=np.intp), counts), jump_trajs
 
 
 def _record_times(cfg: TrajectoryConfig) -> np.ndarray:
@@ -251,33 +342,25 @@ def evolve_trajectory(
 ) -> TrajectoryRecord:
     """Evolve a single trajectory on the deterministic stream stream_index.
 
-    Identical (seed, stream_index) inputs reproduce the record bit for bit.
+    This is the ensemble core run with one trajectory, so the record
+    equals that trajectory's history inside any ensemble bit for bit.
     """
     validate_state_vector(psi0)
-    _check_step_bound(model, cfg.dt)
-    times = _record_times(cfg)
-    norms = np.empty(times.size)
-    p1 = np.empty(times.size)
-    p2 = np.empty(times.size)
 
-    def record(slot, states, norm2, cls):
-        row = cls[0]
-        norms[slot] = math.sqrt(float(norm2[row]))
-        a, b = _populations(states, norm2)
-        p1[slot] = float(a[row])
-        p2[slot] = float(b[row])
+    def observe(states, norm2):
+        return np.array([np.sqrt(norm2), *_populations(states, norm2)])
 
     streams = np.array([stream_index], dtype=np.uint64)
-    jump_times, _ = _mc_core(
-        psi0, model, cfg.dt, cfg.t_span, cfg.seed, streams, cfg.record_stride, record
+    records, steps, _ = _mc_core(
+        psi0, model, cfg.dt, cfg.t_span, cfg.seed, streams, cfg.record_stride, observe
     )
     return TrajectoryRecord(
         stream_index=stream_index,
-        times=times,
-        norms=norms,
-        p1=p1,
-        p2=p2,
-        jump_times=np.array(jump_times),
+        times=_record_times(cfg),
+        norms=records[:, 0],
+        p1=records[:, 1],
+        p2=records[:, 2],
+        jump_times=time_grid(cfg.t_span, cfg.dt)[steps + 1],
     )
 
 
@@ -286,30 +369,31 @@ def ensemble_average(
 ) -> EnsembleResult:
     """Average n_traj trajectories (streams 0 .. n_traj-1).
 
-    Trajectories with the same jump history share one propagated state,
-    and reductions run over the full trajectory axis at once, so the
-    result is a deterministic function of (psi0, model, cfg) alone and
-    equals the mean of the single trajectories bit for bit.
+    Jumps follow the waiting-time rule.  The ensemble is propagated as
+    one state row per live jump history, the members of each row a
+    threshold-sorted segment of one permutation, and rows that reached a
+    fixed point are retired (see the module docstring), so the work per
+    step scales with the live rows, not with n_traj.
+
+    Every trajectory's jump history is bit-for-bit independent of the
+    ensemble it runs in: its jump times equal those of evolve_trajectory
+    on its stream.  The means are size-weighted sums over rows, so they
+    equal the mean of the single trajectories up to the order of the
+    additions.  Repeated runs are byte-identical.
     """
     validate_state_vector(psi0)
-    _check_step_bound(model, cfg.dt)
-    times = _record_times(cfg)
-    p1_mean = np.empty(times.size)
-    p2_mean = np.empty(times.size)
-    p2_sq = np.empty(times.size)
 
-    def record(slot, states, norm2, cls):
-        a, b = _populations(states, norm2)
-        a, b = a[cls], b[cls]
-        p1_mean[slot] = float(np.mean(a))
-        p2_mean[slot] = float(np.mean(b))
-        p2_sq[slot] = float(np.mean(b * b))
+    def observe(states, norm2):
+        p1, p2 = _populations(states, norm2)
+        return np.array([p1, p2, p2 * p2])
 
-    streams = np.arange(cfg.n_traj, dtype=np.uint64)
-    jump_times, jump_counts = _mc_core(
-        psi0, model, cfg.dt, cfg.t_span, cfg.seed, streams, cfg.record_stride, record
-    )
     n = cfg.n_traj
+    streams = np.arange(n, dtype=np.uint64)
+    records, steps, _ = _mc_core(
+        psi0, model, cfg.dt, cfg.t_span, cfg.seed, streams, cfg.record_stride, observe
+    )
+    p1_mean, p2_mean, p2_sq = (records / n).T
+    times = _record_times(cfg)
     if n > 1:
         var = np.maximum(p2_sq - p2_mean**2, 0.0) * (n / (n - 1))
         sem = np.sqrt(var / n)
@@ -320,7 +404,7 @@ def ensemble_average(
         p1=p1_mean,
         p2=p2_mean,
         sem_p2=sem,
-        mean_jumps=float(np.sum(jump_counts)) / n,
-        jump_times=np.array(jump_times),
+        mean_jumps=float(steps.size) / n,
+        jump_times=time_grid(cfg.t_span, cfg.dt)[steps + 1],
         n_traj=n,
     )

@@ -242,15 +242,31 @@ def test_exit_2_when_production_window_can_hold_one_sample(tmp_path, capsys, exp
     assert cli.main(["--config", str(edge)]) == 0
 
 
-def test_validate_trajectory_step_bound(tmp_path):
-    # dt*max(rates) = 0.02 passes the generic bound; 4*dt*(g1 + g2) = 0.16 does not
-    path = write_config(tmp_path, experiment="trajectories",
-                        numerics={"dt": 0.02, "t_span": [0.0, 1.0], "n_traj": 10})
-    diags = cli.validate(cli.load_config(path))
-    assert diags == [
-        "numerics.dt: trajectory step too large: 4*dt*(gamma1 + gamma2 + |beta|^2) = 0.16 "
-        "must stay below 0.1"
-    ]
+@pytest.mark.parametrize("experiment", ["decay", "lindblad", "trajectories"])
+def test_exit_2_on_zero_step_span(tmp_path, capsys, experiment):
+    # 0.4 steps round to none; 0.6 round to one
+    short = write_config(tmp_path, experiment=experiment,
+                         numerics={"dt": 0.01, "t_span": [0.0, 0.004], "n_traj": 10})
+    assert cli.main(["--config", str(short)]) == 2
+    assert "numerics.t_span" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    one = write_config(tmp_path, name="one.json", experiment=experiment,
+                       numerics={"dt": 0.01, "t_span": [0.0, 0.006], "n_traj": 10})
+    assert cli.main(["--config", str(one)]) == 0
+    _, _, rows = read_csv(tmp_path / "out" / f"{experiment}.csv")
+    assert len(rows) == 2
+
+
+@pytest.mark.parametrize("beta", [1e300, [0.0, -1e300], [1.7e308, 1.7e308]])
+@pytest.mark.parametrize("experiment", ["decay", "trajectories"])
+def test_exit_2_on_overflowing_beta(tmp_path, capsys, experiment, beta):
+    path = write_config(tmp_path, experiment=experiment,
+                        model={"beta": beta}, numerics={"dt": 0.01, "t_span": [0.0, 1.0]})
+    assert cli.main(["--config", str(path)]) == 2
+    assert "model.beta" in capsys.readouterr().err
+    assert cli.main(["--config", str(path), "--validate-only"]) == 2
+    assert "model.beta" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
 
 
 def test_lindblad_run_quality_columns(tmp_path):

@@ -11,6 +11,7 @@ from qcascade.cascade import (
     build_jump_operator,
     integrate_master,
     step_matrix,
+    time_grid,
 )
 from qcascade.hilbert import composite_ket, density_from_ket
 from qcascade.trajectory import (
@@ -35,12 +36,6 @@ def test_config_invariants():
         TrajectoryConfig(dt=0.01, n_traj=10, seed=1, t_span=(1.0, 0.0))
 
 
-def test_step_bound_checked_against_model():
-    cfg = TrajectoryConfig(dt=0.02, n_traj=4, seed=1, t_span=(0.0, 1.0))
-    with pytest.raises(ValueError, match="4\\*dt"):
-        ensemble_average(PSI_EG, MODEL, cfg)
-
-
 def test_counter_rng_determinism_and_range():
     assert uniform_counter(42, 3, 17) == uniform_counter(42, 3, 17)
     assert uniform_counter(42, 3, 17) != uniform_counter(42, 4, 17)
@@ -50,6 +45,10 @@ def test_counter_rng_determinism_and_range():
     assert np.all((0.0 <= vals) & (vals < 1.0))
     assert abs(vals.mean() - 0.5) < 0.02
     assert abs(np.mean(vals < 0.25) - 0.25) < 0.03
+    # the core draws the j-th threshold of trajectory k as uniform_counter(seed, k, j)
+    keys = tj._stream_keys(42, np.arange(5, dtype=np.uint64))
+    j = np.array([0, 3, 17, 2**40, 7])
+    assert tj._uniforms(keys, j).tolist() == [uniform_counter(42, k, int(c)) for k, c in enumerate(j)]
 
 
 def test_dark_state_no_jumps():
@@ -72,9 +71,15 @@ def test_trajectory_bit_identical_repeat():
 
 
 def test_norm_monotone_between_jumps_and_reset():
-    # stream 7 with seed 13 is known to jump once (see the repeat test)
-    rec = evolve_trajectory(PSI_EG, MODEL, TrajectoryConfig(0.01, 1, 13, (0.0, 10.0)), 7)
-    assert rec.jump_times.size >= 1
+    # find a stream whose trajectory jumps
+    cfg = TrajectoryConfig(0.01, 1, 13, (0.0, 10.0))
+    rec = None
+    for stream in range(50):
+        cand = evolve_trajectory(PSI_EG, MODEL, cfg, stream)
+        if cand.jump_times.size >= 1:
+            rec = cand
+            break
+    assert rec is not None
     jump_idx = {int(round((t - rec.times[0]) / 0.01)) for t in rec.jump_times}
     for k in range(1, rec.norms.size):
         if k in jump_idx:
@@ -108,16 +113,25 @@ def test_no_jump_trajectory_matches_heff_evolution():
 
 
 def test_ensemble_independent_of_batching():
-    # the batched ensemble equals the mean of singleton trajectories bit
-    # for bit: per-row arithmetic and the reduction order are both fixed
+    # every trajectory jumps in the ensemble exactly as it does alone; the
+    # means are row-weighted sums, whose additions are grouped by row
     model = CascadeModel(gamma1=1.3, gamma2=0.8)
     cfg = TrajectoryConfig(dt=0.01, n_traj=5, seed=99, t_span=(0.0, 6.0))
     ens = ensemble_average(composite_ket("eg"), model, cfg)
     singles = [evolve_trajectory(composite_ket("eg"), model, cfg, k) for k in range(5)]
-    assert np.array_equal(ens.p2, np.mean(np.stack([s.p2 for s in singles]), axis=0))
-    assert np.array_equal(ens.p1, np.mean(np.stack([s.p1 for s in singles]), axis=0))
+    _, steps, trajs = tj._mc_core(
+        composite_ket("eg"), model, cfg.dt, cfg.t_span, cfg.seed,
+        np.arange(5, dtype=np.uint64), 1, lambda states, norm2: norm2[None],
+    )
+    grid = time_grid(cfg.t_span, cfg.dt)
+    for k, single in enumerate(singles):
+        assert np.array_equal(grid[steps[trajs == k] + 1], single.jump_times)
+    assert ens.mean_jumps == sum(s.jump_times.size for s in singles) / 5
     pooled = np.sort(np.concatenate([s.jump_times for s in singles]))
     assert np.array_equal(np.sort(ens.jump_times), pooled)
+    assert pooled.size > 0
+    np.testing.assert_allclose(ens.p2, np.mean([s.p2 for s in singles], axis=0), rtol=1e-14)
+    np.testing.assert_allclose(ens.p1, np.mean([s.p1 for s in singles], axis=0), rtol=1e-14)
 
 
 def test_mean_jump_count_against_master_oracle():
@@ -133,6 +147,23 @@ def test_mean_jump_count_against_master_oracle():
     ens = ensemble_average(PSI_EG, model, cfg)
     assert abs(ens.mean_jumps - expected) < 0.02
     assert abs(expected - 1.0) < 0.01  # exactly one photon leaves, minus the tail
+
+
+def test_two_photon_jump_count_against_master_oracle():
+    # from |ee> at beta = 0 both systems emit: two jumps per trajectory,
+    # spread over many jump-history rows that end in the dark state |gg>
+    dt = 0.01
+    t_span = (0.0, 10.0)
+    psi0 = composite_ket("ee")
+    run = integrate_master(density_from_ket(psi0), MODEL, t_span, dt)
+    j = build_jump_operator(MODEL)
+    rate = np.array([np.trace(j @ r @ j.conj().T).real for r in run.rhos])
+    expected = float(np.trapezoid(rate, dx=dt))
+    cfg = TrajectoryConfig(dt=dt, n_traj=2000, seed=73, t_span=t_span)
+    ens = ensemble_average(psi0, MODEL, cfg)
+    assert abs(ens.mean_jumps - expected) < 0.03
+    assert abs(expected - 2.0) < 0.01
+    assert np.max(np.abs(ens.p2 - run.p2)) < 5.0 / math.sqrt(2000)
 
 
 def test_ensemble_matches_master_equation():
@@ -183,14 +214,12 @@ def test_deviation_shrinks_with_ensemble_size():
 
 def test_delta_p_abort_in_core():
     # reachable only past the public dt bound: exercise the core guard
-    recorded = []
-
-    def sink(slot, states, norm2, cls):
-        recorded.append(slot)
+    def observe(states, norm2):
+        return norm2[None]
 
     with pytest.raises(IntegrationAbort, match="jump probability"):
         tj._mc_core(
-            PSI_EG, MODEL, 0.2, (0.0, 2.0), 1, np.array([0], dtype=np.uint64), 1, sink
+            PSI_EG, MODEL, 0.2, (0.0, 2.0), 1, np.array([0], dtype=np.uint64), 1, observe
         )
 
 
@@ -207,56 +236,59 @@ def test_unnormalized_psi0_rejected():
         evolve_trajectory(2.0 * PSI_EG, MODEL, cfg, 0)
 
 
-def _reference_mc_core(psi0, model, dt, t_span, seed, streams, record_stride, on_record):
-    # the per-trajectory step loop that propagated one state row per
-    # trajectory, kept as the bit-level reference for the shared-row core
+def _reference_mc_core(psi0, model, dt, t_span, seed, streams, record_stride, observe):
+    # the waiting-time rule with one state per trajectory, no rows and no
+    # retirement; returns per-trajectory values (records, q, trajectories)
     prop = step_matrix(-1j * build_h_eff(model), dt)
     jop = build_jump_operator(model)
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    n_steps = int(round((t1 - t0) / dt))
+    times = time_grid(t_span, dt)
     n = streams.size
     psi = np.tile(np.asarray(psi0, dtype=complex), (n, 1))
     norm2 = np.sum(np.abs(psi) ** 2, axis=1)
     keys = tj._stream_keys(seed, streams)
-    jump_times: list[float] = []
-    jump_counts = np.zeros(n, dtype=np.int64)
-    slot = 0
-    on_record(slot, psi, norm2)
-    for step in range(n_steps):
-        jpsi = tj._apply(jop, psi)
-        jj = np.sum(np.abs(jpsi) ** 2, axis=1)
-        delta_p = dt * jj / norm2
-        worst = float(np.max(delta_p))
+    counts = np.zeros(n, dtype=np.int64)
+    thresholds = tj._uniforms(keys, counts)
+    steps, trajs = [], []
+    records = [observe(psi, norm2)]
+    for step in range(times.size - 1):
+        jj = np.sum(np.abs(tj._apply(jop, psi)) ** 2, axis=1)
+        worst = float(np.max(dt * jj / norm2))
         if not math.isfinite(worst) or worst > 0.1:
-            raise IntegrationAbort(
-                f"jump probability per step {worst:.3g} > 0.1 at t = "
-                f"{t0 + step * dt:.6g}; reduce dt={dt:g}"
-            )
-        u = tj._uniforms(keys, step)
-        jump = u < delta_p
+            raise IntegrationAbort(f"jump probability per step {worst:.3g} > 0.1")
         psi = tj._apply(prop, psi)
-        if np.any(jump):
-            jp = jpsi[jump]
-            jn = np.sqrt(np.sum(np.abs(jp) ** 2, axis=1))
-            psi[jump] = jp / jn[:, None]
-            t_jump = t0 + (step + 1) * dt
-            jump_times.extend([t_jump] * int(np.count_nonzero(jump)))
-            jump_counts[jump] += 1
         norm2 = np.sum(np.abs(psi) ** 2, axis=1)
+        jump = np.flatnonzero(norm2 < thresholds)
+        if jump.size:
+            jp = tj._apply(jop, psi[jump])
+            psi[jump] = jp / np.sqrt(np.sum(np.abs(jp) ** 2, axis=1))[:, None]
+            norm2[jump] = np.sum(np.abs(psi[jump]) ** 2, axis=1)
+            counts[jump] += 1
+            thresholds[jump] = tj._uniforms(keys[jump], counts[jump])
+            steps += [step] * jump.size
+            trajs += jump.tolist()
         if (step + 1) % record_stride == 0:
-            slot += 1
-            on_record(slot, psi, norm2)
-    return jump_times, jump_counts
+            records.append(observe(psi, norm2))
+    return np.array(records), np.array(steps, dtype=np.intp), np.array(trajs, dtype=np.intp)
 
 
-def _reference_with_rows(psi0, model, dt, t_span, seed, streams, record_stride, on_record):
-    # the reference behind the shared-row sink: trajectory i owns row i
-    ident = np.arange(streams.size)
+def _reference_sums(*args):
+    # the reference in the core's calling convention: sums over trajectories
+    records, steps, trajs = _reference_mc_core(*args)
+    return records.sum(axis=2), steps, trajs
 
-    def sink(slot, psi, norm2):
-        on_record(slot, psi, norm2, ident)
 
-    return _reference_mc_core(psi0, model, dt, t_span, seed, streams, record_stride, sink)
+def _histories(steps, trajs):
+    # (trajectory, step) of every jump, ordered by trajectory, then step
+    order = np.lexsort((steps, trajs))
+    return np.stack([trajs[order], steps[order]])
+
+
+def _fingerprints(states):
+    # small integers hashed from the bits of each state, signed zeros made
+    # equal: their size-weighted sums are exact in any order of addition,
+    # so equal sums mean equal multisets of states, bit for bit
+    h = tj._finalize(np.ascontiguousarray(states + 0.0).view(np.uint64).sum(axis=1))
+    return np.stack([((h >> np.uint64(s)) & np.uint64(0xFFFFF)).astype(float) for s in (0, 20, 40)])
 
 
 CORE_CASES = {
@@ -280,39 +312,40 @@ CORE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(CORE_CASES))
 def test_mc_core_matches_per_row_reference(case):
-    # per-trajectory norms, populations, jump times and counts, bit for bit
+    # every trajectory's jump history and state, bit for bit; the sums of
+    # norms and populations up to the order of their additions
     model, label, cfg = CORE_CASES[case]
     streams = np.arange(cfg.n_traj, dtype=np.uint64)
     args = (composite_ket(label), model, cfg.dt, cfg.t_span, cfg.seed, streams, cfg.record_stride)
 
-    def recorder(out):
-        def sink(slot, states, norm2, cls):
-            a, b = tj._populations(states, norm2)
-            out.append((np.sqrt(norm2)[cls], a[cls], b[cls]))
+    def observe(states, norm2):
+        return np.concatenate(
+            [[np.sqrt(norm2)], tj._populations(states, norm2), _fingerprints(states)]
+        )
 
-        return sink
-
-    got, ref = [], []
-    times, counts = tj._mc_core(*args, recorder(got))
-    ref_times, ref_counts = _reference_with_rows(*args, recorder(ref))
-    assert len(got) == len(ref) == tj._record_times(cfg).size
-    for g, r in zip(got, ref):
-        for x, y in zip(g, r):
-            assert np.array_equal(x, y)
-    assert times == ref_times
-    assert np.array_equal(counts, ref_counts)
-    assert 0 < counts.sum()
+    got, steps, trajs = tj._mc_core(*args, observe)
+    ref, ref_steps, ref_trajs = _reference_sums(*args, observe)
+    assert got.shape == ref.shape == (tj._record_times(cfg).size, 6)
+    assert np.array_equal(got[:, 3:], ref[:, 3:])
+    np.testing.assert_allclose(got[:, :3], ref[:, :3], rtol=1e-14)
+    assert np.array_equal(_histories(steps, trajs), _histories(ref_steps, ref_trajs))
+    assert 0 < steps.size
 
 
 @pytest.mark.parametrize("case", sorted(CORE_CASES))
 def test_ensemble_average_matches_per_row_reference(case, monkeypatch):
     model, label, cfg = CORE_CASES[case]
     got = ensemble_average(composite_ket(label), model, cfg)
-    monkeypatch.setattr(tj, "_mc_core", _reference_with_rows)
+    monkeypatch.setattr(tj, "_mc_core", _reference_sums)
     ref = ensemble_average(composite_ket(label), model, cfg)
-    for name in ("times", "p1", "p2", "sem_p2", "jump_times"):
+    for name in ("times", "jump_times"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     assert got.mean_jumps == ref.mean_jumps
+    np.testing.assert_allclose(got.p1, ref.p1, rtol=1e-14)
+    np.testing.assert_allclose(got.p2, ref.p2, rtol=1e-14)
+    # |sqrt(a) - sqrt(b)| <= sqrt(|a - b|): a 1e-16 change of the variance
+    # moves the standard error by at most ~1e-9 where the variance is ~0
+    np.testing.assert_allclose(got.sem_p2, ref.sem_p2, rtol=1e-12, atol=1e-8)
 
 
 @pytest.mark.parametrize("case", sorted(CORE_CASES))
@@ -320,7 +353,7 @@ def test_evolve_trajectory_matches_per_row_reference(case, monkeypatch):
     model, label, cfg = CORE_CASES[case]
     streams = (0, 3, 11, 12345)
     got = [evolve_trajectory(composite_ket(label), model, cfg, k) for k in streams]
-    monkeypatch.setattr(tj, "_mc_core", _reference_with_rows)
+    monkeypatch.setattr(tj, "_mc_core", _reference_sums)
     ref = [evolve_trajectory(composite_ket(label), model, cfg, k) for k in streams]
     for g, r in zip(got, ref):
         for name in ("times", "norms", "p1", "p2", "jump_times"):
