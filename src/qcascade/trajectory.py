@@ -8,6 +8,8 @@ Knight, RMP 70, 101 (1998)): a trajectory holds a threshold r, uniform in
 [0, 1), and jumps at the first step after which the squared norm of its
 unnormalized state falls below r.  The state is then replaced by the
 normalized J psi of the post-step state, and the next threshold is drawn.
+A state with J psi = 0 cannot emit: where the step's truncation error
+alone takes its norm below r (as for |gg> in the lab frame), it keeps r.
 Observables are sampled from the renormalized state; the raw decaying
 norm is recorded for jump statistics.  Averaging the per-trajectory
 observables over the ensemble converges to the master equation at the
@@ -24,11 +26,11 @@ trajectories, sorted by threshold in descending order, so the jumpers of
 a row at a step are a prefix of its segment, found by binary search.  The
 prefix moves to a new row, or the row takes the new state in place when
 all its members jump; only the jumpers are re-sorted.  A row whose state
-the step leaves bitwise unchanged, with <J+J> = 0 and no member lost, is a
-fixed point that can never jump again: it is retired from the step loop
-and its size-weighted observables are added to the records once.  Work
-per step therefore scales with the live rows; only jumps and the initial
-sort touch single trajectories.
+the step leaves bitwise unchanged, with <J+J> = 0, is a fixed point that
+can never jump again: it is retired from the step loop and its
+size-weighted observables are added to the records once.  Work per step
+therefore scales with the live rows; only jumps and the initial sort
+touch single trajectories.
 
 Every trajectory's jump history, and so its state at every step, is
 bit-for-bit independent of the ensemble it runs in, and repeated runs are
@@ -257,39 +259,41 @@ def _mc_core(
             )
         before = states
         states, norm2 = stepped[:, dim:], norm2_after
-        # rows whose largest threshold exceeds the squared norm have jumpers
-        jumping = neg[start] < -norm2
-        hit = np.flatnonzero(jumping)
-        # rows to retire: <J+J> = 0, no member lost and the state unchanged
+        # rows to retire: <J+J> = 0 and the state unchanged, so J psi stays 0
         dark = np.empty(0, dtype=np.intp)
         if not jj.all():
-            dark = np.flatnonzero((jj == 0.0) & ~jumping)
+            dark = np.flatnonzero(jj == 0.0)
             dark = dark[(states[dark] == before[dark]).all(axis=1)]
+        # rows whose largest threshold exceeds the squared norm have jumpers,
+        # unless J psi = 0: such a row cannot emit, its norm falls only by
+        # the step's truncation error, and its members keep their thresholds
+        hit = np.flatnonzero(neg[start] < -norm2)
+        if hit.size:
+            jpsi = _apply(jop, states[hit])
+            jn2 = _norm2(jpsi)
+            emits = jn2 > 0.0
+            hit, jpsi, jn2 = hit[emits], jpsi[emits], jn2[emits]
         if hit.size:
             lo, sz = start[hit], size[hit]
             if hit.size == 1:
+                # most steps of a narrow ensemble hit one row, where one
+                # searchsorted call is much cheaper than the looped search
                 h = int(lo[0])
                 count = np.searchsorted(neg[h : h + int(sz[0])], -norm2[hit])
             else:
                 count = _prefix_lengths(neg, lo, lo + sz, -norm2[hit])
-            jpsi = _apply(jop, states[hit])
-            new = jpsi / np.sqrt(_norm2(jpsi))[:, None]
+            new = jpsi / np.sqrt(jn2)[:, None]
             new2 = _norm2(new)
-            # the jumpers sit at lo .. lo + count of each hit row
+            # the jumpers sit at lo .. lo + count of each hit row; re-sort
+            # only them, within their new row
             total = int(count.sum())
-            if total == hit.size:
-                pos = lo
-            else:
-                pos = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(total)
+            pos = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(total)
             traj = perm[pos]
             jumps[traj] += 1
             thr = -_uniforms(keys[traj], jumps[traj])
-            if total > hit.size:
-                # re-sort only the jumpers, within their new row
-                order = np.lexsort((thr, np.repeat(np.arange(hit.size), count)))
-                perm[pos] = traj[order]
-                thr = thr[order]
-            neg[pos] = thr
+            order = np.lexsort((thr, np.repeat(np.arange(hit.size), count)))
+            perm[pos] = traj[order]
+            neg[pos] = thr[order]
             jump_steps.append(step)
             jumped.append(traj)
             # a row left by all its members takes the new state in place;
