@@ -91,12 +91,17 @@ class CascadeModel:
     rotating_frame: bool = True
 
     def __post_init__(self) -> None:
-        if self.gamma1 <= 0.0 or self.gamma2 <= 0.0:
-            raise ValueError("decay rates gamma1, gamma2 must be strictly positive")
-        if self.omega1 < 0.0 or self.omega2 < 0.0:
-            raise ValueError("resonance frequencies must be non-negative")
-        if self.tau < 0.0:
-            raise ValueError("propagation delay tau must be non-negative")
+        # each message starts with the field it names
+        for name in ("gamma1", "gamma2"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be strictly positive")
+        for name in ("omega1", "omega2", "tau"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative")
+        # |beta|^2 sets a rate scale; hypot and * overflow to inf where ** raises
+        mag = math.hypot(self.beta.real, self.beta.imag)
+        if not math.isfinite(mag * mag):
+            raise ValueError(f"beta has |beta|^2 of {self.beta!r} above the largest float")
 
     def frame_omegas(self) -> tuple[float, float]:
         """(omega1, omega2) as they enter H_sys in the chosen frame."""

@@ -5,16 +5,17 @@ Usage: qcascade [EXPERIMENT] --config cfg.json [--out DIR] [--svg]
 
 The config is a single JSON file with nested sections (model, transform,
 numerics, output); the optional positional argument overrides the
-experiment named in the config.  Each experiment is one entry of
-EXPERIMENTS: a function of (config, model, numerics) that returns its
-tables and its plot, and `run` does all the writing.  Each table becomes
-<stem>.csv (comma-separated, '#'-prefixed header comments embedding the
-resolved config, undefined values encoded as empty fields); every
-experiment writes <experiment>.csv, and trajectories also writes
-trajectories_jumps.csv.  The plot optionally becomes a self-contained
-<experiment>.svg.  All outputs are in the natural units of the problem
-(time in 1/gamma1, length in c/gamma1) and are byte-identical for
-identical configs, seed included.
+experiment named in the config.  `_resolve` builds a config's typed parts
+once, every default filled in, and lists each violated precondition;
+`validate` returns that list and `run` runs on the parts.  Each
+experiment is one entry of EXPERIMENTS, returning its tables and plot.
+Each table becomes <stem>.csv ('#'-prefixed header comments embed the
+config as given, after CLI overrides; undefined values are empty fields):
+every experiment writes <experiment>.csv, trajectories also
+trajectories_jumps.csv.  The plot optionally becomes <experiment>.svg.
+All outputs are in the natural units of the problem (time in 1/gamma1,
+length in c/gamma1) and are byte-identical for identical configs, seed
+included.
 
 Exit status: 0 on success, 2 for an invalid config (the message names
 the offending field), 3 when an integrator aborts.
@@ -26,7 +27,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,12 @@ __all__ = ["RunConfig", "ConfigError", "load_config", "validate", "run", "main"]
 
 INITIAL_STATES = ("eg", "ge", "ee", "gg", "plus_g")
 
-_SPAN_REQUIRED = {"decay", "lindblad", "trajectories", "transform", "phases"}
+# Each count a run sizes its arrays by must stay below this, checked before
+# the run starts: time samples at dt, phases field points nx *
+# len(snapshot_times), and trajectories.  The largest array per count is
+# decay's density history, 512 bytes a time sample, so every array stays
+# under 1 GiB; every shipped and benchmark config is 18x or more below.
+MAX_SAMPLES = 2**21
 
 
 class ConfigError(ValueError):
@@ -58,26 +64,69 @@ class RunConfig:
     output: dict
     transform: dict | None = None
 
-    def resolved(self) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "model": dict(self.model),
-            "numerics": dict(self.numerics),
-            "output": dict(self.output),
-        }
-        if self.transform is not None:
-            out["transform"] = dict(self.transform)
-        return out
+
+@dataclass(frozen=True)
+class Numerics:
+    """The numerics section, checked; each message starts with the field it names."""
+
+    dt: float | None = None
+    t_span: tuple[float, float] | None = None
+    n_traj: int = 1000
+    seed: int = 12345
+    record_stride: int = 1
+    initial_state: str = "eg"
+    snapshot_times: tuple[float, ...] | None = None
+    x_max: float | None = None
+    nx: int = 961
+
+    def __post_init__(self) -> None:
+        # t_span first: timemap derives a missing dt from it
+        if self.t_span is not None and not self.t_span[1] > self.t_span[0]:
+            raise ValueError("t_span must satisfy t1 > t0")
+        if self.dt is not None and not self.dt > 0.0:
+            raise ValueError("dt must be positive")
+        if self.t_span is not None and self.dt is not None:
+            t0, t1 = self.t_span
+            if (t1 - t0) / self.dt <= 0.5:
+                # cascade.time_grid rounds (t1 - t0)/dt, half to even, to the step count
+                raise ValueError(
+                    f"t_span [{t0:.6g}, {t1:.6g}] is at most half a step "
+                    f"dt = {self.dt:.6g} long, so it holds no step"
+                )
+        if self.initial_state not in INITIAL_STATES:
+            raise ValueError(f"initial_state must be one of {', '.join(INITIAL_STATES)}")
+        if self.snapshot_times == ():
+            raise ValueError("snapshot_times must list at least one time")
+        if self.x_max is not None and not self.x_max > 0.0:
+            raise ValueError("x_max must be positive")
+        if self.nx < 2:
+            raise ValueError("nx must be at least 2")
 
 
-def _expect_mapping(raw: dict, key: str, required: bool) -> dict | None:
-    if key not in raw:
-        if required:
-            raise ConfigError(f"{key}: section missing")
-        return None
-    if not isinstance(raw[key], dict):
-        raise ConfigError(f"{key}: expected an object")
-    return dict(raw[key])
+@dataclass(frozen=True)
+class Output:
+    """The output section: where run writes, and whether it draws the plot."""
+
+    directory: str = "."
+    emit_svg: bool = False
+
+    def __post_init__(self) -> None:
+        d = Path(self.directory)
+        try:
+            blocked = any(p.exists() and not p.is_dir() for p in (d, *d.parents))
+        except OSError as exc:  # such as a name too long for the file system
+            raise ValueError(f"directory is not a usable path ({exc})") from exc
+        if blocked:
+            raise ValueError(f"directory {self.directory!r} is or lies under an existing file")
+
+
+# experiments that run the transformation, so need a transform section (transfer defaults it)
+_TRANSFORMED = ("transform", "phases", "timemap", "transfer")
+
+# each section's keys are the fields of the part it builds
+_SECTION_KEYS = {name: [f.name for f in fields(cls)] for name, cls in (
+    ("model", CascadeModel), ("transform", TransformSpec),
+    ("numerics", Numerics), ("output", Output))}
 
 
 def load_config(path) -> RunConfig:
@@ -89,19 +138,19 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be an object")
-    if "experiment" not in raw or not isinstance(raw["experiment"], str):
+    top = [f.name for f in fields(RunConfig)]
+    unknown = sorted(raw.keys() - set(top))
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown key, expected one of {', '.join(top)}")
+    if not isinstance(raw.get("experiment"), str):
         raise ConfigError("experiment: required string field")
-    model = _expect_mapping(raw, "model", required=True)
-    numerics = _expect_mapping(raw, "numerics", required=True)
-    output = _expect_mapping(raw, "output", required=False) or {}
-    transform = _expect_mapping(raw, "transform", required=False)
-    return RunConfig(
-        experiment=raw["experiment"],
-        model=model,
-        numerics=numerics,
-        output=output,
-        transform=transform,
-    )
+    for key in ("model", "numerics", "output", "transform"):
+        if key in ("model", "numerics") and key not in raw:
+            raise ConfigError(f"{key}: section missing")
+        if not isinstance(raw.get(key, {}), dict):
+            raise ConfigError(f"{key}: expected an object")
+    return RunConfig(raw["experiment"], dict(raw["model"]), dict(raw["numerics"]),
+                     dict(raw.get("output", {})), raw.get("transform") and dict(raw["transform"]))
 
 
 def _finite(v) -> bool:
@@ -109,232 +158,209 @@ def _finite(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _number(section: dict, section_name: str, key: str, default=None) -> float:
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"{section_name}.{key}: required number")
-        return float(default)
-    v = section[key]
-    if not _finite(v):
-        raise ConfigError(f"{section_name}.{key}: expected a finite number, got {v!r}")
-    return float(v)
+def _finite_list(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_finite, v))
 
 
-def _beta(model: dict) -> complex:
-    v = model.get("beta", 0.0)
-    if _finite(v):
-        beta = complex(v)
-    elif isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite, v)):
-        beta = complex(float(v[0]), float(v[1]))
-    else:
-        raise ConfigError("model.beta: expected a finite number or a [re, im] pair")
-    # |beta|^2 sets the rate bound; hypot and * overflow to inf where ** raises
-    mag = math.hypot(beta.real, beta.imag)
-    if not math.isfinite(mag * mag):
-        raise ConfigError(f"model.beta: |beta|^2 of {v!r} overflows a float")
-    return beta
+# field type -> (accepts a JSON value, what it expects, conversion)
+_JSON_TYPES = {
+    "float": (_finite, "a finite number", float),
+    "float | None": (_finite, "a finite number", float),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", int),
+    "str": (lambda v: isinstance(v, str) and "\0" not in v, "a string without NUL", str),
+    "bool": (lambda v: isinstance(v, bool), "a boolean", bool),
+    "complex": (lambda v: _finite(v) or (_finite_list(v) and len(v) == 2),
+                "a finite number or a [re, im] pair",
+                lambda v: complex(*map(float, v)) if isinstance(v, (list, tuple)) else complex(v)),
+    "tuple[float, float] | None": (lambda v: _finite_list(v) and len(v) == 2,
+                                   "[t0, t1] of finite numbers", lambda v: tuple(map(float, v))),
+    "tuple[float, ...] | None": (_finite_list, "a list of finite numbers",
+                                 lambda v: tuple(map(float, v))),
+}
+
+
+def _construct(section: str, make, *args, **kwargs):
+    """Call make; its ValueError '<field> <why>' becomes ConfigError '<section>.<field>: <why>'."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        field, _, why = str(exc).partition(" ")
+        raise ConfigError(f"{section}.{field}: {why}") from exc
+
+
+def _values(cls, name: str, section: dict) -> dict:
+    """cls's fields from a config section, each checked against its type; absent ones default."""
+    values = {}
+    for f in fields(cls):
+        if f.name in section:
+            accepts, expected, convert = _JSON_TYPES[f.type]
+            if not accepts(section[f.name]):
+                raise ConfigError(f"{name}.{f.name}: expected {expected}, got {section[f.name]!r}")
+            values[f.name] = convert(section[f.name])
+        elif f.default is MISSING:
+            raise ConfigError(f"{name}.{f.name}: required")
+        else:
+            values[f.name] = f.default
+    return values
+
+
+def _typed(cls, name: str, section: dict):
+    return _construct(name, cls, **_values(cls, name, section))
 
 
 def build_model(cfg: RunConfig) -> CascadeModel:
-    m = cfg.model
-    rotating = m.get("rotating_frame", True)
-    if not isinstance(rotating, bool):
-        raise ConfigError("model.rotating_frame: expected a boolean")
-    try:
-        return CascadeModel(
-            gamma1=_number(m, "model", "gamma1"),
-            gamma2=_number(m, "model", "gamma2"),
-            omega1=_number(m, "model", "omega1", 0.0),
-            omega2=_number(m, "model", "omega2", 0.0),
-            tau=_number(m, "model", "tau", 0.0),
-            beta=_beta(m),
-            rotating_frame=rotating,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    return _typed(CascadeModel, "model", cfg.model)
 
 
-def _auto_or_number(section: dict, name: str, key: str) -> float | None:
-    if key not in section or section[key] == "auto":
-        return None
-    v = section[key]
-    if not _finite(v):
-        raise ConfigError(f"{name}.{key}: expected a finite number or 'auto', got {v!r}")
-    return float(v)
+def _transform_spec(cfg: RunConfig, model: CascadeModel) -> TransformSpec:
+    """The transform section; alpha, omega0 and T may be 'auto' or left out,
+    and transfer defaults Delta to 8/gamma1 and X to c*Delta."""
+    given = {k: v for k, v in (cfg.transform or {}).items()
+             if not (k in ("alpha", "omega0", "T") and v == "auto")}
+    alpha, omega0 = wavepacket.derive_transform_params(model.gamma1, model.gamma2,
+                                                       *model.frame_omegas())
+    # T = 1 (and X = 1 on transfer) stand in until Delta, X and c are checked
+    defaults = {"alpha": alpha, "omega0": omega0, "T": 1.0}
+    if cfg.experiment == "transfer":
+        defaults.update(Delta=8.0 / model.gamma1, X=1.0)
+    values = _values(TransformSpec, "transform", {**defaults, **given})
+    if "X" not in given and cfg.experiment == "transfer":
+        values["X"] = values["c"] * values["Delta"]
+    if "T" not in given and values["c"] != 0.0:  # TransformSpec reports c = 0
+        values["T"] = matched_timing(values["alpha"], values["Delta"], values["X"], values["c"])
+    return _construct("transform", TransformSpec, **values)
 
 
-def build_transform_spec(cfg: RunConfig, model: CascadeModel) -> TransformSpec:
-    """Resolve the transform section; alpha/omega0/T may be 'auto'."""
-    section = cfg.transform
-    if section is None:
-        if cfg.experiment != "transfer":
-            raise ConfigError("transform: section required for this experiment")
-        section = {}
-    name = "transform"
-    w1, w2 = model.frame_omegas()
-    auto_alpha, auto_omega0 = wavepacket.derive_transform_params(
-        model.gamma1, model.gamma2, w1, w2
-    )
-    delta = _number(section, name, "Delta", 8.0 / model.gamma1 if cfg.experiment == "transfer" else None)
-    c = _number(section, name, "c", 1.0)
-    x = _number(section, name, "X", c * delta if cfg.experiment == "transfer" else None)
-    alpha = _auto_or_number(section, name, "alpha")
-    if alpha is None:
-        alpha = auto_alpha
-    omega0 = _auto_or_number(section, name, "omega0")
-    if omega0 is None:
-        omega0 = auto_omega0
-    timing = _auto_or_number(section, name, "T")
-    if timing is None:
-        timing = matched_timing(alpha, delta, x, c)
-    try:
-        return TransformSpec(alpha=alpha, omega0=omega0, T=timing, Delta=delta, X=x, c=c)
-    except ValueError as exc:
-        raise ConfigError(f"transform: {exc}") from exc
+def _preimage(spec: TransformSpec) -> tuple[float, float]:
+    """Device-time window (T - t_f)/alpha .. (T - t_s)/alpha that production consumes."""
+    sched = phase_schedule(spec)
+    return (spec.T - sched.t_f) / spec.alpha, (spec.T - sched.t_s) / spec.alpha
 
 
-def _numerics(cfg: RunConfig) -> dict:
-    n = cfg.numerics
-    out: dict = {}
-    out["dt"] = _number(n, "numerics", "dt", 0.0) if "dt" in n else None
-    if "t_span" in n:
-        span = n["t_span"]
-        if not isinstance(span, (list, tuple)) or len(span) != 2 or not all(map(_finite, span)):
-            raise ConfigError(f"numerics.t_span: expected [t0, t1] of finite numbers, got {span!r}")
-        out["t_span"] = (float(span[0]), float(span[1]))
-    else:
-        out["t_span"] = None
-    n_traj = n.get("n_traj", 1000)
-    if isinstance(n_traj, bool) or not isinstance(n_traj, int):
-        raise ConfigError("numerics.n_traj: expected an integer")
-    out["n_traj"] = n_traj
-    seed = n.get("seed", 12345)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("numerics.seed: expected an integer")
-    out["seed"] = seed
-    stride = n.get("record_stride", 1)
-    if isinstance(stride, bool) or not isinstance(stride, int):
-        raise ConfigError("numerics.record_stride: expected an integer")
-    out["record_stride"] = stride
-    initial = n.get("initial_state", "eg")
-    if not isinstance(initial, str):
-        raise ConfigError("numerics.initial_state: expected a string")
-    out["initial_state"] = initial
-    snaps = n.get("snapshot_times")
-    if snaps is not None:
-        if not isinstance(snaps, (list, tuple)) or not all(map(_finite, snaps)):
-            raise ConfigError("numerics.snapshot_times: expected a list of finite numbers")
-        snaps = [float(v) for v in snaps]
-    out["snapshot_times"] = snaps
-    out["x_max"] = _number(n, "numerics", "x_max", 0.0) if "x_max" in n else None
-    nx = n.get("nx", 961)
-    if isinstance(nx, bool) or not isinstance(nx, int):
-        raise ConfigError("numerics.nx: expected an integer")
-    out["nx"] = nx
-    return out
+@dataclass(frozen=True)
+class _Plan:
+    """Typed parts with every default filled in, and the work counts: field -> (count, what)."""
+
+    model: CascadeModel
+    spec: TransformSpec | None
+    numerics: Numerics
+    output: Output
+    trajectories: trajectory.TrajectoryConfig | None
+    work: dict
+
+
+def _experiment_defaults(exp: str, model: CascadeModel, spec, given: dict) -> dict:
+    """The numerics left out that an experiment derives from the model and the transform."""
+    if spec is None:
+        return {}
+    sched = phase_schedule(spec)
+    span = given["t_span"] or (sched.t_i - spec.Delta, sched.t_f + spec.Delta)
+    derived = {
+        "transfer": {"t_span": (0.0, sched.t_f + 10.0 / model.gamma2)},
+        "timemap": {"t_span": span, "dt": (span[1] - span[0]) / 600.0},
+        "phases": {"snapshot_times": (0.5 * sched.t_i, 0.5 * (sched.t_i + sched.t_s),
+                                      0.5 * (sched.t_s + sched.t_f),
+                                      sched.t_f + 0.5 * (sched.t_f - sched.t_s)),
+                   "x_max": spec.c * (sched.t_f + 2.0 * spec.Delta)},
+    }.get(exp, {})
+    return {key: value for key, value in derived.items() if given[key] is None}
+
+
+def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
+    """Build the typed parts of cfg once; (None, diagnostics) if any precondition fails."""
+    diags = [f"{name}.{key}: unknown key, expected one of {', '.join(keys)}"
+             for name, keys in _SECTION_KEYS.items() for key in (getattr(cfg, name) or {})
+             if key not in keys]
+    exp = cfg.experiment
+    if exp not in EXPERIMENTS:
+        diags.append(f"experiment: unknown {exp!r}, expected one of {', '.join(EXPERIMENTS)}")
+
+    def attempt(build, *args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ConfigError as exc:
+            diags.append(str(exc))
+
+    model = attempt(build_model, cfg)
+    given = attempt(_values, Numerics, "numerics", cfg.numerics)
+    output = attempt(_typed, Output, "output", cfg.output)
+    spec = num = None
+    if model is not None and (cfg.transform is not None or exp in _TRANSFORMED):
+        spec = attempt(_transform_spec, cfg, model)
+    if given is not None:
+        num = attempt(_construct, "numerics", Numerics,
+                      **{**given, **_experiment_defaults(exp, model, spec, given)})
+    if num is not None and model is not None and given["dt"] is not None:
+        scale = max(model.gamma1, model.gamma2, abs(model.beta) ** 2)
+        if num.dt * scale > 0.1:
+            diags.append(f"numerics.dt: dt*max(gamma1, gamma2, |beta|^2) = {num.dt * scale:.3g} "
+                         "exceeds the bound 0.1")
+    diags += [f"numerics.{key}: required for this experiment"
+              for key in ("dt", "t_span") if num is not None and getattr(num, key) is None]
+    if diags:
+        return None, diags
+    dt, (t0, t1) = num.dt, num.t_span
+    work = {"numerics.dt": ((t1 - t0) / dt + 1.0, f"time samples over t_span [{t0:.6g}, {t1:.6g}]")}
+    if spec is not None:
+        sched, (pre_lo, pre_hi), shift = phase_schedule(spec), _preimage(spec), spec.X / spec.c
+        if model.tau > 0.0 and not spec.position_ok(model.tau):
+            diags.append(f"transform.X: device position {spec.X} must satisfy 0 < X < c*tau = "
+                         f"{spec.c * model.tau}")
+        # the production window must hold two samples: transform and phases sample its
+        # Delta-long preimage at dt, transfer the alpha*Delta-long window at dt/2
+        limit = {"transform": 0.5 * spec.Delta, "phases": 0.5 * spec.Delta,
+                 "transfer": spec.alpha * spec.Delta}.get(exp, math.inf)
+        if dt > limit:
+            diags.append(f"numerics.dt: {dt:.6g} exceeds {limit:.6g}, so the production window "
+                         "can hold fewer than two samples")
+        covered = t0 + shift <= pre_lo + 1e-9 and t1 + shift >= pre_hi - 1e-9
+        if exp in ("transform", "phases") and not covered:
+            diags.append(
+                "numerics.t_span: envelope window does not cover the "
+                f"transformation preimage [{pre_lo - shift:.6g}, {pre_hi - shift:.6g}] "
+                "(band coverage)"
+            )
+        # each phase omega*t that emission, drive and production evaluate must fit a float
+        far = 4.0 * max(abs(t0), abs(t1), model.tau, shift, abs(spec.T), abs(sched.t_f))
+        diags += [f"{field}: {w:.3g} times the run's times, up to {far:.3g}, overflows a float"
+                  for field, w in zip(("model.omega1", "model.omega2", "transform.omega0"),
+                                      (*model.frame_omegas(), abs(spec.omega0)))
+                  if not math.isfinite(w * far)]
+        if exp == "transfer":
+            if not pre_hi > shift:
+                diags.append(
+                    f"transform.T: {spec.T:.6g} ends the production window's preimage "
+                    f"[{pre_lo:.6g}, {pre_hi:.6g}] by the packet's arrival at X/c = {shift:.6g}"
+                )
+            if not t0 <= sched.t_s <= sched.t_f <= t1:
+                diags.append(
+                    f"numerics.t_span: [{t0:.6g}, {t1:.6g}] does not cover the production "
+                    f"window [{sched.t_s:.6g}, {sched.t_f:.6g}]"
+                )
+            # transfer_experiment's emission grid reaches back to the emission, or the
+            # packet's pass through the device; it holds two samples, 32 bytes, a step
+            lo, hi = min(0.0, t0 - model.tau, t0 - shift), max(t1 - model.tau, t1 - shift)
+            work["numerics.dt"] = ((hi - lo) / dt + 2.0, f"time samples over the emission "
+                                   f"window [{lo:.6g}, {hi:.6g}]")
+    if exp == "phases":
+        work["numerics.nx"] = (num.nx * len(num.snapshot_times),
+                               "field points nx * len(snapshot_times)")
+    tcfg = None
+    if exp == "trajectories":
+        work["numerics.n_traj"] = (num.n_traj, "trajectories")
+        tcfg = attempt(_construct, "numerics", trajectory.TrajectoryConfig, dt=dt,
+                       n_traj=num.n_traj, seed=num.seed, t_span=num.t_span,
+                       record_stride=num.record_stride)
+    diags += [f"{field}: {what} reach the work bound MAX_SAMPLES = {MAX_SAMPLES}"
+              for field, (n, what) in work.items() if not n < MAX_SAMPLES]
+    if diags:
+        return None, diags
+    return _Plan(model, spec, num, output, tcfg, work), []
 
 
 def validate(cfg: RunConfig) -> list[str]:
-    """Return every violated precondition without running anything."""
-    diags: list[str] = []
-    if cfg.experiment not in EXPERIMENTS:
-        diags.append(
-            f"experiment: unknown {cfg.experiment!r}, expected one of {', '.join(EXPERIMENTS)}"
-        )
-    model = None
-    try:
-        model = build_model(cfg)
-    except ConfigError as exc:
-        diags.append(str(exc))
-    try:
-        num = _numerics(cfg)
-    except ConfigError as exc:
-        diags.append(str(exc))
-        return diags
-    dt = num["dt"]
-    span = num["t_span"]
-    needs_dt = cfg.experiment in _SPAN_REQUIRED | {"transfer"}
-    if dt is None:
-        if needs_dt:
-            diags.append("numerics.dt: required for this experiment")
-    elif dt <= 0.0:
-        diags.append("numerics.dt: must be positive")
-    if span is None:
-        if cfg.experiment in _SPAN_REQUIRED:
-            diags.append("numerics.t_span: required for this experiment")
-    elif span[1] <= span[0]:
-        diags.append("numerics.t_span: must satisfy t1 > t0")
-    elif dt is not None and dt > 0.0 and (span[1] - span[0]) / dt <= 0.5:
-        # cascade.time_grid rounds (t1 - t0)/dt, half to even, to the step count
-        diags.append(
-            f"numerics.t_span: [{span[0]:.6g}, {span[1]:.6g}] is at most half a step "
-            f"dt = {dt:.6g} long, so it holds no step"
-        )
-    if model is not None and dt is not None and dt > 0.0:
-        scale = max(model.gamma1, model.gamma2, abs(model.beta) ** 2)
-        if dt * scale > 0.1:
-            diags.append(
-                f"numerics.dt: dt*max(gamma1, gamma2, |beta|^2) = {dt * scale:.3g} "
-                "exceeds the bound 0.1"
-            )
-    if cfg.experiment == "trajectories":
-        if num["n_traj"] < 1:
-            diags.append("numerics.n_traj: must be at least 1")
-        if not 0 <= num["seed"] < 2**64:
-            diags.append("numerics.seed: must fit in an unsigned 64-bit integer")
-        if num["record_stride"] < 1:
-            diags.append("numerics.record_stride: must be at least 1")
-    if cfg.experiment == "phases" and num["nx"] < 2:
-        diags.append("numerics.nx: must be at least 2")
-    if cfg.experiment == "phases" and num["snapshot_times"] == []:
-        diags.append("numerics.snapshot_times: must list at least one time")
-    if num["initial_state"] not in INITIAL_STATES:
-        diags.append(
-            f"numerics.initial_state: unknown {num['initial_state']!r}, "
-            f"expected one of {', '.join(INITIAL_STATES)}"
-        )
-    spec = None
-    if cfg.experiment in ("transform", "phases", "timemap", "transfer") and model is not None:
-        try:
-            spec = build_transform_spec(cfg, model)
-        except ConfigError as exc:
-            diags.append(str(exc))
-    if spec is not None and model is not None:
-        if model.tau > 0.0 and not spec.position_ok(model.tau):
-            diags.append(
-                f"transform.X: device position {spec.X} must satisfy 0 < X < c*tau = "
-                f"{spec.c * model.tau}"
-            )
-        if cfg.experiment in ("transform", "phases") and dt is not None and dt > 0.5 * spec.Delta:
-            # the production window's preimage is Delta long: two samples need dt <= Delta/2
-            diags.append(
-                f"numerics.dt: {dt:.6g} exceeds transform.Delta/2 = {0.5 * spec.Delta:.6g}, "
-                "so the production window can hold fewer than two samples"
-            )
-        if cfg.experiment in ("transform", "phases") and span is not None:
-            pre_lo, pre_hi = _preimage(spec)
-            shift = spec.X / spec.c
-            if span[0] + shift > pre_lo + 1e-9 or span[1] + shift < pre_hi - 1e-9:
-                diags.append(
-                    "numerics.t_span: envelope window does not cover the "
-                    f"transformation preimage [{pre_lo - shift:.6g}, {pre_hi - shift:.6g}] "
-                    "(band coverage)"
-                )
-        if cfg.experiment == "transfer" and span is not None:
-            sched = phase_schedule(spec)
-            if span[1] < sched.t_f:
-                diags.append(
-                    f"numerics.t_span: ends at {span[1]:.6g} before the transformed "
-                    f"packet is fully produced (t_f = {sched.t_f:.6g})"
-                )
-    out_dir = cfg.output.get("directory", ".")
-    if not isinstance(out_dir, str):
-        diags.append("output.directory: expected a string path")
-    elif any(p.exists() and not p.is_dir() for p in (Path(out_dir), *Path(out_dir).parents)):
-        diags.append(f"output.directory: {out_dir!r} is or lies under an existing file")
-    if not isinstance(cfg.output.get("emit_svg", False), bool):
-        diags.append("output.emit_svg: expected a boolean")
-    return diags
+    """The resolver's diagnostics, each naming its field; empty when the config can run."""
+    return _resolve(cfg)[1]
 
 
 def _cell(v) -> str:
@@ -372,7 +398,8 @@ def _write_csv(path: Path, comments: list[str], header: list[str], columns) -> N
 
 
 def _provenance(cfg: RunConfig) -> str:
-    return "config " + json.dumps(cfg.resolved(), sort_keys=True, separators=(",", ":"))
+    given = {key: value for key, value in vars(cfg).items() if value is not None}
+    return "config " + json.dumps(given, sort_keys=True, separators=(",", ":"))
 
 
 def _units_comment(model: CascadeModel) -> str:
@@ -389,10 +416,11 @@ def _initial_ket(name: str) -> np.ndarray:
     return composite_ket(name)
 
 
-def _decay(cfg: RunConfig, model: CascadeModel, num: dict):
-    times = cascade.time_grid(num["t_span"], num["dt"])
+def _decay(p: _Plan):
+    model, num = p.model, p.numerics
+    times = cascade.time_grid(num.t_span, num.dt)
     rho0 = np.stack([density_from_ket(_initial_ket(name)) for name in ("eg", "plus_g")])
-    hist = cascade._rk4_density_history(cascade.liouvillian(model), rho0, times.size - 1, num["dt"])
+    hist = cascade._rk4_density_history(cascade.liouvillian(model), rho0, times.size - 1, num.dt)
     eg = hist[:, 0]
     p1 = np.einsum("nij,ji->n", eg, cascade.NUMBER1).real
     p2 = np.einsum("nij,ji->n", eg, cascade.NUMBER2).real
@@ -415,13 +443,13 @@ def _decay(cfg: RunConfig, model: CascadeModel, num: dict):
     return [table], (series, "free decay", "t (1/gamma1)", "probability / amplitude")
 
 
-def _lindblad(cfg: RunConfig, model: CascadeModel, num: dict):
-    rho0 = density_from_ket(_initial_ket(num["initial_state"]))
-    spec = build_transform_spec(cfg, model) if cfg.transform is not None else None
-    run_ = cascade.integrate_master(rho0, model, num["t_span"], num["dt"], transform=spec)
+def _lindblad(p: _Plan):
+    model, num = p.model, p.numerics
+    rho0 = density_from_ket(_initial_ket(num.initial_state))
+    run_ = cascade.integrate_master(rho0, model, num.t_span, num.dt, transform=p.spec)
     table = (
         "lindblad",
-        [_units_comment(model), f"initial state {num['initial_state']}"],
+        [_units_comment(model), f"initial state {num.initial_state}"],
         ["t", "tilde_t", "P1", "P2", "re_sigma1", "im_sigma1", "re_sigma2",
          "im_sigma2", "trace_dev", "min_eig"],
         [run_.times, run_.tilde_t, run_.p1, run_.p2, run_.sigma1.real, run_.sigma1.imag,
@@ -431,29 +459,21 @@ def _lindblad(cfg: RunConfig, model: CascadeModel, num: dict):
     return [table], (series, "master equation", "t (1/gamma1)", "excitation probability")
 
 
-def _trajectories(cfg: RunConfig, model: CascadeModel, num: dict):
-    tcfg = trajectory.TrajectoryConfig(
-        dt=num["dt"],
-        n_traj=num["n_traj"],
-        seed=num["seed"],
-        t_span=num["t_span"],
-        record_stride=num["record_stride"],
-    )
-    psi0 = _initial_ket(num["initial_state"])
+def _trajectories(p: _Plan):
+    model, tcfg = p.model, p.trajectories
+    psi0 = _initial_ket(p.numerics.initial_state)
     ens = trajectory.ensemble_average(psi0, model, tcfg)
-    master = cascade.integrate_master(
-        density_from_ket(psi0), model, num["t_span"], num["dt"]
-    )
-    p2_me = master.p2[:: num["record_stride"]][: ens.times.size]
+    master = cascade.integrate_master(density_from_ket(psi0), model, tcfg.t_span, tcfg.dt)
+    p2_me = master.p2[:: tcfg.record_stride][: ens.times.size]
     dev = np.abs(ens.p2 - p2_me)
-    edges = np.linspace(num["t_span"][0], num["t_span"][1], 51)
+    edges = np.linspace(tcfg.t_span[0], tcfg.t_span[1], 51)
     counts, _ = np.histogram(ens.jump_times, bins=edges)
     tables = [
         (
             "trajectories",
             [
                 _units_comment(model),
-                f"n_traj = {ens.n_traj}, seed = {num['seed']}",
+                f"n_traj = {ens.n_traj}, seed = {tcfg.seed}",
                 f"mean_jumps = {ens.mean_jumps!r}",
                 f"max_abs_dev = {float(np.max(dev))!r}",
             ],
@@ -471,25 +491,19 @@ def _trajectories(cfg: RunConfig, model: CascadeModel, num: dict):
     return tables, (series, f"quantum trajectories (n = {ens.n_traj})", "t (1/gamma1)", "P2")
 
 
-def _emitted(model: CascadeModel, num: dict):
+def _emitted(p: _Plan):
     """Envelope system 1 emits, sampled on the numerics time grid."""
-    w1, _ = model.frame_omegas()
+    w1, _ = p.model.frame_omegas()
     return transfer.emit_envelope(
-        model.gamma1, w1, 1.0, cascade.time_grid(num["t_span"], num["dt"]),
-        rotating_frame=model.rotating_frame,
+        p.model.gamma1, w1, 1.0, cascade.time_grid(p.numerics.t_span, p.numerics.dt),
+        rotating_frame=p.model.rotating_frame,
     )
 
 
-def _preimage(spec: TransformSpec) -> tuple[float, float]:
-    """Device-time window (T - t_f)/alpha .. (T - t_s)/alpha that production consumes."""
+def _transform(p: _Plan):
+    model, spec = p.model, p.spec
     sched = phase_schedule(spec)
-    return (spec.T - sched.t_f) / spec.alpha, (spec.T - sched.t_s) / spec.alpha
-
-
-def _transform(cfg: RunConfig, model: CascadeModel, num: dict):
-    spec = build_transform_spec(cfg, model)
-    sched = phase_schedule(spec)
-    at_device = _emitted(model, num).shifted(spec.X / spec.c)
+    at_device = _emitted(p).shifted(spec.X / spec.c)
     out_env = wavepacket.apply_u_time_domain(at_device, spec)
     window = at_device.slice_window(*_preimage(spec))
     samples = np.concatenate([at_device.samples, out_env.samples])
@@ -522,23 +536,13 @@ def _transform(cfg: RunConfig, model: CascadeModel, num: dict):
     return [table], (series, "wave-packet transformation", "t (1/gamma1)", "|A|")
 
 
-def _phases(cfg: RunConfig, model: CascadeModel, num: dict):
-    spec = build_transform_spec(cfg, model)
+def _phases(p: _Plan):
+    model, spec, num = p.model, p.spec, p.numerics
     sched = phase_schedule(spec)
-    emitted = _emitted(model, num)
+    emitted = _emitted(p)
     transformed = wavepacket.apply_u_time_domain(emitted.shifted(spec.X / spec.c), spec)
-    snaps = num["snapshot_times"]
-    if snaps is None:
-        snaps = [
-            0.5 * sched.t_i,
-            0.5 * (sched.t_i + sched.t_s),
-            0.5 * (sched.t_s + sched.t_f),
-            sched.t_f + 0.5 * (sched.t_f - sched.t_s),
-        ]
-    x_max = num["x_max"]
-    if x_max is None or x_max <= 0.0:
-        x_max = spec.c * (sched.t_f + 2.0 * spec.Delta)
-    xs = np.linspace(0.0, x_max, num["nx"])
+    snaps = num.snapshot_times
+    xs = np.linspace(0.0, num.x_max, num.nx)
     fields = [
         wavepacket.assemble_piecewise_field(xs, float(t_snap), emitted, transformed, spec, sched)
         for t_snap in snaps
@@ -574,16 +578,10 @@ def _phases(cfg: RunConfig, model: CascadeModel, num: dict):
     return [table], (series, "transformation phases", "x (c/gamma1)", "|A|")
 
 
-def _timemap(cfg: RunConfig, model: CascadeModel, num: dict):
-    spec = build_transform_spec(cfg, model)
+def _timemap(p: _Plan):
+    model, spec = p.model, p.spec
     sched = phase_schedule(spec)
-    span = num["t_span"]
-    if span is None:
-        span = (sched.t_i - spec.Delta, sched.t_f + spec.Delta)
-    dt = num["dt"]
-    if dt is None or dt <= 0.0:
-        dt = (span[1] - span[0]) / 600.0
-    ts = cascade.time_grid(span, dt)
+    ts = cascade.time_grid(p.numerics.t_span, p.numerics.dt)
     f = [wavepacket.time_map(float(t), spec, sched, model.tau) for t in ts]
     f_slope = [wavepacket.time_map_slope(float(t), spec, sched) for t in ts]
     f_inv = [wavepacket.time_map_inverse(float(t), spec, sched, model.tau) for t in ts]
@@ -608,13 +606,10 @@ def _timemap(cfg: RunConfig, model: CascadeModel, num: dict):
     return [table], (series, "system-1 clock maps", "t (1/gamma1)", "mapped time")
 
 
-def _transfer(cfg: RunConfig, model: CascadeModel, num: dict):
-    spec = build_transform_spec(cfg, model)
-    span = num["t_span"]
-    if span is None:
-        span = (0.0, phase_schedule(spec).t_f + 10.0 / model.gamma2)
+def _transfer(p: _Plan):
+    model, spec = p.model, p.spec
     comparison = transfer.transfer_experiment(
-        model, spec=spec, t_grid=cascade.time_grid(span, num["dt"])
+        model, spec=spec, t_grid=cascade.time_grid(p.numerics.t_span, p.numerics.dt)
     )
     off, on = comparison.off, comparison.on
     table = (
@@ -636,7 +631,7 @@ def _transfer(cfg: RunConfig, model: CascadeModel, num: dict):
     return [table], (series, "state transfer", "t (1/gamma1)", "P2")
 
 
-# Each experiment maps (cfg, model, numerics) to (tables, plot): tables is a
+# Each experiment maps the resolved plan to (tables, plot): tables is a
 # list of (stem, comments, header, columns) written as <stem>.csv, plot is
 # (series, title, xlabel, ylabel) drawn as <experiment>.svg.
 EXPERIMENTS = {
@@ -654,18 +649,20 @@ def run(cfg: RunConfig) -> list[Path]:
     """Run the configured experiment; returns the artifact paths.
 
     Each table goes to <stem>.csv under the provenance comment, then the
-    plot to <experiment>.svg when SVG output is on.  Assumes the config
-    already passed validate().
+    plot to <experiment>.svg when SVG output is on.  A config that fails
+    validate() raises ConfigError with its diagnostics.
     """
-    out_dir = Path(cfg.output.get("directory", "."))
+    plan, diags = _resolve(cfg)
+    if diags:
+        raise ConfigError("; ".join(diags))
+    out_dir = Path(plan.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    experiment = EXPERIMENTS[cfg.experiment]
-    tables, (series, title, xlabel, ylabel) = experiment(cfg, build_model(cfg), _numerics(cfg))
+    tables, (series, title, xlabel, ylabel) = EXPERIMENTS[cfg.experiment](plan)
     paths = []
     for stem, comments, header, columns in tables:
         paths.append(out_dir / f"{stem}.csv")
         _write_csv(paths[-1], [_provenance(cfg), *comments], header, columns)
-    if cfg.output.get("emit_svg", False):
+    if plan.output.emit_svg:
         paths.append(out_dir / f"{cfg.experiment}.svg")
         line_plot(paths[-1], series, title=title, xlabel=xlabel, ylabel=ylabel)
     return paths

@@ -215,17 +215,9 @@ def _transformed_drive(
     in_gap = (t_half >= schedule.t_i) & (t_half < schedule.t_s)
     vals[in_gap] = 0.0
     in_prod = (t_half >= schedule.t_s) & (t_half < schedule.t_f)
-    if np.count_nonzero(in_prod) >= 2:
-        produced = apply_u_time_domain(at_device, spec, t_out=t_half[in_prod])
-        vals[in_prod] = produced.samples
-    elif np.count_nonzero(in_prod) == 1:
-        k = int(np.nonzero(in_prod)[0][0])
-        s = (spec.T - t_half[k]) / spec.alpha
-        vals[k] = (
-            complex(at_device.interp(s))
-            * np.exp(-1j * spec.omega0 * (t_half[k] - spec.T))
-            / math.sqrt(spec.alpha)
-        )
+    if in_prod.any():
+        # apply_u_time_domain needs two samples: dt <= alpha*Delta keeps two in the window
+        vals[in_prod] = apply_u_time_domain(at_device, spec, t_out=t_half[in_prod]).samples
     return Envelope(float(t_half[0]), h_half, vals)
 
 

@@ -198,14 +198,13 @@ class TransformSpec:
     c: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValueError("stretch factor alpha must be positive")
-        if not self.Delta > 0.0:
-            raise ValueError("integration window Delta must be positive")
-        if not self.X > 0.0:
-            raise ValueError("device position X must be positive")
-        if not self.c > 0.0:
-            raise ValueError("propagation speed c must be positive")
+        # each message starts with the field it names
+        for name in ("alpha", "omega0", "T", "Delta", "X", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("alpha", "Delta", "X", "c"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
 
     def position_ok(self, tau: float) -> bool:
         """True when the device sits strictly between the systems."""

@@ -492,3 +492,124 @@ def test_beta_pair_parsing(tmp_path):
     assert cli.validate(cfg) == []
     model = cli.build_model(cfg)
     assert model.beta == 0.3 - 0.2j
+
+
+SHIPPED = Path(__file__).parent.parent / "configs"
+
+
+def shipped_config(tmp_path, name, section=None, key=None, value=None):
+    """A shipped config written under tmp_path, with section[key] set to value."""
+    cfg = json.loads((SHIPPED / f"{name}.json").read_text())
+    if section is not None:
+        cfg.setdefault(section, {})[key] = value
+    cfg["output"] = {"directory": str(tmp_path / "out"), "emit_svg": False}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [(None, "experimnt"), ("model", "rotating_fram"), ("transform", "delta"),
+     ("numerics", "n_trajs"), ("output", "svg")],
+)
+def test_exit_2_on_unknown_key(tmp_path, capsys, section, key):
+    # a misspelt key used to pass and run on the default it meant to override
+    cfg = json.loads((SHIPPED / "transfer_matched.json").read_text())
+    (cfg if section is None else cfg[section])[key] = False
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    named = key if section is None else f"{section}.{key}"
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{named}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name, section, key, value, field",
+    [
+        ("decay", "numerics", "dt", 1e-300, "numerics.dt"),
+        ("timemap_backwards_clock", "numerics", "dt", 1e-300, "numerics.dt"),
+        ("decay", "numerics", "t_span", [0.0, 1e300], "numerics.dt"),
+        ("phases_four_stage", "numerics", "nx", 2**70, "numerics.nx"),
+        ("trajectories_single_photon", "numerics", "n_traj", 2**70, "numerics.n_traj"),
+        # transfer derives its span from t_f + 10/gamma2, and its emission grid reaches back by tau
+        ("transfer_matched", "model", "gamma2", 1e-300, "numerics.dt"),
+        ("transfer_matched", "model", "tau", 1e300, "numerics.dt"),
+        ("transfer_matched", "transform", "Delta", 1e300, "numerics.dt"),
+    ],
+)
+def test_exit_2_past_the_work_bound(tmp_path, capsys, name, section, key, value, field):
+    if name == "decay":
+        path = write_config(tmp_path, **{section: {key: value}})
+    else:
+        path = shipped_config(tmp_path, name, section, key, value)
+    assert cli.main(["--config", str(path)]) == 2
+    assert f"reach the work bound MAX_SAMPLES = {cli.MAX_SAMPLES}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_shipped_configs_sit_10x_below_the_work_bound():
+    for path in sorted(SHIPPED.glob("*.json")):
+        plan, diags = cli._resolve(cli.load_config(path))
+        assert diags == []
+        assert all(10 * n < cli.MAX_SAMPLES for n, _ in plan.work.values()), path.name
+
+
+@pytest.mark.parametrize(
+    "key, valid, invalid, field",
+    [
+        # the production window's preimage [t_i, t_s] must end after the packet
+        # reaches the device at X/c = 4: t_s = T/3 > 4
+        ("T", 12.03, 12.0, "transform.T"),
+        # the drive samples the alpha*Delta-long window at dt/2 = 0.0005: two samples
+        # need alpha*Delta = 2*Delta >= dt
+        ("Delta", 0.0005, 0.00049, "numerics.dt"),
+    ],
+)
+def test_transfer_production_window_edges(tmp_path, capsys, key, valid, invalid, field):
+    bad = shipped_config(tmp_path, "transfer_matched", "transform", key, invalid)
+    assert cli.main(["--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"{field}: ")
+    assert not (tmp_path / "out").exists()
+    good = shipped_config(tmp_path, "transfer_matched", "transform", key, valid)
+    assert cli.main(["--config", str(good)]) == 0
+    assert (tmp_path / "out" / "transfer.csv").exists()
+
+
+@pytest.mark.parametrize("timing", [0.0, -1.0])
+def test_exit_2_when_transfer_production_precedes_the_packet(tmp_path, capsys, timing):
+    path = shipped_config(tmp_path, "transfer_matched", "transform", "T", timing)
+    assert cli.main(["--config", str(path)]) == 2
+    assert "transform.T: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("x_max", [0.0, -1.0])
+def test_exit_2_on_nonpositive_x_max(tmp_path, capsys, x_max):
+    # phases used to swap a non-positive x_max for its default without a word
+    path = shipped_config(tmp_path, "phases_four_stage", "numerics", "x_max", x_max)
+    assert cli.main(["--config", str(path)]) == 2
+    assert "numerics.x_max: must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["transfer_matched", "phases_four_stage"])
+@pytest.mark.parametrize("section, key", [("transform", "omega0"), ("model", "omega1")])
+def test_exit_2_when_a_phase_overflows(tmp_path, capsys, name, section, key):
+    # omega * t past the largest float used to end in 'envelope samples must be finite'
+    path = shipped_config(tmp_path, name, section, key, 1.7976931348623157e308)
+    cfg = json.loads(path.read_text())
+    cfg["model"]["rotating_frame"] = False
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path)]) == 2
+    assert f"{section}.{key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("directory", ["x\0y", "d" * 300])
+def test_exit_2_on_unusable_output_directory(tmp_path, capsys, directory):
+    # a NUL byte or a name too long for the file system used to end in a traceback
+    path = write_config(tmp_path, output={"directory": str(tmp_path / directory)})
+    assert cli.main(["--config", str(path)]) == 2
+    assert "output.directory: " in capsys.readouterr().err
