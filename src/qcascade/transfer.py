@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeModel
+from .cascade import CascadeModel, IntegrationAbort
 from .wavepacket import (
     Envelope,
     PhaseSchedule,
@@ -157,7 +157,8 @@ def drive_system2(
     The drive is the input envelope evaluated at t - tau; RK4 stage values
     fall on the half-step grid, so an input sampled at spacing h/2 aligned
     with t_grid is consumed exactly.  The rate is constant, so each RK4
-    step is c <- r c + w0 x0 + wm xm + w1 x1 with fixed coefficients.
+    step is c <- r c + w0 x0 + wm xm + w1 x1 with fixed coefficients; a
+    factor |r| above 1, or one not finite, aborts with IntegrationAbort.
     Returns the P2 series, its maximum and the equal-superposition fidelity.
     """
     if gamma2 <= 0.0:
@@ -180,7 +181,13 @@ def drive_system2(
         return c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     # the step is linear in (c, x0, xm, x1): evaluate it on the basis vectors
-    r, w0, wm, w1 = rk4_step(*np.eye(4, dtype=complex)).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow aborts just below
+        r, w0, wm, w1 = rk4_step(*np.eye(4, dtype=complex)).tolist()
+    if not abs(r) <= 1.0 + 1e-12:  # NaN fails the comparison too
+        raise IntegrationAbort(
+            f"RK4 drive step factor |r| = {abs(r):.6g} is not <= 1; "
+            f"reduce the step size dt={h:g}"
+        )
     u = (w0 * xi[0:-1:2] + wm * xi[1::2] + w1 * xi[2::2]).tolist()
     c2 = np.array(list(itertools.accumulate(u, lambda c, uk: r * c + uk, initial=0j)))
     p2 = np.abs(c2) ** 2

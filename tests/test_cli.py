@@ -585,6 +585,24 @@ def test_exit_2_when_transfer_production_precedes_the_packet(tmp_path, capsys, t
     assert not (tmp_path / "out").exists()
 
 
+def test_exit_3_on_unstable_transfer_drive(tmp_path, capsys):
+    # |lam*dt| = 5 at omega2 = 5000 lies outside RK4's stability region: the drive
+    # used to exit 0 and write p2_max_off = p2_max_on = nan
+    assert cli.main(["--config", str(shipped_config(tmp_path, "transfer_matched"))]) == 0
+    capsys.readouterr()
+    csv = tmp_path / "out" / "transfer.csv"
+    written = csv.read_bytes()
+    for omega2 in (5000.0, 1e300):
+        path = shipped_config(tmp_path, "transfer_matched", "model", "omega2", omega2)
+        cfg = json.loads(path.read_text())
+        cfg["model"]["rotating_frame"] = False
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(path)]) == 3
+        assert "integration aborted: RK4 drive step factor |r| = " in capsys.readouterr().err
+        # the abort comes before any output: the shipped run's CSV is left as it was
+        assert csv.read_bytes() == written
+
+
 @pytest.mark.parametrize("x_max", [0.0, -1.0])
 def test_exit_2_on_nonpositive_x_max(tmp_path, capsys, x_max):
     # phases used to swap a non-positive x_max for its default without a word

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcascade.cascade import CascadeModel, integrate_master
+from qcascade.cascade import CascadeModel, IntegrationAbort, integrate_master
 from qcascade.hilbert import composite_ket, density_from_ket
 from qcascade.transfer import (
     check_time_reversed_envelope,
@@ -244,3 +244,14 @@ def test_drive_system2_matches_stagewise_rk4():
     res = drive_system2(env, 1.3, 0.7, 0.0, t)
     ref = drive_stagewise(env.samples, 1.3, 0.7, h)
     assert np.max(np.abs(res.c2 - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_drive_system2_aborts_outside_rk4_stability():
+    # real lam*h: RK4's factor is 0.879 at -2.7 and 1.022 at -2.8
+    h = 1e-3
+    t = grid(0.0, 0.1, h)
+    env = Envelope(0.0, h / 2.0, np.ones(2 * t.size - 1, dtype=complex))
+    assert np.all(np.isfinite(drive_system2(env, 5400.0, 0.0, 0.0, t).p2))
+    for gamma2, omega2 in ((5600.0, 0.0), (1.0, 5000.0), (1.0, 1e300)):
+        with pytest.raises(IntegrationAbort, match="step factor"):
+            drive_system2(env, gamma2, omega2, 0.0, t)
