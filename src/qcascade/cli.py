@@ -655,9 +655,10 @@ def run(cfg: RunConfig) -> list[Path]:
     plan, diags = _resolve(cfg)
     if diags:
         raise ConfigError("; ".join(diags))
+    tables, (series, title, xlabel, ylabel) = EXPERIMENTS[cfg.experiment](plan)
+    # made only now, so that a run that aborts leaves no empty directory
     out_dir = Path(plan.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables, (series, title, xlabel, ylabel) = EXPERIMENTS[cfg.experiment](plan)
     paths = []
     for stem, comments, header, columns in tables:
         paths.append(out_dir / f"{stem}.csv")

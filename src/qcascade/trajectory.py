@@ -22,26 +22,35 @@ recomputed in isolation.
 Trajectories that share a jump history hold bitwise-equal states, so the
 ensemble propagates one state row per live jump history.  The members of
 each row form one contiguous segment of a permutation of the
-trajectories, sorted by threshold in descending order, so the jumpers of
-a row at a step are a prefix of its segment, found by binary search.  The
-prefix moves to a new row, or the row takes the new state in place when
-all its members jump; only the jumpers are re-sorted.  A row whose state
-the step leaves bitwise unchanged, with <J+J> = 0, is a fixed point that
-can never jump again: it is retired from the step loop and its
-size-weighted observables are added to the records once.  Work per step
-therefore scales with the live rows; only jumps and the initial sort
+trajectories, sorted by threshold in descending order.  The rows advance
+in passes: each pending row, from the step its state belongs to, takes
+up to _WINDOW steps with the same per-step arithmetic as a step-by-step
+loop, storing the block of states, squared norms and <J+J>.  The block
+is then resolved at once.  The running minimum of the squared norms over
+the steps after which J psi != 0 falls monotonically, so the jumpers of a
+row are the prefix of its segment whose thresholds exceed the last
+running minimum (one binary search over all segments), and each jumps at
+the first step where that minimum falls below its threshold (one more,
+vectorized over the jumpers).  The jumpers of a row at one step become a
+new row from the next step on, re-sorted by their next thresholds; the
+members left continue from the end of the window in the next pass.  A
+new row whose step leaves it bitwise unchanged, with <J+J> = 0, is a
+fixed point that can never jump: it retires at once, and its
+size-weighted observables are added to every later record.  The window
+shrinks so that rows x steps stays under _BLOCK, which bounds the memory
+of a pass.  Work therefore scales with the live rows times the steps,
+with the bookkeeping paid once per pass; only jumps and the initial sort
 touch single trajectories.
 
 Every trajectory's jump history, and so its state at every step, is
-bit-for-bit independent of the ensemble it runs in, and repeated runs are
-byte-identical.  Ensemble records are size-weighted sums over rows, so
-their additions, unlike the histories, are grouped by the rows the
-ensemble holds.
+bit-for-bit independent of the ensemble it runs in and of the window,
+and repeated runs are byte-identical.  Ensemble records are
+size-weighted sums over rows, so their additions, unlike the histories,
+are grouped by the rows and passes the ensemble holds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +116,10 @@ class TrajectoryConfig:
     Jumps follow the waiting-time rule, which has no first-order sampling
     error in dt, so dt needs no trajectory-specific bound.  The run still
     aborts with IntegrationAbort if a row's jump probability per step,
-    dt <J+J> / <psi|psi>, exceeds 0.1.
+    dt <J+J> / <psi|psi>, exceeds 0.1; the check runs on each pass's block
+    of steps, and the message names the earliest failing step over all
+    rows.  How many steps a pass takes is not a setting: it changes no
+    result.
     """
 
     dt: float
@@ -159,21 +171,22 @@ class EnsembleResult:
     n_traj: int
 
 
-def _apply(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
+def _apply(op: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # (op @ psi_i) row-wise with a fixed accumulation order over k, so the
     # result is independent of how the trajectory axis is batched
-    out = psi[:, 0, None] * op[None, :, 0]
+    out = np.multiply(psi[:, 0, None], op[None, :, 0], out=out)
     for k in range(1, op.shape[1]):
-        out = out + psi[:, k, None] * op[None, :, k]
+        out += psi[:, k, None] * op[None, :, k]
     return out
 
 
 def _rowsum(a: np.ndarray) -> np.ndarray:
-    # row sums adding the columns in order: what np.sum(a, axis=1) gives
-    # for four columns, without the overhead of a reduction over a short axis
-    out = a[:, 0]
-    for k in range(1, a.shape[1]):
-        out = out + a[:, k]
+    # sums over the last axis adding the entries in order: what
+    # np.sum(a, axis=-1) gives for four entries, without the overhead of a
+    # reduction over a short axis
+    out = a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., k]
     return out
 
 
@@ -181,22 +194,27 @@ def _norm2(states: np.ndarray) -> np.ndarray:
     return _rowsum(np.abs(states) ** 2)
 
 
-def _prefix_lengths(neg: np.ndarray, lo: np.ndarray, hi: np.ndarray, target: np.ndarray):
-    """Count the entries below target in each ascending segment neg[lo:hi].
+def _bisect(lo: np.ndarray, hi: np.ndarray, below) -> np.ndarray:
+    """The first index of each range [lo, hi) at which below(index) fails.
 
-    One binary search runs over all segments at once; the first entry of
-    every segment is known to be below its target.
+    below(mid) maps one index per range to booleans and must hold on a
+    prefix of each range; one binary search runs over all ranges at once.
     """
-    first = lo
-    lo = lo + 1
-    active = lo < hi
-    while active.any():
-        mid = (lo + hi) >> 1
-        below = neg[np.minimum(mid, neg.size - 1)] < target
-        lo = np.where(active & below, mid + 1, lo)
-        hi = np.where(active & ~below, mid, hi)
+    top = hi - 1
+    while True:
         active = lo < hi
-    return lo - first
+        if not active.any():
+            return lo
+        mid = np.minimum((lo + hi) >> 1, top)
+        b = below(mid)
+        lo = np.where(active & b, mid + 1, lo)
+        hi = np.where(active & ~b, mid, hi)
+
+
+# A pass advances every pending row by up to _WINDOW steps, fewer when
+# rows x steps would exceed _BLOCK, which bounds the memory of a pass.
+_WINDOW = 64
+_BLOCK = 2**15
 
 
 def _mc_core(
@@ -209,23 +227,24 @@ def _mc_core(
     record_stride: int,
     observe,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared step loop over jump histories (see the module docstring).
+    """Advance the jump-history rows in passes (see the module docstring).
 
     observe(states, norm2) maps row states and their squared norms to a
     (q, rows) array of per-row values.  At every record_stride-th step,
     and at the start, the core adds these up weighted by row size:
-    records[s] holds the ensemble sums of the s-th sampled step, over live
-    rows in row order plus the retired rows' sums.
+    records[s] holds the ensemble sums of the s-th sampled step.
 
     Returns (records, jump steps, jump trajectories): jump i happened on
     trajectory jump_trajs[i] (an index into streams) at step jump_steps[i],
     in step order.
     """
     jop = build_jump_operator(model)
-    # one pass over the rows gives J psi, for the guard, and the step P psi
+    # one pass over the rows gives J psi, for the guard and the jumps, and
+    # the step P psi
     jop_prop = np.concatenate([jop, step_matrix(-1j * build_h_eff(model), dt)])
     dim = jop.shape[0]
     times = time_grid(t_span, dt)
+    end = times.size - 1  # rows advance while their step is below end
     n = streams.size
     keys = _stream_keys(seed, streams)
     jumps = np.zeros(n, dtype=np.int64)
@@ -234,96 +253,132 @@ def _mc_core(
     neg = -_uniforms(keys, 0)
     perm = np.argsort(neg, kind="stable")
     neg = neg[perm]
-    states = np.array(psi0, dtype=complex).reshape(1, -1)
-    norm2 = _norm2(states)
-    start = np.zeros(1, dtype=np.intp)
-    size = np.array([n], dtype=np.intp)
-    values = observe(states, norm2)
-    records = np.empty(((times.size - 1) // record_stride + 1, values.shape[0]))
-    records[0] = np.sum(values * size, axis=1)
-    retired = np.zeros(values.shape[0])
-    jump_steps: list[int] = []
+    n_slots = end // record_stride + 1
+    # sums[:, s] adds up the rows with members at sampled step s, and
+    # sums[:, n_slots + s] the rows retired from sampled step s on
+    new = np.array(psi0, dtype=complex).reshape(1, -1)
+    sums = np.zeros((observe(new, _norm2(new)).shape[0], 2 * n_slots))
+    # the new rows, starting with psi0: state, step of that state, and
+    # segment start and size
+    new_begin = np.zeros(1, dtype=np.intp)
+    new_start = np.zeros(1, dtype=np.intp)
+    new_size = np.array([n], dtype=np.intp)
+    # the pending rows, which have steps left
+    states = np.empty((0, dim), dtype=complex)
+    begin = start = size = np.zeros(0, dtype=np.intp)
+    # the earliest step that fails the guard, and its jump probabilities
+    fail, fail_worst = end, []
+    jump_steps: list[np.ndarray] = []
     jumped: list[np.ndarray] = []
-    slot = 0
-    for step in range(times.size - 1):
+    slots: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    while True:
+        # admit the new rows; one whose step leaves it bitwise unchanged,
+        # with J psi = 0, is a fixed point that can never jump: it retires
+        moved = _apply(jop_prop, new)
+        dark = (_norm2(moved[:, :dim]) == 0.0) & (moved[:, dim:] == new).all(axis=1)
+        first = -(-new_begin // record_stride)
+        shown = np.flatnonzero(~dark & (new_begin % record_stride == 0))
+        gone = np.flatnonzero(dark & (first < n_slots))
+        slots += [first[shown], n_slots + first[gone]]
+        seen = observe(new, _norm2(new)) * new_size
+        values += [seen[:, shown], seen[:, gone]]
+        # one bincount per observable adds up the records of a pass
+        slot = np.concatenate(slots)
+        value = np.concatenate(values, axis=1)
+        for q in range(sums.shape[0]):
+            sums[q] += np.bincount(slot, value[q], minlength=2 * n_slots)
+        live = ~dark & (new_begin < end)
+        states = np.concatenate([states, new[live]])
+        begin = np.concatenate([begin, new_begin[live]])
+        start = np.concatenate([start, new_start[live]])
+        size = np.concatenate([size, new_size[live]])
         if not size.size:
-            break  # every row is a fixed point
-        stepped = _apply(jop_prop, states)
-        mag2 = np.abs(stepped) ** 2
-        jj, norm2_after = _rowsum(mag2[:, :dim]), _rowsum(mag2[:, dim:])
-        worst = float(np.max(dt * jj / norm2))
-        if not math.isfinite(worst) or worst > 0.1:
-            raise IntegrationAbort(
-                f"jump probability per step {worst:.3g} > 0.1 at t = "
-                f"{times[step]:.6g}; reduce dt={dt:g}"
-            )
-        before = states
-        states, norm2 = stepped[:, dim:], norm2_after
-        # rows to retire: <J+J> = 0 and the state unchanged, so J psi stays 0
-        dark = np.empty(0, dtype=np.intp)
-        if not jj.all():
-            dark = np.flatnonzero(jj == 0.0)
-            dark = dark[(states[dark] == before[dark]).all(axis=1)]
-        # rows whose largest threshold exceeds the squared norm have jumpers,
-        # unless J psi = 0: such a row cannot emit, its norm falls only by
-        # the step's truncation error, and its members keep their thresholds
-        hit = np.flatnonzero(neg[start] < -norm2)
-        if hit.size:
-            jpsi = _apply(jop, states[hit])
-            jn2 = _norm2(jpsi)
-            emits = jn2 > 0.0
-            hit, jpsi, jn2 = hit[emits], jpsi[emits], jn2[emits]
-        if hit.size:
-            lo, sz = start[hit], size[hit]
-            if hit.size == 1:
-                # most steps of a narrow ensemble hit one row, where one
-                # searchsorted call is much cheaper than the looped search
-                h = int(lo[0])
-                count = np.searchsorted(neg[h : h + int(sz[0])], -norm2[hit])
-            else:
-                count = _prefix_lengths(neg, lo, lo + sz, -norm2[hit])
-            new = jpsi / np.sqrt(jn2)[:, None]
-            new2 = _norm2(new)
-            # the jumpers sit at lo .. lo + count of each hit row; re-sort
-            # only them, within their new row
-            total = int(count.sum())
-            pos = np.repeat(lo - (np.cumsum(count) - count), count) + np.arange(total)
-            traj = perm[pos]
-            jumps[traj] += 1
-            thr = -_uniforms(keys[traj], jumps[traj])
-            order = np.lexsort((thr, np.repeat(np.arange(hit.size), count)))
-            perm[pos] = traj[order]
-            neg[pos] = thr[order]
-            jump_steps.append(step)
-            jumped.append(traj)
-            # a row left by all its members takes the new state in place;
-            # the jumpers of any other row become a new row on its prefix,
-            # and hit then names the row each new state goes to
-            whole = count == sz
-            if not whole.all():
-                part = np.flatnonzero(~whole)
-                rows = hit[part]
-                hit[part] = size.size + np.arange(part.size)
-                states = np.concatenate([states, new[part]])
-                norm2 = np.concatenate([norm2, new2[part]])
-                start = np.concatenate([start, lo[part]])
-                size = np.concatenate([size, count[part]])
-                start[rows] += count[part]
-                size[rows] -= count[part]
-            states[hit] = new
-            norm2[hit] = new2
-        if dark.size:
-            retired = retired + np.sum(observe(states[dark], norm2[dark]) * size[dark], axis=1)
-            live = np.ones(size.size, dtype=bool)
-            live[dark] = False
-            states, norm2, start, size = states[live], norm2[live], start[live], size[live]
-        if (step + 1) % record_stride == 0:
-            slot += 1
-            records[slot] = np.sum(observe(states, norm2) * size, axis=1) + retired
-    records[slot + 1 :] = retired
-    counts = np.array([t.size for t in jumped], dtype=np.intp)
-    jump_trajs = np.concatenate([np.zeros(0, dtype=np.intp), *jumped])
-    return records, np.repeat(np.array(jump_steps, dtype=np.intp), counts), jump_trajs
+            break
+        # advance every row by up to w steps: block[i] holds J psi and
+        # P psi of the row state i steps on (the last P psi is not used)
+        rows = size.size
+        w = int(min(_WINDOW, max(1, _BLOCK // rows), (end - begin).max()))
+        span = np.minimum(end - begin, w)
+        block = np.empty((w + 1, rows, 2 * dim), dtype=complex)
+        _apply(jop_prop, states, block[0])
+        for i in range(w):
+            _apply(jop_prop, block[i, :, dim:], block[i + 1])
+        mag2 = np.abs(block) ** 2
+        jj = _rowsum(mag2[..., :dim])
+        n2 = np.concatenate([_norm2(states)[None], _rowsum(mag2[:-1, :, dim:])])
+        # a member jumps at the first step whose squared norm falls below
+        # its threshold, among the steps after which J psi != 0; the
+        # running minimum of those norms is non-increasing, so the
+        # jumpers of a row are the prefix of its segment whose thresholds
+        # exceed the last running minimum, each at its first crossing
+        step = np.arange(w)[:, None]
+        inside = step < span
+        low = np.minimum.accumulate(np.where(inside & (jj[1:] > 0.0), n2[1:], np.inf))
+        last = -low[-1]
+        count = _bisect(start, start + size, lambda k: neg[k] < last) - start
+        total = int(count.sum())
+        row = np.repeat(np.arange(rows), count)
+        pos = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(total)
+        thr = -neg[pos]
+        at = _bisect(
+            np.zeros(total, dtype=np.intp), np.full(total, w), lambda k: low[k, row] >= thr
+        )
+        jumps_at = np.bincount(at * rows + row, minlength=w * rows).reshape(w, rows)
+        left = size - np.cumsum(jumps_at, axis=0)
+        # the per-step jump probability of every row with members, before
+        # the jumps of the step; an abort names the earliest failing step
+        ratio = dt * jj[:-1] / n2[:-1]
+        if not ratio.max() <= 0.1:
+            bad = inside & (left + jumps_at > 0) & ~(ratio <= 0.1)
+            bs, br = np.nonzero(bad)
+            at_step = begin[br] + bs
+            earliest = int(at_step.min(initial=fail + 1))
+            if earliest < fail:
+                fail, fail_worst, end = earliest, [], earliest + 1
+            if earliest == fail:
+                fail_worst.append(ratio[bs, br][at_step == fail])
+        # records of the states after each step, weighted by the members left
+        index = begin + step + 1
+        sampled = (inside & (left > 0) & (index % record_stride == 0)).reshape(-1)
+        seen = observe(block[:-1, :, dim:].reshape(-1, dim), n2[1:].reshape(-1))
+        slots = [np.where(sampled, index.reshape(-1) // record_stride, 0)]
+        values = [np.where(sampled, seen * left.reshape(-1), 0.0)]
+        # the jumpers of each row at each step become one new row holding
+        # the normalized J psi; only they are re-sorted, by new threshold
+        traj = perm[pos]
+        jump_steps.append(begin[row] + at)
+        jumped.append(traj)
+        jumps[traj] += 1
+        thr = -_uniforms(keys[traj], jumps[traj])
+        heads = np.flatnonzero(np.diff(row * w + at, prepend=-1))
+        group = np.repeat(np.arange(heads.size), np.diff(heads, append=total))
+        order = np.lexsort((thr, group))
+        perm[pos] = traj[order]
+        neg[pos] = thr[order]
+        hrow, hat = row[heads], at[heads] + 1
+        new = block[hat, hrow, :dim] / np.sqrt(jj[hat, hrow])[:, None]
+        new_begin = begin[hrow] + hat
+        new_start = pos[heads]
+        new_size = np.diff(heads, append=total)
+        # the members left continue from the end of the window
+        states = block[span - 1, np.arange(rows), dim:]
+        begin = begin + span
+        start = start + count
+        size = size - count
+        keep = (size > 0) & (begin < end)
+        states, begin, start, size = states[keep], begin[keep], start[keep], size[keep]
+    if fail_worst:
+        worst = float(np.max(np.concatenate(fail_worst)))
+        raise IntegrationAbort(
+            f"jump probability per step {worst:.3g} > 0.1 at t = "
+            f"{times[fail]:.6g}; reduce dt={dt:g}"
+        )
+    records = sums[:, :n_slots] + np.cumsum(sums[:, n_slots:], axis=1)
+    steps = np.concatenate([np.zeros(0, dtype=np.intp), *jump_steps])
+    trajs = np.concatenate([np.zeros(0, dtype=np.intp), *jumped])
+    order = np.argsort(steps, kind="stable")
+    return records.T, steps[order], trajs[order]
 
 
 def _record_times(cfg: TrajectoryConfig) -> np.ndarray:
@@ -375,9 +430,11 @@ def ensemble_average(
 
     Jumps follow the waiting-time rule.  The ensemble is propagated as
     one state row per live jump history, the members of each row a
-    threshold-sorted segment of one permutation, and rows that reached a
-    fixed point are retired (see the module docstring), so the work per
-    step scales with the live rows, not with n_traj.
+    threshold-sorted segment of one permutation.  The rows advance in
+    passes of up to _WINDOW steps, fewer when rows x steps would exceed
+    _BLOCK, and the jumps of a pass are resolved once for the whole block;
+    rows at a fixed point retire when they are made (see the module
+    docstring).  The work scales with the live rows, not with n_traj.
 
     Every trajectory's jump history is bit-for-bit independent of the
     ensemble it runs in: its jump times equal those of evolve_trajectory

@@ -601,6 +601,11 @@ def test_exit_3_on_unstable_transfer_drive(tmp_path, capsys):
         assert "integration aborted: RK4 drive step factor |r| = " in capsys.readouterr().err
         # the abort comes before any output: the shipped run's CSV is left as it was
         assert csv.read_bytes() == written
+        # and a fresh output directory is not created
+        fresh = tmp_path / "fresh" / "out"
+        assert cli.main(["--config", str(path), "--out", str(fresh)]) == 3
+        capsys.readouterr()
+        assert not (tmp_path / "fresh").exists()
 
 
 @pytest.mark.parametrize("x_max", [0.0, -1.0])

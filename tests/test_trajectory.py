@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,7 +279,9 @@ def _reference_mc_core(psi0, model, dt, t_span, seed, streams, record_stride, ob
         jj = np.sum(np.abs(tj._apply(jop, psi)) ** 2, axis=1)
         worst = float(np.max(dt * jj / norm2))
         if not math.isfinite(worst) or worst > 0.1:
-            raise IntegrationAbort(f"jump probability per step {worst:.3g} > 0.1")
+            raise IntegrationAbort(
+                f"jump probability per step {worst:.3g} > 0.1 at t = {times[step]:.6g}"
+            )
         psi = tj._apply(prop, psi)
         norm2 = np.sum(np.abs(psi) ** 2, axis=1)
         # a trajectory whose J psi is 0 cannot emit and keeps its threshold
@@ -363,6 +366,46 @@ def test_mc_core_matches_per_row_reference(case):
     np.testing.assert_allclose(got[:, :3], ref[:, :3], rtol=1e-14)
     assert np.array_equal(_histories(steps, trajs), _histories(ref_steps, ref_trajs))
     assert 0 < steps.size
+
+
+@pytest.mark.parametrize(
+    "window, block", [(1, tj._BLOCK), (7, tj._BLOCK), (tj._WINDOW, tj._BLOCK), (tj._WINDOW, 50)]
+)
+@pytest.mark.parametrize("case", sorted(CORE_CASES))
+def test_window_cannot_change_results(case, window, block, monkeypatch):
+    # the number of steps a pass advances decides only when jumps and
+    # records are resolved: forced down to one step, to 7 (so that the
+    # windows of staggered rows end at different steps) or, through the
+    # block bound, to 50 // rows, the histories and states stay bit for bit
+    monkeypatch.setattr(tj, "_WINDOW", window)
+    monkeypatch.setattr(tj, "_BLOCK", block)
+    test_mc_core_matches_per_row_reference(case)
+
+
+@pytest.mark.parametrize("window", [1, 7, tj._WINDOW])
+def test_abort_names_the_earliest_step_across_staggered_rows(window, monkeypatch):
+    # from |gg> the drive alone gives dt |beta|^2 = 0.05; the guard trips
+    # only once excited states carry the rate above 0.1, first on a
+    # trajectory that has jumped twice, so the failing row split off from
+    # others whose windows began at other steps
+    model = CascadeModel(1.0, 1.0, beta=1.0)
+    streams = np.arange(40, dtype=np.uint64)
+
+    def args(t_end):
+        return (composite_ket("gg"), model, 0.05, (0.0, t_end), 3, streams, 1, lambda s, n2: n2[None])
+
+    with pytest.raises(IntegrationAbort) as ref:
+        _reference_mc_core(*args(3.0))
+    monkeypatch.setattr(tj, "_WINDOW", window)
+    with pytest.raises(IntegrationAbort) as got:
+        tj._mc_core(*args(3.0))
+    assert str(got.value).startswith(f"{ref.value}; reduce dt=")
+    t_fail = float(re.search(r"at t = (\S+)$", str(ref.value)).group(1))
+    assert t_fail == pytest.approx(0.95)
+    # up to the failing step the guard holds, and the rows have split
+    _, steps, trajs = tj._mc_core(*args(t_fail))
+    histories = {tuple(steps[trajs == k]) for k in range(streams.size)}
+    assert len(histories) > 2
 
 
 @pytest.mark.parametrize("case", sorted(CORE_CASES))
