@@ -24,9 +24,14 @@ the offending field), 3 when an integrator aborts.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
+import warnings
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -347,6 +352,13 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
                                "field points nx * len(snapshot_times)")
     tcfg = None
     if exp == "trajectories":
+        # the trajectory guard aborts once dt <J+J>/<psi|psi> exceeds 0.1; its largest
+        # value over all states is the top eigenvalue of J+J
+        jump = cascade.build_jump_operator(model)
+        rate = np.linalg.eigvalsh(jump.conj().T @ jump)[-1]
+        if dt * rate > 0.1:
+            diags.append(f"numerics.dt: dt*max(<J+J>/<psi|psi>) = {dt * rate:.3g} exceeds the "
+                         "bound 0.1 on the jump probability per step")
         work["numerics.n_traj"] = (num.n_traj, "trajectories")
         tcfg = attempt(_construct, "numerics", trajectory.TrajectoryConfig, dt=dt,
                        n_traj=num.n_traj, seed=num.seed, t_span=num.t_span,
@@ -387,14 +399,96 @@ def _cells(col) -> list[str]:
     return list(map(_cell, col.tolist() if isinstance(col, np.ndarray) else col))
 
 
+def _format_rows(columns, lo: int, hi: int, fh) -> None:
+    """Write rows [lo, hi) of the columns to fh, _CSV_BLOCK rows per write."""
+    for start in range(lo, hi, _CSV_BLOCK):
+        block = [_cells(col[start : min(start + _CSV_BLOCK, hi)]) for col in columns]
+        fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_part(columns, lo: int, hi: int):
+    """(pid, file): a child formats rows [lo, hi) into an unlinked temporary file.
+
+    (0, None) when the file or the fork cannot be made.  The child only
+    formats strings and leaves by os._exit, so it never returns into the
+    caller's stack or flushes a buffer it inherited.
+    """
+    try:
+        tmp = tempfile.TemporaryFile()
+    except OSError:
+        return 0, None
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on fork once an idle BLAS pool has made the process
+            # multi-threaded; the child runs only Python string formatting, no BLAS
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        tmp.close()
+        return 0, None
+    if pid == 0:
+        code = 1
+        try:
+            # no collection in the child: it would write to every inherited object's
+            # header, copying their pages, and could finalize a file of the parent's
+            gc.disable()
+            with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as out:
+                _format_rows(columns, lo, hi, out)
+            code = 0
+        finally:
+            os._exit(code)
+    return pid, tmp
+
+
 def _write_csv(path: Path, comments: list[str], header: list[str], columns) -> None:
-    """Write equal-length columns under '#' comments, streamed in blocks of rows."""
+    """Write equal-length columns under '#' comments, streamed in blocks of rows.
+
+    A table of at least two blocks is split into contiguous parts on block
+    boundaries, one per usable CPU.  This process formats the first part;
+    each later part is formatted by a forked child into a temporary file
+    and appended in order.  A part whose fork or child fails is formatted
+    here, so the bytes never depend on the CPU count or on a failure.
+    """
+    n = len(columns[0])
+    parts = min(_usable_cpus(), n // _CSV_BLOCK) if hasattr(os, "fork") else 1
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            block = [_cells(col[lo : lo + _CSV_BLOCK]) for col in columns]
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+        if parts < 2:
+            _format_rows(columns, 0, n, fh)
+            return
+        blocks = -(-n // _CSV_BLOCK)
+        bounds = [min(n, k * blocks // parts * _CSV_BLOCK) for k in range(parts + 1)]
+        forked, reaped = [], 0  # (lo, hi, pid, file) per later part; pid 0 if not forked
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                forked.append((lo, hi, *_fork_part(columns, lo, hi)))
+            _format_rows(columns, 0, bounds[1], fh)
+            for lo, hi, pid, tmp in forked:
+                ok = pid != 0 and os.waitpid(pid, 0)[1] == 0
+                reaped += 1
+                if ok:
+                    fh.flush()  # the rows already written go first
+                    tmp.seek(0)
+                    shutil.copyfileobj(tmp, fh.buffer)
+                else:
+                    _format_rows(columns, lo, hi, fh)
+        finally:
+            # reap the children not yet waited for, so that none is left a zombie
+            for _, _, pid, _ in forked[reaped:]:
+                if pid:
+                    os.waitpid(pid, 0)
+            for _, _, _, tmp in forked:
+                if tmp is not None:
+                    tmp.close()
 
 
 def _provenance(cfg: RunConfig) -> str:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,19 @@ def test_validate_dt_bound(tmp_path):
     cfg = cli.load_config(path)
     diags = cli.validate(cfg)
     assert any("dt" in d and "0.1" in d for d in diags)
+
+
+def test_validate_trajectory_dt_bound(tmp_path, capsys):
+    # <J+J> in |ee> is gamma1 + gamma2 = 2, so dt 0.1 passes the general bound but would
+    # trip the trajectory guard at t = 0
+    shipped = Path(__file__).parent.parent / "configs" / "trajectories_single_photon.json"
+    cfg = json.loads(shipped.read_text())
+    cfg["numerics"].update(dt=0.1, initial_state="ee", n_traj=100)
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path), "--validate-only"]) == 2
+    assert "numerics.dt: dt*max(<J+J>/<psi|psi>) = 0.2 exceeds" in capsys.readouterr().out
 
 
 def test_validate_alpha_positive(tmp_path):
@@ -155,8 +169,7 @@ def _reference_write_csv(path, comments, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@pytest.mark.parametrize("n", [0, 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1])
-def test_write_csv_matches_row_writer(tmp_path, n):
+def _csv_columns(n):
     specials = [math.nan, -0.0, 5e-324, 1e300, -1.0 / 3.0, math.inf, 0.0, 2.5e-310]
     floats = np.resize(np.array(specials), n)
     pairs = np.column_stack((floats[::-1], floats))
@@ -169,12 +182,61 @@ def test_write_csv_matches_row_writer(tmp_path, n):
         tuple(np.float64(v) for v in floats[::-1]),  # what zip(*rows) hands over
         np.arange(n) % 2 == 0,
     ]
-    header = ["f", "count", "tag", "maybe", "strided", "f_rev", "flag"]
-    cli._write_csv(tmp_path / "new.csv", ["config {}", "units"], header, columns)
+    return ["f", "count", "tag", "maybe", "strided", "f_rev", "flag"], columns
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+B = cli._CSV_BLOCK
+
+
+@pytest.mark.parametrize("n", [0, 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 5 * B + 7])
+def test_write_csv_matches_row_writer(tmp_path, monkeypatch, n):
+    header, columns = _csv_columns(n)
     _reference_write_csv(tmp_path / "ref.csv", ["config {}", "units"], header, zip(*columns))
-    new = (tmp_path / "new.csv").read_bytes()
-    assert new == (tmp_path / "ref.csv").read_bytes()
-    assert new.count(b"\n") == 3 + n
+    ref = (tmp_path / "ref.csv").read_bytes()
+    assert ref.count(b"\n") == 3 + n
+    forks = []
+    real_fork_part = cli._fork_part
+    monkeypatch.setattr(cli, "_fork_part", lambda *a: forks.append(a) or real_fork_part(*a))
+    for cpus in (1, 2, 3):  # the split into row parts must not change a byte
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        forks.clear()
+        cli._write_csv(tmp_path / "new.csv", ["config {}", "units"], header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == ref, cpus
+        assert len(forks) == max(min(cpus, n // B) - 1, 0)
+        _assert_no_child_left()
+
+
+def _fail_fork():
+    raise OSError("fork refused")
+
+
+@pytest.mark.parametrize("failure", ["fork", "child"])
+def test_write_csv_failed_part_is_formatted_in_process(tmp_path, monkeypatch, failure):
+    header, columns = _csv_columns(3 * B)
+    _reference_write_csv(tmp_path / "ref.csv", ["c"], header, zip(*columns))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    if failure == "fork":
+        monkeypatch.setattr(cli.os, "fork", _fail_fork)
+    else:  # the child raises, so it exits 1 and the parent formats its part
+        parent, real = os.getpid(), cli._format_rows
+
+        def format_rows(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("child failure")
+            real(*args)
+
+        monkeypatch.setattr(cli, "_format_rows", format_rows)
+    out = tmp_path / "out"
+    out.mkdir()
+    cli._write_csv(out / "t.csv", ["c"], header, columns)
+    assert (out / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _assert_no_child_left()
+    assert [p.name for p in out.iterdir()] == ["t.csv"]
 
 
 @pytest.mark.parametrize("experiment", ["phases", "transform"])
