@@ -45,6 +45,7 @@ __all__ = [
     "lindblad_rhs",
     "liouvillian",
     "step_matrix",
+    "checked_step_matrix",
     "time_grid",
     "integrate_master",
     "heisenberg_consistency",
@@ -192,6 +193,25 @@ def step_matrix(a: np.ndarray, h: float) -> np.ndarray:
     return ident + ha @ (ident + ha @ (ident + ha @ (ident + ha / 4.0) / 3.0) / 2.0)
 
 
+def checked_step_matrix(a: np.ndarray, h: float) -> np.ndarray:
+    """step_matrix(a, h), checked before any step is taken with it.
+
+    A step matrix that is not finite, or whose spectral radius exceeds
+    1 + 1e-12, grows some mode at every step: IntegrationAbort, naming the
+    radius and the step size.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as not finite
+        p = step_matrix(a, h)
+    if not np.all(np.isfinite(p)):
+        raise IntegrationAbort(f"RK4 step matrix is not finite at dt={h:g}")
+    radius = float(np.max(np.abs(np.linalg.eigvals(p))))
+    if radius > 1.0 + 1e-12:
+        raise IntegrationAbort(
+            f"RK4 step matrix has spectral radius {radius:.6g} > 1; reduce the step size dt={h:g}"
+        )
+    return p
+
+
 def time_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
     """Fixed-step grid t0 + k dt for k = 0 .. round((t1 - t0)/dt).
 
@@ -215,14 +235,7 @@ def _rk4_density_history(
     may carry a leading batch axis, shape (B, dim, dim); the batch shares
     one step loop.  Returns the history, shape (n_steps + 1, [B,] dim, dim).
     """
-    pt = step_matrix(lmat, dt).T.copy()
-    if not np.all(np.isfinite(pt)):
-        raise IntegrationAbort(f"RK4 step matrix is not finite at dt={dt:g}")
-    radius = float(np.max(np.abs(np.linalg.eigvals(pt))))
-    if radius > 1.0 + 1e-12:
-        raise IntegrationAbort(
-            f"RK4 step matrix has spectral radius {radius:.6g} > 1; reduce the step size dt={dt:g}"
-        )
+    pt = checked_step_matrix(lmat, dt).T.copy()
     batched = rho0.ndim == 3
     rho_b = rho0 if batched else rho0[None, :, :]
     history = np.empty((n_steps + 1, *rho_b.shape), dtype=complex)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import math
 import os
@@ -39,6 +40,7 @@ import numpy as np
 
 from . import cascade, trajectory, transfer, wavepacket
 from .cascade import CascadeModel, IntegrationAbort
+from .floatrepr import repr_bytes
 from .hilbert import composite_ket, density_from_ket, kron, two_level_ket
 from .svgplot import line_plot
 from .wavepacket import TransformSpec, matched_timing, phase_schedule
@@ -347,6 +349,18 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
             lo, hi = min(0.0, t0 - model.tau, t0 - shift), max(t1 - model.tau, t1 - shift)
             work["numerics.dt"] = ((hi - lo) / dt + 2.0, f"time samples over the emission "
                                    f"window [{lo:.6g}, {hi:.6g}]")
+    # each integrator's RK4 step must be stable at dt: the master equation's
+    # (decay, lindblad, trajectories) and the trajectories' no-jump step
+    generators = {}
+    if exp in ("decay", "lindblad", "trajectories"):
+        generators["master-equation"] = cascade.liouvillian(model)
+    if exp == "trajectories":
+        generators["no-jump"] = -1j * cascade.build_h_eff(model)
+    for what, generator in generators.items():
+        try:
+            cascade.checked_step_matrix(generator, dt)
+        except IntegrationAbort as exc:
+            diags.append(f"numerics.dt: {what} {exc}")
     if exp == "phases":
         work["numerics.nx"] = (num.nx * len(num.snapshot_times),
                                "field points nx * len(snapshot_times)")
@@ -390,20 +404,61 @@ def _cell(v) -> str:
     return repr(f)
 
 
-_CSV_BLOCK = 4096  # rows formatted per write
+_CSV_BLOCK = 4096  # rows per part of a forked table are a multiple of this
+_FLOATS_PER_CALL = 2**14  # float64 values formatted per repr_bytes call
 
 
-def _cells(col) -> list[str]:
-    if isinstance(col, np.ndarray) and col.dtype == np.float64:
-        return ["" if v != v else repr(v) for v in col.tolist()]  # NaN as an empty field
-    return list(map(_cell, col.tolist() if isinstance(col, np.ndarray) else col))
+def _cell_bytes(col) -> tuple[np.ndarray, np.ndarray]:
+    """(chars, lengths) of _cell's UTF-8 text of each value, as (n, 1, width) and (n, 1)."""
+    cells = [_cell(v).encode() for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
+    width = max(map(len, cells), default=0) or 1
+    chars = np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(len(cells), 1, width)
+    return chars, np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))[:, None]
 
 
 def _format_rows(columns, lo: int, hi: int, fh) -> None:
-    """Write rows [lo, hi) of the columns to fh, _CSV_BLOCK rows per write."""
-    for start in range(lo, hi, _CSV_BLOCK):
-        block = [_cells(col[start : min(start + _CSV_BLOCK, hi)]) for col in columns]
-        fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+    """Write rows [lo, hi) of the columns to the binary file fh, one block of rows per write.
+
+    The float64 array columns of a block go through one repr_bytes call,
+    which writes exactly repr's bytes, so a block holds at most
+    _FLOATS_PER_CALL of their values; other columns go through _cell.
+    Each block is one byte matrix with a row per CSV row: a slot per
+    field, as wide as the field's longest text, followed by ',' or the
+    newline.  A mask keeps each field's own bytes and its separator.
+    """
+    floats = [isinstance(col, np.ndarray) and col.dtype == np.float64 for col in columns]
+    step = _FLOATS_PER_CALL // max(sum(floats), 1)
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        rows = stop - start
+        if any(floats):
+            chars, lengths = repr_bytes(np.stack(
+                [col[start:stop] for col, f in zip(columns, floats) if f], 1).reshape(-1))
+            chars, lengths = chars.reshape(rows, sum(floats), -1), lengths.reshape(rows, -1)
+        # (chars (rows, c, w), lengths (rows, c)) of each run of c float columns
+        # and of each other column
+        pieces, j = [], 0
+        for is_float, run in itertools.groupby(zip(floats, columns), key=lambda fc: fc[0]):
+            run = [col for _, col in run]
+            if is_float:
+                pieces.append((chars[:, j : j + len(run)], lengths[:, j : j + len(run)]))
+                j += len(run)
+            else:
+                pieces += [_cell_bytes(col[start:stop]) for col in run]
+        widths = [text.shape[1] * (text.shape[2] + 1) for text, _ in pieces]
+        matrix = np.empty((rows, sum(widths)), dtype=np.uint8)
+        keep = np.empty((rows, sum(widths)), dtype=bool)
+        for at, width, (text, sizes) in zip(np.cumsum([0, *widths]), widths, pieces):
+            w = text.shape[2]
+            slots = matrix[:, at : at + width].reshape(rows, -1, w + 1)
+            slots[:, :, :w] = text
+            slots[:, :, w] = ord(",")
+            # mask[m] keeps the first m bytes of a slot and its separator
+            mask = np.arange(w + 1) < np.arange(w + 1)[:, None]
+            mask[:, w] = True
+            keep[:, at : at + width].reshape(rows, -1, w + 1)[...] = mask.take(sizes, axis=0)
+        matrix[:, -1] = ord("\n")
+        fh.write(matrix[keep].tobytes())
 
 
 def _usable_cpus() -> int:
@@ -417,7 +472,7 @@ def _fork_part(columns, lo: int, hi: int):
     """(pid, file): a child formats rows [lo, hi) into an unlinked temporary file.
 
     (0, None) when the file or the fork cannot be made.  The child only
-    formats strings and leaves by os._exit, so it never returns into the
+    formats rows and leaves by os._exit, so it never returns into the
     caller's stack or flushes a buffer it inherited.
     """
     try:
@@ -427,7 +482,7 @@ def _fork_part(columns, lo: int, hi: int):
     try:
         with warnings.catch_warnings():
             # Python >= 3.12 warns on fork once an idle BLAS pool has made the process
-            # multi-threaded; the child runs only Python string formatting, no BLAS
+            # multi-threaded; the child runs only _format_rows, which calls no BLAS
             warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                     DeprecationWarning)
             pid = os.fork()
@@ -440,7 +495,7 @@ def _fork_part(columns, lo: int, hi: int):
             # no collection in the child: it would write to every inherited object's
             # header, copying their pages, and could finalize a file of the parent's
             gc.disable()
-            with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as out:
+            with open(tmp.fileno(), "wb", closefd=False) as out:
                 _format_rows(columns, lo, hi, out)
             code = 0
         finally:
@@ -449,19 +504,22 @@ def _fork_part(columns, lo: int, hi: int):
 
 
 def _write_csv(path: Path, comments: list[str], header: list[str], columns) -> None:
-    """Write equal-length columns under '#' comments, streamed in blocks of rows.
+    """Write equal-length columns under '#' comments; _format_rows formats the rows.
 
-    A table of at least two blocks is split into contiguous parts on block
-    boundaries, one per usable CPU.  This process formats the first part;
-    each later part is formatted by a forked child into a temporary file
+    A table of at least 2 * _CSV_BLOCK rows is split into contiguous
+    parts on multiples of _CSV_BLOCK rows, one per usable CPU.  This
+    process formats the first part; each later part is formatted by a
+    forked child, running the same _format_rows, into a temporary file
     and appended in order.  A part whose fork or child fails is formatted
     here, so the bytes never depend on the CPU count or on a failure.
+    Whole-array formatting still costs a few hundred ns per float, so the
+    split still shortens a large table on two CPUs.
     """
     n = len(columns[0])
     parts = min(_usable_cpus(), n // _CSV_BLOCK) if hasattr(os, "fork") else 1
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(f"# {c}\n" for c in comments)
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.writelines(f"# {c}\n".encode() for c in comments)
+        fh.write((",".join(header) + "\n").encode())
         if parts < 2:
             _format_rows(columns, 0, n, fh)
             return
@@ -476,9 +534,8 @@ def _write_csv(path: Path, comments: list[str], header: list[str], columns) -> N
                 ok = pid != 0 and os.waitpid(pid, 0)[1] == 0
                 reaped += 1
                 if ok:
-                    fh.flush()  # the rows already written go first
                     tmp.seek(0)
-                    shutil.copyfileobj(tmp, fh.buffer)
+                    shutil.copyfileobj(tmp, fh)
                 else:
                     _format_rows(columns, lo, hi, fh)
         finally:

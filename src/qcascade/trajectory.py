@@ -60,7 +60,7 @@ from .cascade import (
     IntegrationAbort,
     build_h_eff,
     build_jump_operator,
-    step_matrix,
+    checked_step_matrix,
     time_grid,
 )
 from .hilbert import validate_state_vector
@@ -236,12 +236,13 @@ def _mc_core(
 
     Returns (records, jump steps, jump trajectories): jump i happened on
     trajectory jump_trajs[i] (an index into streams) at step jump_steps[i],
-    in step order.
+    in step order.  A step matrix P that is not finite or has spectral
+    radius above 1 aborts with IntegrationAbort before the first pass.
     """
     jop = build_jump_operator(model)
     # one pass over the rows gives J psi, for the guard and the jumps, and
     # the step P psi
-    jop_prop = np.concatenate([jop, step_matrix(-1j * build_h_eff(model), dt)])
+    jop_prop = np.concatenate([jop, checked_step_matrix(-1j * build_h_eff(model), dt)])
     dim = jop.shape[0]
     times = time_grid(t_span, dt)
     end = times.size - 1  # rows advance while their step is below end

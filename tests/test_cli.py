@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -668,6 +669,26 @@ def test_exit_3_on_unstable_transfer_drive(tmp_path, capsys):
         assert cli.main(["--config", str(path), "--out", str(fresh)]) == 3
         capsys.readouterr()
         assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("validate_only", [True, False])
+def test_exit_2_on_unstable_lab_frame_trajectories(tmp_path, capsys, validate_only):
+    # the lab-frame trajectories config at omega = 200 and dt = 0.05 used to
+    # print 'config ok', then overflow and exit 3: both of its RK4 steps, the
+    # master equation's and the no-jump one, are unstable at that dt
+    path = shipped_config(tmp_path, "trajectories_single_photon", "numerics", "dt", 0.05)
+    cfg = json.loads(path.read_text())
+    cfg["model"].update(rotating_frame=False, omega1=200.0, omega2=200.0)
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--config", str(path), *["--validate-only"] * validate_only]) == 2
+    out, err = capsys.readouterr()
+    lines = (out if validate_only else err).splitlines()
+    assert [line.split(": ")[0] for line in lines] == ["numerics.dt"] * 2
+    assert "master-equation RK4 step matrix has spectral radius 6596.43 > 1" in lines[0]
+    assert "no-jump RK4 step matrix has spectral radius 399.654 > 1" in lines[1]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("x_max", [0.0, -1.0])

@@ -1,5 +1,7 @@
+import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +250,18 @@ def test_delta_p_abort_in_core():
         )
 
 
+def test_unstable_step_aborts_in_core_before_the_first_pass():
+    # lab frame at omega = 200 and dt = 0.05: the no-jump step matrix has
+    # spectral radius about 400, so the core stops before it steps, with
+    # no overflow on the way
+    model = CascadeModel(1.0, 1.0, omega1=200.0, omega2=200.0, rotating_frame=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationAbort, match="spectral radius"):
+            tj._mc_core(PSI_EG, model, 0.05, (0.0, 10.0), 1, np.arange(10, dtype=np.uint64), 1,
+                        lambda states, norm2: norm2[None])
+
+
 def test_record_stride():
     cfg = TrajectoryConfig(dt=0.01, n_traj=1, seed=4, t_span=(0.0, 1.0), record_stride=10)
     rec = evolve_trajectory(PSI_EG, MODEL, cfg, 0)
@@ -346,21 +360,30 @@ CORE_CASES = {
 }
 
 
+def _core_observe(states, norm2):
+    return np.concatenate([[np.sqrt(norm2)], tj._populations(states, norm2), _fingerprints(states)])
+
+
+def _core_args(case):
+    model, label, cfg = CORE_CASES[case]
+    streams = np.arange(cfg.n_traj, dtype=np.uint64)
+    return (composite_ket(label), model, cfg.dt, cfg.t_span, cfg.seed, streams,
+            cfg.record_stride, _core_observe)
+
+
+@functools.cache
+def _core_reference(case):
+    # depends on neither the window nor the block, so each case is computed once
+    return _reference_sums(*_core_args(case))
+
+
 @pytest.mark.parametrize("case", sorted(CORE_CASES))
 def test_mc_core_matches_per_row_reference(case):
     # every trajectory's jump history and state, bit for bit; the sums of
     # norms and populations up to the order of their additions
-    model, label, cfg = CORE_CASES[case]
-    streams = np.arange(cfg.n_traj, dtype=np.uint64)
-    args = (composite_ket(label), model, cfg.dt, cfg.t_span, cfg.seed, streams, cfg.record_stride)
-
-    def observe(states, norm2):
-        return np.concatenate(
-            [[np.sqrt(norm2)], tj._populations(states, norm2), _fingerprints(states)]
-        )
-
-    got, steps, trajs = tj._mc_core(*args, observe)
-    ref, ref_steps, ref_trajs = _reference_sums(*args, observe)
+    cfg = CORE_CASES[case][2]
+    got, steps, trajs = tj._mc_core(*_core_args(case))
+    ref, ref_steps, ref_trajs = _core_reference(case)
     assert got.shape == ref.shape == (tj._record_times(cfg).size, 6)
     assert np.array_equal(got[:, 3:], ref[:, 3:])
     np.testing.assert_allclose(got[:, :3], ref[:, :3], rtol=1e-14)
