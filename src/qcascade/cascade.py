@@ -14,8 +14,10 @@ with a single collective jump operator
 and H0 = H_sys + H_ex, where H_ex contains the channel-mediated exchange.
 The propagation delay tau never enters the generator; it lives purely in
 the interpretation of the composite state, whose system-1 factor is read
-at the fictitious time tilde_t = f(t) (see `wavepacket.time_map`).  Each
-emitted integration step therefore carries two clocks.
+at the fictitious time tilde_t = f(t) (see `wavepacket.time_map`, which
+maps a scalar or the whole time grid at once: None for a scalar, NaN in
+an array, where f is undefined).  Each emitted integration step
+therefore carries two clocks.
 
 The master equation is integrated with fixed-step classical RK4, applied
 as one step matrix (`step_matrix`) to the vectorized density matrix; the
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import identity, kron, ladder_two_level
+from .hilbert import ladder_two_level
 
 __all__ = [
     "CascadeModel",
@@ -52,18 +54,18 @@ __all__ = [
 ]
 
 _SM, _SP, _SZ = ladder_two_level()
-_I2 = identity(2)
+_I2 = np.eye(2, dtype=complex)
 
 # Composite two-level pair operators, system 1 on the left.
-SIGMA1_MINUS = kron(_SM, _I2)
-SIGMA1_PLUS = kron(_SP, _I2)
-SIGMA1_Z = kron(_SZ, _I2)
-SIGMA2_MINUS = kron(_I2, _SM)
-SIGMA2_PLUS = kron(_I2, _SP)
-SIGMA2_Z = kron(_I2, _SZ)
+SIGMA1_MINUS = np.kron(_SM, _I2)
+SIGMA1_PLUS = np.kron(_SP, _I2)
+SIGMA1_Z = np.kron(_SZ, _I2)
+SIGMA2_MINUS = np.kron(_I2, _SM)
+SIGMA2_PLUS = np.kron(_I2, _SP)
+SIGMA2_Z = np.kron(_I2, _SZ)
 NUMBER1 = SIGMA1_PLUS @ SIGMA1_MINUS
 NUMBER2 = SIGMA2_PLUS @ SIGMA2_MINUS
-IDENT4 = identity(4)
+IDENT4 = np.eye(4, dtype=complex)
 
 
 class IntegrationAbort(RuntimeError):
@@ -297,7 +299,8 @@ def integrate_master(
 
     rho0 is the composite 4x4 density matrix at t_span[0].  When a
     `wavepacket.TransformSpec` is supplied the fictitious system-1 clock
-    is attached through the piecewise time map; otherwise tilde_t = t - tau.
+    is attached through the piecewise time map, in one call on the whole
+    grid (NaN while the device buffers); otherwise tilde_t = t - tau.
 
     Recommended dt * max(gamma1, gamma2, |beta|^2) <= 0.1.  An RK4 step
     matrix with spectral radius above 1 aborts with IntegrationAbort
@@ -316,13 +319,7 @@ def integrate_master(
     if transform is not None:
         from .wavepacket import phase_schedule, time_map
 
-        schedule = phase_schedule(transform)
-        tilde = np.array(
-            [
-                np.nan if (v := time_map(t, transform, schedule, model.tau)) is None else v
-                for t in times
-            ]
-        )
+        tilde = time_map(times, transform, phase_schedule(transform), model.tau)
     else:
         tilde = times - model.tau
     return MasterRun(times=times, tilde_t=tilde, rhos=rhos, model=model)

@@ -7,7 +7,8 @@ The config is a single JSON file with nested sections (model, transform,
 numerics, output); the optional positional argument overrides the
 experiment named in the config.  `_resolve` builds a config's typed parts
 once, every default filled in, and lists each violated precondition;
-`validate` returns that list and `run` runs on the parts.  Each
+`validate` returns that list, and `run` resolves once and runs on the
+parts.  Each
 experiment is one entry of EXPERIMENTS, returning its tables and plot.
 Each table becomes <stem>.csv ('#'-prefixed header comments embed the
 config as given, after CLI overrides; undefined values are empty fields):
@@ -41,7 +42,7 @@ import numpy as np
 from . import cascade, trajectory, transfer, wavepacket
 from .cascade import CascadeModel, IntegrationAbort
 from .floatrepr import repr_bytes
-from .hilbert import composite_ket, density_from_ket, kron, two_level_ket
+from .hilbert import composite_ket, density_from_ket, two_level_ket
 from .svgplot import line_plot
 from .wavepacket import TransformSpec, matched_timing, phase_schedule
 
@@ -55,6 +56,9 @@ INITIAL_STATES = ("eg", "ge", "ee", "gg", "plus_g")
 # decay's density history, 512 bytes a time sample, so every array stays
 # under 1 GiB; every shipped and benchmark config is 18x or more below.
 MAX_SAMPLES = 2**21
+# trajectories * steps must stay below this: about 4.5 min at 0.25 us per
+# trajectory-step, over 100x the 10^7 of every shipped and benchmark config
+MAX_TRAJECTORY_STEPS = 2**30
 
 
 class ConfigError(ValueError):
@@ -350,12 +354,16 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
             work["numerics.dt"] = ((hi - lo) / dt + 2.0, f"time samples over the emission "
                                    f"window [{lo:.6g}, {hi:.6g}]")
     # each integrator's RK4 step must be stable at dt: the master equation's
-    # (decay, lindblad, trajectories) and the trajectories' no-jump step
+    # (decay, lindblad, trajectories), the trajectories' no-jump step and the
+    # transfer drive's scalar step, as transfer.drive_system2 builds it
     generators = {}
     if exp in ("decay", "lindblad", "trajectories"):
         generators["master-equation"] = cascade.liouvillian(model)
     if exp == "trajectories":
         generators["no-jump"] = -1j * cascade.build_h_eff(model)
+    if exp == "transfer":
+        _, w2 = model.frame_omegas()
+        generators["transfer drive"] = np.array([[-(model.gamma2 / 2.0 + 1j * w2)]])
     for what, generator in generators.items():
         try:
             cascade.checked_step_matrix(generator, dt)
@@ -374,6 +382,10 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
             diags.append(f"numerics.dt: dt*max(<J+J>/<psi|psi>) = {dt * rate:.3g} exceeds the "
                          "bound 0.1 on the jump probability per step")
         work["numerics.n_traj"] = (num.n_traj, "trajectories")
+        steps = (t1 - t0) / dt
+        if not num.n_traj < MAX_TRAJECTORY_STEPS / steps:
+            diags.append(f"numerics.n_traj: {num.n_traj} trajectories of {steps:.6g} steps "
+                         f"reach the work bound MAX_TRAJECTORY_STEPS = {MAX_TRAJECTORY_STEPS}")
         tcfg = attempt(_construct, "numerics", trajectory.TrajectoryConfig, dt=dt,
                        n_traj=num.n_traj, seed=num.seed, t_span=num.t_span,
                        record_stride=num.record_stride)
@@ -563,7 +575,7 @@ def _units_comment(model: CascadeModel) -> str:
 def _initial_ket(name: str) -> np.ndarray:
     if name == "plus_g":
         plus = (two_level_ket("e") + two_level_ket("g")) / math.sqrt(2.0)
-        return kron(plus, two_level_ket("g"))
+        return np.kron(plus, two_level_ket("g"))
     return composite_ket(name)
 
 
@@ -572,11 +584,7 @@ def _decay(p: _Plan):
     times = cascade.time_grid(num.t_span, num.dt)
     rho0 = np.stack([density_from_ket(_initial_ket(name)) for name in ("eg", "plus_g")])
     hist = cascade._rk4_density_history(cascade.liouvillian(model), rho0, times.size - 1, num.dt)
-    eg = hist[:, 0]
-    p1 = np.einsum("nij,ji->n", eg, cascade.NUMBER1).real
-    p2 = np.einsum("nij,ji->n", eg, cascade.NUMBER2).real
-    s1 = np.einsum("nij,ji->n", eg, cascade.SIGMA1_MINUS)
-    s2 = np.einsum("nij,ji->n", eg, cascade.SIGMA2_MINUS)
+    eg = cascade.MasterRun(times, times - model.tau, hist[:, 0], model)
     coh = np.einsum("nij,ji->n", hist[:, 1], cascade.SIGMA1_MINUS)
     ratio = coh / coh[0]
     table = (
@@ -588,9 +596,10 @@ def _decay(p: _Plan):
         ],
         ["t", "P1", "P2", "re_sigma1", "im_sigma1", "re_sigma2", "im_sigma2",
          "decay_re", "decay_im"],
-        [times, p1, p2, s1.real, s1.imag, s2.real, s2.imag, ratio.real, ratio.imag],
+        [times, eg.p1, eg.p2, eg.sigma1.real, eg.sigma1.imag, eg.sigma2.real, eg.sigma2.imag,
+         ratio.real, ratio.imag],
     )
-    series = [(times, p1, "P1"), (times, p2, "P2"), (times, np.abs(ratio), "|decay|")]
+    series = [(times, eg.p1, "P1"), (times, eg.p2, "P2"), (times, np.abs(ratio), "|decay|")]
     return [table], (series, "free decay", "t (1/gamma1)", "probability / amplitude")
 
 
@@ -733,10 +742,10 @@ def _timemap(p: _Plan):
     model, spec = p.model, p.spec
     sched = phase_schedule(spec)
     ts = cascade.time_grid(p.numerics.t_span, p.numerics.dt)
-    f = [wavepacket.time_map(float(t), spec, sched, model.tau) for t in ts]
-    f_slope = [wavepacket.time_map_slope(float(t), spec, sched) for t in ts]
-    f_inv = [wavepacket.time_map_inverse(float(t), spec, sched, model.tau) for t in ts]
-    f_inv_slope = [wavepacket.time_map_inverse_slope(float(t), spec, sched, model.tau) for t in ts]
+    f = wavepacket.time_map(ts, spec, sched, model.tau)
+    f_slope = wavepacket.time_map_slope(ts, spec, sched)
+    f_inv = wavepacket.time_map_inverse(ts, spec, sched, model.tau)
+    f_inv_slope = wavepacket.time_map_inverse_slope(ts, spec, sched, model.tau)
     table = (
         "timemap",
         [
@@ -750,10 +759,7 @@ def _timemap(p: _Plan):
         ["t", "f", "f_slope", "f_inv", "f_inv_slope"],
         [ts, f, f_slope, f_inv, f_inv_slope],
     )
-    series = [
-        (ts, np.array([np.nan if v is None else v for v in vals]), label)
-        for vals, label in ((f, "f(t)"), (f_inv, "f_inv(t)"))
-    ]
+    series = [(ts, f, "f(t)"), (ts, f_inv, "f_inv(t)")]
     return [table], (series, "system-1 clock maps", "t (1/gamma1)", "mapped time")
 
 
@@ -799,13 +805,14 @@ EXPERIMENTS = {
 def run(cfg: RunConfig) -> list[Path]:
     """Run the configured experiment; returns the artifact paths.
 
-    Each table goes to <stem>.csv under the provenance comment, then the
-    plot to <experiment>.svg when SVG output is on.  A config that fails
-    validate() raises ConfigError with its diagnostics.
+    The config is resolved once, here.  Each table goes to <stem>.csv
+    under the provenance comment, then the plot to <experiment>.svg when
+    SVG output is on.  A config that fails to resolve raises ConfigError
+    with its diagnostics, one per line.
     """
     plan, diags = _resolve(cfg)
     if diags:
-        raise ConfigError("; ".join(diags))
+        raise ConfigError("\n".join(diags))
     tables, (series, title, xlabel, ylabel) = EXPERIMENTS[cfg.experiment](plan)
     # made only now, so that a run that aborts leaves no empty directory
     out_dir = Path(plan.output.directory)
@@ -847,21 +854,17 @@ def main(argv: list[str] | None = None) -> int:
         cfg.output["emit_svg"] = True
     if args.seed is not None:
         cfg.numerics["seed"] = args.seed
-    diagnostics = validate(cfg)
     if args.validate_only:
+        diagnostics = validate(cfg)
         for d in diagnostics:
             print(d)
         if not diagnostics:
             print("config ok")
         return 2 if diagnostics else 0
-    if diagnostics:
-        for d in diagnostics:
-            print(d, file=sys.stderr)
-        return 2
     try:
         paths = run(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except ConfigError as exc:  # the diagnostics, one per line, each naming its field
+        print(exc, file=sys.stderr)
         return 2
     except IntegrationAbort as exc:
         print(f"integration aborted: {exc}", file=sys.stderr)

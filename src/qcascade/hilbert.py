@@ -19,21 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "identity",
     "basis",
     "two_level_ket",
     "composite_ket",
     "ladder_two_level",
-    "kron",
     "density_from_ket",
     "validate_state_vector",
     "validate_density_matrix",
 ]
-
-
-def identity(dim: int) -> np.ndarray:
-    """dim x dim complex identity."""
-    return np.eye(dim, dtype=complex)
 
 
 def basis(dim: int, index: int) -> np.ndarray:
@@ -74,11 +67,6 @@ def ladder_two_level() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sp = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     return sm, sp, sz
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with system 1 as the left factor."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def density_from_ket(psi: np.ndarray) -> np.ndarray:

@@ -25,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeModel, IntegrationAbort
+from .cascade import CascadeModel, IntegrationAbort, checked_step_matrix
 from .wavepacket import (
     Envelope,
     PhaseSchedule,
     TransformSpec,
+    _uniform_grid,
     apply_u_time_domain,
     derive_transform_params,
     matched_timing,
@@ -115,14 +116,11 @@ def emit_envelope(
     """
     if abs(c1_0) > 1.0 + 1e-12:
         raise ValueError("|c1_0| cannot exceed 1")
-    t = np.asarray(t_grid, dtype=float)
-    step = np.diff(t)
-    if t.ndim != 1 or t.size < 2 or np.any(np.abs(step - step[0]) > 1e-9 * abs(step[0])):
-        raise ValueError("t_grid must be a uniform 1-d grid")
+    t, h = _uniform_grid(t_grid, "t_grid")
     w = 0.0 if rotating_frame else omega1
     vals = math.sqrt(gamma1) * c1_0 * np.exp(-(gamma1 / 2.0 + 1j * w) * t)
     vals[t < 0.0] = 0.0
-    return Envelope(float(t[0]), float(step[0]), vals)
+    return Envelope(float(t[0]), h, vals)
 
 
 def _half_grid_values(env: Envelope, t0: float, h: float, n_steps: int, tau: float) -> np.ndarray:
@@ -157,20 +155,19 @@ def drive_system2(
     The drive is the input envelope evaluated at t - tau; RK4 stage values
     fall on the half-step grid, so an input sampled at spacing h/2 aligned
     with t_grid is consumed exactly.  The rate is constant, so each RK4
-    step is c <- r c + w0 x0 + wm xm + w1 x1 with fixed coefficients; a
-    factor |r| above 1, or one not finite, aborts with IntegrationAbort.
+    step is c <- r c + w0 x0 + wm xm + w1 x1 with fixed coefficients.  The
+    step of the 1x1 generator [[lam]] must pass `cascade.checked_step_matrix`,
+    the stability rule of every integrator here, and the coefficients must
+    be finite, or IntegrationAbort.
     Returns the P2 series, its maximum and the equal-superposition fidelity.
     """
     if gamma2 <= 0.0:
         raise ValueError("gamma2 must be positive")
-    t = np.asarray(t_grid, dtype=float)
-    step = np.diff(t)
-    if t.ndim != 1 or t.size < 2 or np.any(np.abs(step - step[0]) > 1e-9 * abs(step[0])):
-        raise ValueError("t_grid must be a uniform 1-d grid")
-    h = float(step[0])
+    t, h = _uniform_grid(t_grid, "t_grid")
     n_steps = t.size - 1
     xi = _half_grid_values(input_env, float(t[0]), h, n_steps, tau)
     lam = -(gamma2 / 2.0 + 1j * omega2)
+    checked_step_matrix(np.array([[lam]]), h)
     g = math.sqrt(gamma2)
 
     def rk4_step(c, x0, xm, x1):
@@ -180,14 +177,13 @@ def drive_system2(
         k4 = lam * (c + h * k3) - g * x1
         return c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    # the step is linear in (c, x0, xm, x1): evaluate it on the basis vectors
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow aborts just below
-        r, w0, wm, w1 = rk4_step(*np.eye(4, dtype=complex)).tolist()
-    if not abs(r) <= 1.0 + 1e-12:  # NaN fails the comparison too
-        raise IntegrationAbort(
-            f"RK4 drive step factor |r| = {abs(r):.6g} is not <= 1; "
-            f"reduce the step size dt={h:g}"
-        )
+    # the step is linear in (c, x0, xm, x1): evaluate it on the basis vectors (r from
+    # the checked step matrix may differ in the last bit)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows if |lam| nears the float max
+        coefficients = rk4_step(*np.eye(4, dtype=complex))
+    if not np.all(np.isfinite(coefficients)):
+        raise IntegrationAbort(f"RK4 drive step overflows in its stages at dt={h:g}")
+    r, w0, wm, w1 = coefficients.tolist()
     u = (w0 * xi[0:-1:2] + wm * xi[1::2] + w1 * xi[2::2]).tolist()
     c2 = np.array(list(itertools.accumulate(u, lambda c, uk: r * c + uk, initial=0j)))
     p2 = np.abs(c2) ** 2

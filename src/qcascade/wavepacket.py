@@ -144,6 +144,16 @@ def _interp_uniform(samples: np.ndarray, t0: float, dt: float, t: np.ndarray) ->
     return out
 
 
+def _uniform_grid(grid, name: str) -> tuple[np.ndarray, float]:
+    """(grid as a float array, its spacing); ValueError naming the grid
+    unless it is a uniform 1-d grid of at least two points."""
+    arr = np.asarray(grid, dtype=float)
+    step = np.diff(arr.reshape(-1))
+    if arr.ndim != 1 or arr.size < 2 or np.any(np.abs(step - step[0]) > 1e-9 * abs(step[0])):
+        raise ValueError(f"{name} must be a uniform 1-d grid of at least two points")
+    return arr, float(step[0])
+
+
 @dataclass(eq=False)
 class Spectrum:
     """Uniformly sampled complex amplitude in angular frequency.
@@ -301,27 +311,15 @@ def apply_u_time_domain(
         n_fill = int(np.count_nonzero(~valid))
         t_vals = spec.T - a * (env.t0 + h * j)
         order = np.argsort(t_vals)
-        t_vals = t_vals[order]
+        t_arr = t_vals[order]
         vals = vals[order]
-        out_vals = vals * np.exp(-1j * spec.omega0 * (t_vals - spec.T)) / math.sqrt(a)
-        if n_fill:
-            warnings.warn(
-                f"transformation zero-filled {n_fill} samples outside the "
-                f"envelope support",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return Envelope(float(t_vals[0]), a * h, out_vals, n_zero_filled=n_fill)
-    t_arr = np.asarray(t_out, dtype=float)
-    if t_arr.ndim != 1 or t_arr.size < 2:
-        raise ValueError("t_out must be a 1-d grid of at least two points")
-    step = np.diff(t_arr)
-    if np.any(np.abs(step - step[0]) > 1e-9 * abs(step[0])):
-        raise ValueError("t_out must be uniform")
-    s = (spec.T - t_arr) / a
-    vals = np.asarray(env.interp(s))
-    outside = (s < env.t0 - 1e-9 * env.dt) | (s > env.t_end + 1e-9 * env.dt)
-    n_fill = int(np.count_nonzero(outside))
+        dt_out = a * h
+    else:
+        t_arr, dt_out = _uniform_grid(t_out, "t_out")
+        s = (spec.T - t_arr) / a
+        vals = np.asarray(env.interp(s))
+        outside = (s < env.t0 - 1e-9 * env.dt) | (s > env.t_end + 1e-9 * env.dt)
+        n_fill = int(np.count_nonzero(outside))
     if n_fill:
         warnings.warn(
             f"transformation zero-filled {n_fill} samples outside the envelope support",
@@ -329,7 +327,7 @@ def apply_u_time_domain(
             stacklevel=2,
         )
     out_vals = vals * np.exp(-1j * spec.omega0 * (t_arr - spec.T)) / math.sqrt(a)
-    return Envelope(float(t_arr[0]), float(step[0]), out_vals, n_zero_filled=n_fill)
+    return Envelope(float(t_arr[0]), dt_out, out_vals, n_zero_filled=n_fill)
 
 
 def _dtft_sum(values: np.ndarray, points: np.ndarray, targets: np.ndarray, sign: float) -> np.ndarray:
@@ -432,12 +430,7 @@ def apply_u_frequency_domain(
         nus_out = nu0_out + dnu_out * np.arange(n)
         samples = math.sqrt(a) * spec_in.samples[::-1] * np.exp(1j * nus_out * spec.T)
         return Spectrum(float(nu0_out), float(dnu_out), samples, t_ref=t_ref_out)
-    nu_arr = np.asarray(nu_out, dtype=float)
-    if nu_arr.ndim != 1 or nu_arr.size < 2:
-        raise ValueError("nu_out must be a 1-d grid of at least two points")
-    step = np.diff(nu_arr)
-    if np.any(np.abs(step - step[0]) > 1e-9 * abs(step[0])):
-        raise ValueError("nu_out must be uniform")
+    nu_arr, dnu_out = _uniform_grid(nu_out, "nu_out")
     u = -a * (nu_arr - spec.omega0)
     tol = 1e-9 * spec_in.dnu
     if u.min() < spec_in.nu0 - tol or u.max() > spec_in.nu_end + tol:
@@ -448,7 +441,7 @@ def apply_u_frequency_domain(
     base = spectrum_to_envelope(spec_in)
     f_u = (base.dt / _SQRT2PI) * _dtft_sum(base.samples, base.times, u, +1.0)
     samples = math.sqrt(a) * f_u * np.exp(1j * nu_arr * spec.T)
-    return Spectrum(float(nu_arr[0]), float(step[0]), samples, t_ref=t_ref_out)
+    return Spectrum(float(nu_arr[0]), dnu_out, samples, t_ref=t_ref_out)
 
 
 def heaviside(x: float) -> float:
@@ -499,53 +492,50 @@ def assemble_piecewise_field(
     return (complex(amp[0]), tags[0]) if scalar else (amp, tags)
 
 
-def time_map(
-    t: float, spec: TransformSpec, schedule: PhaseSchedule, tau: float
-) -> float | None:
-    """Fictitious system-1 time tilde_t = f(t); None while buffering.
+def _on_phases(t, schedule: PhaseSchedule, buffering, producing, elsewhere):
+    """A time map's value by phase: buffering on (t_i, t_s), producing on
+    (t_s, t_f), elsewhere at every other t, the boundary points included.
+
+    Each branch is a value or an array shaped like t, NaN where the map
+    is undefined.  An array t gives an array; a scalar t gives a float,
+    or None where its branch is NaN.
+    """
+    out = np.where((schedule.t_i < t) & (t < schedule.t_s), buffering,
+                   np.where((schedule.t_s < t) & (t < schedule.t_f), producing, elsewhere))
+    return out if out.ndim else None if math.isnan(out) else float(out)
+
+
+def time_map(t, spec: TransformSpec, schedule: PhaseSchedule, tau: float):
+    """Fictitious system-1 time tilde_t = f(t), for a scalar or an array t.
 
     f(t) = (T - t)/alpha - tau on the production window (t_s, t_f), t - tau
-    elsewhere, undefined on (t_i, t_s).  Boundary points take the
-    continuous / resumed branch value t - tau.
+    elsewhere, undefined on (t_i, t_s): None for a scalar t, NaN in an
+    array.  Boundary points take the continuous / resumed branch value
+    t - tau.
     """
-    if schedule.t_i < t < schedule.t_s:
-        return None
-    if schedule.t_s < t < schedule.t_f:
-        return (spec.T - t) / spec.alpha - tau
-    return t - tau
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):  # as with Python floats: an overflow is inf, unwarned
+        return _on_phases(t, schedule, np.nan, (spec.T - t) / spec.alpha - tau, t - tau)
 
 
-def time_map_inverse(
-    t: float, spec: TransformSpec, schedule: PhaseSchedule, tau: float
-) -> float | None:
+def time_map_inverse(t, spec: TransformSpec, schedule: PhaseSchedule, tau: float):
     """Inverse map: T - alpha (t + tau) when t + tau lies in (t_i, t_s),
-    undefined when t + tau lies in (t_s, t_f), t + tau elsewhere."""
-    s = t + tau
-    if schedule.t_i < s < schedule.t_s:
-        return spec.T - spec.alpha * s
-    if schedule.t_s < s < schedule.t_f:
-        return None
-    return s
+    undefined (None, or NaN in an array) when t + tau lies in (t_s, t_f),
+    t + tau elsewhere."""
+    s = np.asarray(t, dtype=float) + tau
+    with np.errstate(over="ignore"):  # as in time_map
+        return _on_phases(s, schedule, spec.T - spec.alpha * s, np.nan, s)
 
 
-def time_map_slope(t: float, spec: TransformSpec, schedule: PhaseSchedule) -> float | None:
-    """d f/dt per branch: -1/alpha on the production window, 1 elsewhere."""
-    if schedule.t_i < t < schedule.t_s:
-        return None
-    if schedule.t_s < t < schedule.t_f:
-        return -1.0 / spec.alpha
-    return 1.0
+def time_map_slope(t, spec: TransformSpec, schedule: PhaseSchedule):
+    """d f/dt per branch: -1/alpha on the production window, 1 elsewhere,
+    undefined (None, or NaN in an array) while the device buffers."""
+    return _on_phases(np.asarray(t, dtype=float), schedule, np.nan, -1.0 / spec.alpha, 1.0)
 
 
-def time_map_inverse_slope(
-    t: float, spec: TransformSpec, schedule: PhaseSchedule, tau: float
-) -> float | None:
-    s = t + tau
-    if schedule.t_i < s < schedule.t_s:
-        return -spec.alpha
-    if schedule.t_s < s < schedule.t_f:
-        return None
-    return 1.0
+def time_map_inverse_slope(t, spec: TransformSpec, schedule: PhaseSchedule, tau: float):
+    """d f^-1/dt per branch of t + tau, undefined where time_map_inverse is."""
+    return _on_phases(np.asarray(t, dtype=float) + tau, schedule, -spec.alpha, np.nan, 1.0)
 
 
 def gap_geometry(spec: TransformSpec, schedule: PhaseSchedule) -> tuple[float, float]:

@@ -25,13 +25,13 @@ from qcascade.cascade import (
     liouvillian,
     step_matrix,
 )
-from qcascade.hilbert import composite_ket, density_from_ket, kron, two_level_ket
+from qcascade.hilbert import composite_ket, density_from_ket, two_level_ket
 from qcascade.wavepacket import TransformSpec
 
 
 def plus_g_density():
     plus = (two_level_ket("e") + two_level_ket("g")) / math.sqrt(2.0)
-    psi = kron(plus, two_level_ket("g"))
+    psi = np.kron(plus, two_level_ket("g"))
     return density_from_ket(psi)
 
 
@@ -183,7 +183,7 @@ def test_unidirectionality_system2_alone():
     # system 1 in the ground state must leave system 2's evolution untouched
     m = CascadeModel(gamma1=1.7, gamma2=0.6)
     plus = (two_level_ket("e") + two_level_ket("g")) / math.sqrt(2.0)
-    rho0 = density_from_ket(kron(two_level_ket("g"), plus))
+    rho0 = density_from_ket(np.kron(two_level_ket("g"), plus))
     run = integrate_master(rho0, m, (0.0, 4.0), 1e-3)
 
     # reference: lone two-level atom with the same gamma2, integrated with

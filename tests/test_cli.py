@@ -648,9 +648,10 @@ def test_exit_2_when_transfer_production_precedes_the_packet(tmp_path, capsys, t
     assert not (tmp_path / "out").exists()
 
 
-def test_exit_3_on_unstable_transfer_drive(tmp_path, capsys):
+def test_exit_2_on_unstable_transfer_drive(tmp_path, capsys):
     # |lam*dt| = 5 at omega2 = 5000 lies outside RK4's stability region: the drive
-    # used to exit 0 and write p2_max_off = p2_max_on = nan
+    # used to exit 0 and write p2_max_off = p2_max_on = nan, then passed validate
+    # and exited 3 before its first step; the resolver now checks the drive's step
     assert cli.main(["--config", str(shipped_config(tmp_path, "transfer_matched"))]) == 0
     capsys.readouterr()
     csv = tmp_path / "out" / "transfer.csv"
@@ -660,15 +661,58 @@ def test_exit_3_on_unstable_transfer_drive(tmp_path, capsys):
         cfg = json.loads(path.read_text())
         cfg["model"]["rotating_frame"] = False
         path.write_text(json.dumps(cfg))
-        assert cli.main(["--config", str(path)]) == 3
-        assert "integration aborted: RK4 drive step factor |r| = " in capsys.readouterr().err
-        # the abort comes before any output: the shipped run's CSV is left as it was
+        assert cli.main(["--config", str(path), "--validate-only"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("numerics.dt: transfer drive RK4 step matrix "), out
+        assert cli.main(["--config", str(path)]) == 2
+        assert capsys.readouterr().err == out
+        # the config is rejected before any output: the shipped run's CSV is left as it was
         assert csv.read_bytes() == written
         # and a fresh output directory is not created
         fresh = tmp_path / "fresh" / "out"
-        assert cli.main(["--config", str(path), "--out", str(fresh)]) == 3
+        assert cli.main(["--config", str(path), "--out", str(fresh)]) == 2
         capsys.readouterr()
         assert not (tmp_path / "fresh").exists()
+
+
+def test_main_resolves_a_config_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg.experiment)
+        return resolve(cfg)
+
+    resolve = cli._resolve
+    monkeypatch.setattr(cli, "_resolve", counted)
+    good = shipped_config(tmp_path, "timemap_backwards_clock")
+    (tmp_path / "bad").mkdir()
+    bad = shipped_config(tmp_path / "bad", "timemap_backwards_clock", "numerics", "dt", -1.0)
+    for path, status in ((good, 0), (bad, 2)):
+        for argv in (["--validate-only"], []):
+            calls.clear()
+            assert cli.main(["--config", str(path), *argv]) == status
+            assert len(calls) == 1, (path, argv)
+
+
+def test_trajectory_work_bound_names_n_traj(tmp_path, capsys):
+    # 2**20 trajectories of 2000 steps: each factor is below MAX_SAMPLES, their
+    # product is 2x the bound on trajectory-steps
+    path = shipped_config(tmp_path, "trajectories_single_photon", "numerics", "n_traj", 2**20)
+    cfg = json.loads(path.read_text())
+    cfg["numerics"].update(dt=0.01, t_span=[0.0, 20.0])
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path), "--validate-only"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"numerics.n_traj: 1048576 trajectories of 2000 steps reach the work "
+                     f"bound MAX_TRAJECTORY_STEPS = {cli.MAX_TRAJECTORY_STEPS}"]
+    # just below the bound the config is valid
+    cfg["numerics"]["n_traj"] = cli.MAX_TRAJECTORY_STEPS // 2000
+    path.write_text(json.dumps(cfg))
+    assert cli.validate(cli.load_config(path)) == []
+    for shipped in sorted(SHIPPED.glob("trajectories*.json")):
+        plan, _ = cli._resolve(cli.load_config(shipped))
+        steps = plan.work["numerics.dt"][0] - 1
+        assert 100 * plan.numerics.n_traj * steps < cli.MAX_TRAJECTORY_STEPS
 
 
 @pytest.mark.parametrize("validate_only", [True, False])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,5 +254,26 @@ def test_drive_system2_aborts_outside_rk4_stability():
     env = Envelope(0.0, h / 2.0, np.ones(2 * t.size - 1, dtype=complex))
     assert np.all(np.isfinite(drive_system2(env, 5400.0, 0.0, 0.0, t).p2))
     for gamma2, omega2 in ((5600.0, 0.0), (1.0, 5000.0), (1.0, 1e300)):
-        with pytest.raises(IntegrationAbort, match="step factor"):
+        with pytest.raises(IntegrationAbort, match="RK4 step matrix"):
             drive_system2(env, gamma2, omega2, 0.0, t)
+
+
+def test_transfer_grids_must_be_uniform():
+    env = Envelope(0.0, 0.5, np.ones(8, dtype=complex))
+    for bad in ([0.0, 1.0, 3.0], [1.0], [[0.0, 1.0], [2.0, 3.0]]):
+        with pytest.raises(ValueError, match="t_grid must be a uniform 1-d grid"):
+            emit_envelope(1.0, 0.0, 1.0, np.array(bad))
+        with pytest.raises(ValueError, match="t_grid must be a uniform 1-d grid"):
+            drive_system2(env, 1.0, 0.0, 0.0, np.array(bad))
+
+
+def test_drive_system2_aborts_when_a_stable_step_overflows_in_its_stages():
+    # h*lam = -1j lies inside RK4's stability region, so the step matrix passes,
+    # but the stages multiply lam = -1e308j by O(1) factors before h scales them
+    h = 1e-308
+    t = h * np.arange(5)
+    env = Envelope(0.0, h / 2.0, np.ones(9, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationAbort, match="overflows in its stages"):
+            drive_system2(env, 1.0, 1e308, 0.0, t)

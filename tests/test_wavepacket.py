@@ -373,6 +373,46 @@ def test_time_map_inverse_and_identity():
         assert time_map(finv, FIG2, sched, tau) == pytest.approx(float(t), abs=1e-12)
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.75])
+def test_time_maps_on_arrays_equal_the_scalar_maps(tau):
+    sched = phase_schedule(FIG2)
+    # quarter steps: t and t + tau hit t_i = 12, t_s = 18 and t_f = 30 exactly
+    ts = 0.25 * np.arange(-8, 177)
+    maps = {
+        "f": lambda t: time_map(t, FIG2, sched, tau),
+        "f_inv": lambda t: time_map_inverse(t, FIG2, sched, tau),
+        "f_slope": lambda t: time_map_slope(t, FIG2, sched),
+        "f_inv_slope": lambda t: time_map_inverse_slope(t, FIG2, sched, tau),
+    }
+    for name, f in maps.items():
+        scalar = [f(float(t)) for t in ts]
+        assert all(v is None or type(v) is float for v in scalar), name
+        got = f(ts)
+        assert got.shape == ts.shape and got.dtype == np.float64, name
+        want = np.array([np.nan if v is None else v for v in scalar])
+        assert np.array_equal(_bits(got), _bits(want)), name
+    # every branch is reached; the boundary points take the identity branch
+    f = dict(zip(ts.tolist(), maps["f"](ts).tolist()))
+    assert [f[t] for t in (12.0, 18.0, 30.0)] == [12.0 - tau, 18.0 - tau, 30.0 - tau]
+    assert math.isnan(f[12.25]) and f[18.25] == (54.0 - 18.25) / 2.0 - tau
+    inv = dict(zip((ts + tau).tolist(), maps["f_inv"](ts).tolist()))
+    assert [inv[s] for s in (12.0, 18.0, 30.0)] == [12.0, 18.0, 30.0]
+    assert inv[13.0] == 54.0 - 2.0 * 13.0 and math.isnan(inv[20.0])
+    slopes = set(maps["f_slope"](ts).tolist()) | set(maps["f_inv_slope"](ts).tolist())
+    assert {-2.0, -0.5, 1.0} <= slopes and any(map(math.isnan, slopes))
+
+
+def test_transform_grids_must_be_uniform():
+    # one grid rule, shared with transfer's emission and drive grids
+    env = Envelope(10.0, 0.5, np.ones(20))
+    spectrum = envelope_to_spectrum(env)
+    for bad in ([20.0, 21.0, 23.0], [20.0], [[20.0, 21.0], [22.0, 23.0]]):
+        with pytest.raises(ValueError, match="t_out must be a uniform 1-d grid"):
+            apply_u_time_domain(env, FIG2, t_out=np.array(bad))
+        with pytest.raises(ValueError, match="nu_out must be a uniform 1-d grid"):
+            apply_u_frequency_domain(spectrum, FIG2, nu_out=np.array(bad))
+
+
 def test_gap_geometry():
     sched = phase_schedule(FIG2)
     horizontal, vertical = gap_geometry(FIG2, sched)
