@@ -355,18 +355,20 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
                                    f"window [{lo:.6g}, {hi:.6g}]")
     # each integrator's RK4 step must be stable at dt: the master equation's
     # (decay, lindblad, trajectories), the trajectories' no-jump step and the
-    # transfer drive's scalar step, as transfer.drive_system2 builds it
-    generators = {}
+    # transfer drive's step and coefficients, as transfer.drive_system2 takes them
+    checks = {}
     if exp in ("decay", "lindblad", "trajectories"):
-        generators["master-equation"] = cascade.liouvillian(model)
+        checks["master-equation"] = lambda: cascade.checked_step_matrix(
+            cascade.liouvillian(model), dt)
     if exp == "trajectories":
-        generators["no-jump"] = -1j * cascade.build_h_eff(model)
+        checks["no-jump"] = lambda: cascade.checked_step_matrix(
+            -1j * cascade.build_h_eff(model), dt)
     if exp == "transfer":
-        _, w2 = model.frame_omegas()
-        generators["transfer drive"] = np.array([[-(model.gamma2 / 2.0 + 1j * w2)]])
-    for what, generator in generators.items():
+        checks["transfer drive"] = lambda: transfer.drive_step_coefficients(
+            model.gamma2, model.frame_omegas()[1], dt)
+    for what, check in checks.items():
         try:
-            cascade.checked_step_matrix(generator, dt)
+            check()
         except IntegrationAbort as exc:
             diags.append(f"numerics.dt: {what} {exc}")
     if exp == "phases":

@@ -15,6 +15,16 @@ direct drive against the drive routed through the reversing
 transformation (vacuum gap while the device buffers, then the
 time-reversed stretched packet), and reports excitation probabilities
 and a qubit-transfer fidelity.
+
+RK4 takes the drive at t - tau on the half-step grid.  The emitted packet
+is sampled on that grid, and the device output on the half-step grid of
+t itself, so system 2 consumes the samples of the off drive exactly, and
+those of the on drive when tau and X/c are multiples of h/2.  An input counts
+as aligned when the first and last drive points each lie within 1e-6 of
+a sample index (`Envelope.on_grid`): a spacing taken from a grid's first
+difference can miss h/2 by a few 1e-12 of a step, which over the 2.3e5
+points of the emission grid at gamma1/gamma2 = 0.25 builds up to 5e-7 of
+a sample.  Any other input is interpolated.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ __all__ = [
     "TimeReversalReport",
     "qubit_transfer_fidelity",
     "emit_envelope",
+    "drive_step_coefficients",
     "drive_system2",
     "transfer_experiment",
     "check_time_reversed_envelope",
@@ -123,24 +134,33 @@ def emit_envelope(
     return Envelope(float(t[0]), h, vals)
 
 
-def _half_grid_values(env: Envelope, t0: float, h: float, n_steps: int, tau: float) -> np.ndarray:
-    """Drive samples at t0 + j h/2 - tau for j = 0 .. 2 n_steps.
+def drive_step_coefficients(gamma2: float, omega2: float, h: float) -> tuple[complex, ...]:
+    """(r, w0, wm, w1) of one RK4 step of the drive, c <- r c + w0 x0 + wm xm + w1 x1.
 
-    Uses exact sample lookup when the envelope grid is the aligned
-    half-step grid, cubic interpolation otherwise.
+    The rate lam = -(gamma2/2 + i omega2) is constant, so the step is
+    linear in (c, x0, xm, x1) with fixed coefficients.  The step of the
+    1x1 generator [[lam]] must pass `cascade.checked_step_matrix`, the
+    stability rule of every integrator here, and the coefficients must be
+    finite, or IntegrationAbort.
     """
-    half = h / 2.0
-    need = t0 - tau + half * np.arange(2 * n_steps + 1)
-    if abs(env.dt - half) <= 1e-12 * half:
-        offset = (need[0] - env.t0) / env.dt
-        k = round(offset)
-        if abs(offset - k) < 1e-6:
-            idx = k + np.arange(need.size)
-            vals = np.zeros(need.size, dtype=complex)
-            ok = (idx >= 0) & (idx < env.samples.size)
-            vals[ok] = env.samples[idx[ok]]
-            return vals
-    return np.asarray(env.interp(need))
+    lam = -(gamma2 / 2.0 + 1j * omega2)
+    checked_step_matrix(np.array([[lam]]), h)
+    g = math.sqrt(gamma2)
+
+    def rk4_step(c, x0, xm, x1):
+        k1 = lam * c - g * x0
+        k2 = lam * (c + 0.5 * h * k1) - g * xm
+        k3 = lam * (c + 0.5 * h * k2) - g * xm
+        k4 = lam * (c + h * k3) - g * x1
+        return c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    # evaluate the step on the basis vectors (r from the checked step matrix may
+    # differ in the last bit)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows if |lam| nears the float max
+        coefficients = rk4_step(*np.eye(4, dtype=complex))
+    if not np.all(np.isfinite(coefficients)):
+        raise IntegrationAbort(f"RK4 step overflows in its stages at dt={h:g}")
+    return tuple(coefficients.tolist())
 
 
 def drive_system2(
@@ -153,39 +173,22 @@ def drive_system2(
     """Integrate the driven amplitude equation for system 2 (RK4, c2(t0)=0).
 
     The drive is the input envelope evaluated at t - tau; RK4 stage values
-    fall on the half-step grid, so an input sampled at spacing h/2 aligned
-    with t_grid is consumed exactly.  The rate is constant, so each RK4
-    step is c <- r c + w0 x0 + wm xm + w1 x1 with fixed coefficients.  The
-    step of the 1x1 generator [[lam]] must pass `cascade.checked_step_matrix`,
-    the stability rule of every integrator here, and the coefficients must
-    be finite, or IntegrationAbort.
+    fall on the half-step grid, so an input whose samples lie on it (the
+    first and last stage points each within 1e-6 of a sample, see
+    `Envelope.on_grid`) is consumed exactly, and any other input by cubic
+    interpolation.  Each step is c <- r c + w0 x0 + wm xm + w1 x1 with the
+    checked coefficients of `drive_step_coefficients`.
     Returns the P2 series, its maximum and the equal-superposition fidelity.
     """
     if gamma2 <= 0.0:
         raise ValueError("gamma2 must be positive")
     t, h = _uniform_grid(t_grid, "t_grid")
     n_steps = t.size - 1
-    xi = _half_grid_values(input_env, float(t[0]), h, n_steps, tau)
-    lam = -(gamma2 / 2.0 + 1j * omega2)
-    checked_step_matrix(np.array([[lam]]), h)
-    g = math.sqrt(gamma2)
-
-    def rk4_step(c, x0, xm, x1):
-        k1 = lam * c - g * x0
-        k2 = lam * (c + 0.5 * h * k1) - g * xm
-        k3 = lam * (c + 0.5 * h * k2) - g * xm
-        k4 = lam * (c + h * k3) - g * x1
-        return c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    # the step is linear in (c, x0, xm, x1): evaluate it on the basis vectors (r from
-    # the checked step matrix may differ in the last bit)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflows if |lam| nears the float max
-        coefficients = rk4_step(*np.eye(4, dtype=complex))
-    if not np.all(np.isfinite(coefficients)):
-        raise IntegrationAbort(f"RK4 drive step overflows in its stages at dt={h:g}")
-    r, w0, wm, w1 = coefficients.tolist()
+    xi = input_env.on_grid(float(t[0]) - tau, h / 2.0, 2 * n_steps + 1)
+    r, w0, wm, w1 = drive_step_coefficients(gamma2, omega2, h)
     u = (w0 * xi[0:-1:2] + wm * xi[1::2] + w1 * xi[2::2]).tolist()
-    c2 = np.array(list(itertools.accumulate(u, lambda c, uk: r * c + uk, initial=0j)))
+    c2 = np.fromiter(itertools.accumulate(u, lambda c, uk: r * c + uk, initial=0j), complex,
+                     count=n_steps + 1)
     p2 = np.abs(c2) ** 2
     imax = int(np.argmax(p2))
     p2_max = float(p2[imax])
@@ -214,7 +217,7 @@ def _transformed_drive(
     vacuum, and [t_s, t_f) carries the transformed packet.
     """
     at_device = emitted.shifted(spec.X / spec.c)
-    vals = np.asarray(at_device.interp(t_half)).copy()
+    vals = at_device.on_grid(float(t_half[0]), h_half, t_half.size)
     in_gap = (t_half >= schedule.t_i) & (t_half < schedule.t_s)
     vals[in_gap] = 0.0
     in_prod = (t_half >= schedule.t_s) & (t_half < schedule.t_f)

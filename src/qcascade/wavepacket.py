@@ -103,6 +103,26 @@ class Envelope:
         out = _interp_uniform(self.samples, self.t0, self.dt, t_arr)
         return complex(out[0]) if scalar else out
 
+    def on_grid(self, t0: float, step: float, n: int) -> np.ndarray:
+        """Values at t0 + j step for j = 0 .. n-1; zero outside the support.
+
+        The grid is this envelope's own when its first and last points each
+        lie within 1e-6 of a sample index, n - 1 indices apart: then the
+        samples are taken exactly.  The tolerance bounds the drift of a
+        spacing taken from a grid's first difference.  Any other grid goes
+        through `interp`.
+        """
+        first = (t0 - self.t0) / self.dt
+        last = (t0 + step * (n - 1) - self.t0) / self.dt
+        k = round(first) if math.isfinite(first) else 0
+        if abs(first - k) < 1e-6 and abs(last - (k + n - 1)) < 1e-6:
+            vals = np.zeros(n, dtype=complex)
+            lo, hi = max(k, 0), min(k + n, self.samples.size)
+            if lo < hi:
+                vals[lo - k : hi - k] = self.samples[lo:hi]
+            return vals
+        return np.asarray(self.interp(t0 + step * np.arange(n)))
+
     def shifted(self, offset: float) -> "Envelope":
         """Same samples with the time axis shifted by offset."""
         return Envelope(self.t0 + offset, self.dt, self.samples.copy(), self.n_zero_filled)

@@ -675,6 +675,27 @@ def test_exit_2_on_unstable_transfer_drive(tmp_path, capsys):
         assert not (tmp_path / "fresh").exists()
 
 
+def test_exit_2_when_the_transfer_drive_overflows_in_its_stages(tmp_path, capsys):
+    # h*lam = -0.005 - 1j is a stable step, but the RK4 stages multiply
+    # lam = -(5e305 + 1e308 i) by O(1) factors before h scales them: the resolver
+    # evaluates the drive's coefficients as drive_system2 does (this used to pass
+    # --validate-only and exit 3 at run)
+    cfg = json.loads((SHIPPED / "transfer_matched.json").read_text())
+    cfg["model"].update(gamma1=1e306, gamma2=1e306, omega2=1e308, rotating_frame=False)
+    cfg["transform"] = {key: "auto" for key in ("alpha", "omega0", "T")}
+    cfg["numerics"]["dt"] = 1e-308
+    out = tmp_path / "out"
+    cfg["output"] = {"directory": str(out), "emit_svg": True}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    expected = "numerics.dt: transfer drive RK4 step overflows in its stages at dt=1e-308\n"
+    assert cli.main(["--config", str(path), "--validate-only"]) == 2
+    assert capsys.readouterr().out == expected
+    assert cli.main(["--config", str(path)]) == 2
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
 def test_main_resolves_a_config_once(tmp_path, monkeypatch):
     calls = []
 

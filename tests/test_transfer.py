@@ -106,6 +106,20 @@ def test_drive_system2_interpolated_envelope():
     assert np.max(np.abs(res.c2 - expected)) < 1e-6
 
 
+def test_drive_system2_takes_the_emitted_samples_of_the_transfer(monkeypatch):
+    # transfer_experiment's emission grid at gamma1/gamma2 = 0.25 starts at -X/c = -32
+    # on the half-step grid; its spacing, taken from the first difference, misses
+    # h/2 = 5e-4 by 2.3e-12 of a step, yet the drive consumes the samples exactly
+    half = 5e-4
+    emitted = emit_envelope(0.25, 0.0, 1.0, -32.0 + half * np.arange(228_003))
+    assert abs(emitted.dt - half) > 1e-12 * half
+    t = grid(0.0, 82.0, 2.0 * half)
+    exact = drive_system2(Envelope(0.0, half, emitted.samples[64_000:228_001]), 1.0, 0.0, 0.0, t)
+    monkeypatch.setattr(Envelope, "interp", lambda self, t: pytest.fail("interpolated"))
+    res = drive_system2(emitted, 1.0, 0.0, 0.0, t)
+    assert np.array_equal(res.c2, exact.c2)
+
+
 def test_excitation_bound():
     # P2(t) never exceeds the input energy consumed so far
     h = 1e-3
@@ -162,6 +176,10 @@ def test_transfer_improvement_sweep(ratio):
     captured = 1.0 - math.exp(-8.0)
     assert comp.on.p2_max >= 0.99 * captured
     assert comp.on.p2_max > comp.off.p2_max
+    # the photon meets the device at t_i = X/c and is buffered until t_s: nothing
+    # reaches system 2 before production starts
+    before = comp.on.times < comp.schedule.t_s
+    assert before.sum() > 1000 and np.all(comp.on.p2[before] == 0.0)
 
 
 def test_smooth_driving_across_phase_boundaries():

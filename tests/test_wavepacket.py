@@ -59,6 +59,29 @@ def test_envelope_interp():
     assert env.interp(11.0) == 0.0
 
 
+def test_envelope_on_grid_takes_exact_samples_on_its_own_grid(monkeypatch):
+    rng = np.random.default_rng(5)
+    env = Envelope(-1.0, 0.25, rng.normal(size=40) + 1j * rng.normal(size=40))
+    # a coinciding grid is looked up, never interpolated
+    monkeypatch.setattr(Envelope, "interp", lambda self, t: pytest.fail("interpolated"))
+    assert np.array_equal(env.on_grid(env.t0 + 3 * env.dt, env.dt, 10), env.samples[3:13])
+    # a window hanging off both ends of the support is zero there
+    wide = env.on_grid(env.t0 - 5 * env.dt, env.dt, 50)
+    assert np.array_equal(wide, np.r_[np.zeros(5), env.samples, np.zeros(5)])
+    assert np.array_equal(env.on_grid(env.t_end + env.dt, env.dt, 4), np.zeros(4))
+
+
+def test_envelope_on_grid_interpolates_any_other_grid():
+    t = np.linspace(0.0, 10.0, 2001)
+    env = Envelope(0.0, t[1] - t[0], np.exp(-0.3 * t) * np.exp(1j * t))
+    # the envelope's spacing, offset by 0.3 of a step
+    t0 = 0.3 * env.dt - 2.0
+    assert np.array_equal(env.on_grid(t0, env.dt, 500), env.interp(t0 + env.dt * np.arange(500)))
+    # aligned at the first point only: a spacing off by 1e-6 of a step drifts too far
+    step = env.dt * (1.0 + 1e-6)
+    assert np.array_equal(env.on_grid(0.0, step, 2001), env.interp(step * np.arange(2001)))
+
+
 def test_derive_transform_params():
     assert derive_transform_params(1.0, 1.0, 3.0, 3.0) == (1.0, 6.0)
     alpha, omega0 = derive_transform_params(2.0, 1.0, 10.0, 7.0)
