@@ -21,8 +21,8 @@ therefore carries two clocks.
 
 The master equation is integrated with fixed-step classical RK4, applied
 as one step matrix (`step_matrix`) to the vectorized density matrix; the
-step matrix is checked for stability before the first step, and the
-history is re-Hermitized and trace-checked afterwards.
+step matrix is checked for stability first, the history is taken by blocks
+of its powers (`step_history`) and then re-Hermitized and trace-checked.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ __all__ = [
     "step_matrix",
     "checked_step_matrix",
     "time_grid",
+    "step_history",
     "integrate_master",
     "heisenberg_consistency",
 ]
@@ -224,6 +225,62 @@ def time_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
     return t0 + dt * np.arange(int(round((t1 - t0) / dt)) + 1)
 
 
+_BLOCK = 64  # the longest block of step_history, and the most steps it takes one at a time
+_SLICE = 4096  # rows of step_history's output per matmul
+
+
+def step_history(p, x0, n_steps, inputs=None, out=None) -> np.ndarray:
+    """Rows x[k+1] = x[k] @ p + inputs[k], k < n_steps, from x[0] = x0, each of shape (m, d).
+
+    The blocked scan of a linear recurrence (Blelloch, "Prefix sums and their
+    applications", 1990) in blocks of b steps, b the least power of two at or
+    above sqrt(n_steps) but at most 64: a short history does not pay for 64 powers.
+    p^1..p^b come from log2(b) doublings.  A block's rows are one matmul of its
+    first row against [p^1 | ... | p^b], plus, with inputs (n_steps, m, d), one
+    of its inputs against the block-Toeplitz matrix of p^(j - i), j >= i.  The
+    block starts are the same recurrence in p^b, solved by recursion, so at
+    most 64 steps are taken one at a time.  Rows go into `out` ((n_steps + 1,
+    m, d), complex by default) in slices of 4096, and `out` is returned.
+    """
+    m, d = x0.shape
+    out = np.empty((n_steps + 1, m, d), dtype=complex) if out is None else out
+    out[0] = x0
+    if n_steps <= _BLOCK:
+        for k in range(n_steps):
+            out[k + 1] = out[k] @ p if inputs is None else out[k] @ p + inputs[k]
+        return out
+    b = min(_BLOCK, 1 << ((n_steps - 1).bit_length() + 1) // 2)
+    wide = np.empty((d, b * d), dtype=complex)  # [p^1 | ... | p^b]
+    wide[:, :d] = p
+    for k in [1 << e for e in range(b.bit_length() - 1)]:
+        np.matmul(wide[:, (k - 1) * d : k * d], wide[:, : k * d], out=wide[:, k * d : 2 * k * d])
+
+    def response(lo, nb, w, cols):  # of columns cols to the first w inputs of nb blocks from lo
+        u = inputs[lo : lo + nb * b].reshape(nb, -1, m, d)[:, :w]
+        return u.swapaxes(1, 2).reshape(nb * m, w * d) @ toep[: w * d, cols]
+
+    n_full, rem = divmod(n_steps, b)
+    spans = [(lo, min(_SLICE // b, n_full - lo // b)) for lo in range(0, n_steps - rem, _SLICE)]
+    ends = None
+    if inputs is not None:
+        lag = np.arange(b) - np.arange(b)[:, None]
+        toep = np.concatenate((np.eye(d)[None], wide.reshape(d, b, d).swapaxes(0, 1)[:-1]))
+        toep = np.where(lag[:, :, None, None] >= 0, toep[np.maximum(lag, 0)], 0)
+        toep = toep.transpose(0, 2, 1, 3).reshape(b * d, b * d)
+        ends = [response(lo, nb, b, slice(-d, None)) for lo, nb in spans]
+        ends = np.concatenate(ends).reshape(n_full, m, d)
+    step_history(wide[:, -d:], x0, n_full, ends, out[::b])
+    # each full block's last row is the next block's start, set by the recursion
+    tail = [(n_steps - rem, 1, rem)] if rem else []
+    for lo, nb, w in [(lo, nb, b - 1) for lo, nb in spans] + tail:
+        rows = out[lo : lo + nb * b : b].reshape(nb * m, d) @ wide[:, : w * d]
+        if inputs is not None:
+            rows += response(lo, nb, w, slice(w * d))
+        dest = out[lo + 1 : lo + 1 + nb * b].reshape(nb, -1, m, d)[:, :w]
+        dest[...] = rows.reshape(nb, m, w, d).swapaxes(1, 2)
+    return out
+
+
 def _rk4_density_history(
     lmat: np.ndarray,
     rho0: np.ndarray,
@@ -233,18 +290,16 @@ def _rk4_density_history(
 ) -> np.ndarray:
     """Fixed-step RK4 on vec(rho), one step matrix checked for stability first.
 
-    The history is re-Hermitized and trace-checked after the loop.  rho0
-    may carry a leading batch axis, shape (B, dim, dim); the batch shares
-    one step loop.  Returns the history, shape (n_steps + 1, [B,] dim, dim).
+    The steps are taken by `step_history`, then the history is re-Hermitized
+    and trace-checked.  rho0 may carry a leading batch axis, shape (B, dim,
+    dim), sharing one scan.  Returns the history, (n_steps + 1, [B,] dim, dim).
     """
     pt = checked_step_matrix(lmat, dt).T.copy()
     batched = rho0.ndim == 3
     rho_b = rho0 if batched else rho0[None, :, :]
     history = np.empty((n_steps + 1, *rho_b.shape), dtype=complex)
-    history[0] = rho_b
     flat = history.reshape(n_steps + 1, rho_b.shape[0], -1)
-    for step in range(n_steps):
-        flat[step + 1] = flat[step] @ pt
+    step_history(pt, rho_b.reshape(flat.shape[1:]), n_steps, out=flat)
     for lo in range(1, n_steps + 1, 4096):  # blocks: no temporary spans the whole history
         block = history[lo : lo + 4096]
         block[...] = 0.5 * (block + block.conj().swapaxes(-1, -2))
@@ -380,11 +435,8 @@ def heisenberg_consistency(
         ],
         dtype=complex,
     )
-    p = step_matrix(aug, dt)
-    amp = np.empty((run.times.size, 3), dtype=complex)
-    amp[0] = [run.sigma1[0], run.sigma2[0], 1.0]
-    for step in range(run.times.size - 1):
-        amp[step + 1] = p @ amp[step]
+    amp0 = np.array([[run.sigma1[0], run.sigma2[0], 1.0]])
+    amp = step_history(step_matrix(aug, dt).T, amp0, run.times.size - 1)[:, 0]
     dev1 = float(np.max(np.abs(amp[:, 0] - run.sigma1)))
     dev2 = float(np.max(np.abs(amp[:, 1] - run.sigma2)))
     analytic = None

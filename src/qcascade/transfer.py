@@ -29,13 +29,12 @@ a sample.  Any other input is interpolated.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeModel, IntegrationAbort, checked_step_matrix
+from .cascade import CascadeModel, IntegrationAbort, checked_step_matrix, step_history
 from .wavepacket import (
     Envelope,
     PhaseSchedule,
@@ -177,7 +176,7 @@ def drive_system2(
     first and last stage points each within 1e-6 of a sample, see
     `Envelope.on_grid`) is consumed exactly, and any other input by cubic
     interpolation.  Each step is c <- r c + w0 x0 + wm xm + w1 x1 with the
-    checked coefficients of `drive_step_coefficients`.
+    checked coefficients of `drive_step_coefficients`, through `cascade.step_history`.
     Returns the P2 series, its maximum and the equal-superposition fidelity.
     """
     if gamma2 <= 0.0:
@@ -186,9 +185,8 @@ def drive_system2(
     n_steps = t.size - 1
     xi = input_env.on_grid(float(t[0]) - tau, h / 2.0, 2 * n_steps + 1)
     r, w0, wm, w1 = drive_step_coefficients(gamma2, omega2, h)
-    u = (w0 * xi[0:-1:2] + wm * xi[1::2] + w1 * xi[2::2]).tolist()
-    c2 = np.fromiter(itertools.accumulate(u, lambda c, uk: r * c + uk, initial=0j), complex,
-                     count=n_steps + 1)
+    u = w0 * xi[0:-1:2] + wm * xi[1::2] + w1 * xi[2::2]
+    c2 = step_history(np.array([[r]]), np.zeros((1, 1)), n_steps, u.reshape(-1, 1, 1)).ravel()
     p2 = np.abs(c2) ** 2
     imax = int(np.argmax(p2))
     p2_max = float(p2[imax])

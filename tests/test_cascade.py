@@ -300,6 +300,50 @@ def test_step_matrix_equals_one_rk4_step():
         assert np.max(np.abs(step_matrix(a, h) @ y - rk4_stages(a, y, h))) <= 1e-15
 
 
+def step_loop(p, x0, n_steps, inputs=None):
+    # reference: x[k+1] = x[k] @ p + inputs[k], one step at a time
+    rows = [x0]
+    for k in range(n_steps):
+        rows.append(rows[-1] @ p + (0.0 if inputs is None else inputs[k]))
+    return np.array(rows)
+
+
+def assert_history_close(got, ref):
+    # relative to the reference's largest row norm
+    scale = np.max(np.linalg.norm(ref.reshape(len(ref), -1), axis=1))
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 63, 64, 65, 1000, 4097])
+def test_step_history_matches_step_loop(n_steps):
+    rng = np.random.default_rng(n_steps)
+    # the decay case: two 16-dim rows vec(rho) under one Liouvillian step matrix
+    pt = step_matrix(liouvillian(CascadeModel(gamma1=1.0, gamma2=0.5, beta=0.3)), 0.01).T
+    x0 = np.stack([random_density(rng).reshape(-1) for _ in range(2)])
+    assert_history_close(cascade.step_history(pt, x0, n_steps), step_loop(pt, x0, n_steps))
+    # a driven scalar, c <- r c + u, and three driven 4-dim rows
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    stable = step_matrix(a - (np.max(np.abs(np.linalg.eigvals(a))) + 0.5) * np.eye(4), 0.01)
+    for p, m in ((np.array([[0.999 - 0.002j]]), 1), (stable, 3)):
+        d = p.shape[0]
+        x0 = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+        u = 0.01 * (rng.normal(size=(n_steps, m, d)) + 1j * rng.normal(size=(n_steps, m, d)))
+        assert_history_close(cascade.step_history(p, x0, n_steps, u), step_loop(p, x0, n_steps, u))
+
+
+def test_step_history_writes_out_in_place():
+    pt = step_matrix(liouvillian(CascadeModel(gamma1=1.0, gamma2=0.5)), 0.01).T
+    x0 = np.stack([density_from_ket(composite_ket(s)).reshape(-1) for s in ("eg", "ge")])
+    out = np.full((4098, 2, 16), np.nan, dtype=complex)
+    assert cascade.step_history(pt, x0, 4097, out=out) is out
+    assert np.array_equal(out, cascade.step_history(pt, x0, 4097))
+    # a strided view of a larger array, as the scan's own recursion passes
+    wide = np.full((2 * 4098, 2, 16), np.nan, dtype=complex)
+    cascade.step_history(pt, x0, 4097, out=wide[::2])
+    assert np.array_equal(wide[::2], out) and np.all(np.isnan(wide[1::2]))
+
+
 def test_unstable_step_aborts_before_stepping():
     # at dt = 3 the step matrix of the Liouvillian grows some mode; with
     # zero steps requested the abort can only come from the up-front check

@@ -8,6 +8,7 @@ from qcascade.cascade import CascadeModel, IntegrationAbort, integrate_master
 from qcascade.hilbert import composite_ket, density_from_ket
 from qcascade.transfer import (
     check_time_reversed_envelope,
+    drive_step_coefficients,
     drive_system2,
     emit_envelope,
     qubit_transfer_fidelity,
@@ -118,6 +119,24 @@ def test_drive_system2_takes_the_emitted_samples_of_the_transfer(monkeypatch):
     monkeypatch.setattr(Envelope, "interp", lambda self, t: pytest.fail("interpolated"))
     res = drive_system2(emitted, 1.0, 0.0, 0.0, t)
     assert np.array_equal(res.c2, exact.c2)
+
+
+def test_drive_system2_long_run_matches_closed_form():
+    # the exponential drive u[k] = A q^k through c <- r c + u has the closed form
+    # c[n] = A (r^n - q^n)/(r - q); over 2^20 steps the scan takes its block
+    # starts from p^64, p^4096 and p^65536, which the 6000-step stagewise test
+    # does not reach
+    g1, g2, om1, om2, h = 2.0, 1.0, 3.0, 2.5, 2.5e-4
+    n = 2**20
+    env = emit_envelope(g1, om1, 1.0, (h / 2.0) * np.arange(2 * n + 1), rotating_frame=False)
+    res = drive_system2(env, g2, om2, 0.0, h * np.arange(n + 1))
+    r, w0, wm, w1 = drive_step_coefficients(g2, om2, h)
+    lam1 = -(g1 / 2.0 + 1j * om1)
+    a = math.sqrt(g1) * (w0 + wm * np.exp(lam1 * h / 2.0) + w1 * np.exp(lam1 * h))
+    k = np.arange(n + 1)
+    # r - q as (r - 1) - expm1(lam1 h): q rounded to a float would cancel to 1e-11
+    exact = a * (np.exp(k * np.log(r)) - np.exp(lam1 * h * k)) / ((r - 1.0) - np.expm1(lam1 * h))
+    assert np.max(np.abs(res.c2 - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_excitation_bound():
