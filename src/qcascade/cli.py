@@ -422,12 +422,33 @@ _CSV_BLOCK = 4096  # rows per part of a forked table are a multiple of this
 _FLOATS_PER_CALL = 2**14  # float64 values formatted per repr_bytes call
 
 
+# cell types whose text _cell_bytes builds once per distinct value; never a float
+# (np.floating included), since 0.0 == -0.0 would give both one text
+_MEMOIZED = (str, int, np.integer, np.bool_, type(None))
+
+
 def _cell_bytes(col) -> tuple[np.ndarray, np.ndarray]:
-    """(chars, lengths) of _cell's UTF-8 text of each value, as (n, 1, width) and (n, 1)."""
-    cells = [_cell(v).encode() for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
-    width = max(map(len, cells), default=0) or 1
-    chars = np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(len(cells), 1, width)
-    return chars, np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))[:, None]
+    """(chars, lengths) of _cell's UTF-8 text of each value, as (n, 1, width) and (n, 1).
+
+    The text of each distinct str, int, bool or None is built once, keyed
+    by (type, value) so that True, 1 and np.int64(1) stay apart.
+    """
+    memo, texts, idx = {}, [], []  # idx: for each value, the position of its text in texts
+    for v in col.tolist() if isinstance(col, np.ndarray) else col:
+        if isinstance(v, _MEMOIZED):
+            key = (type(v), v)
+            i = memo.get(key)
+            if i is None:
+                i = memo[key] = len(texts)
+                texts.append(_cell(v).encode())
+        else:
+            i = len(texts)
+            texts.append(_cell(v).encode())
+        idx.append(i)
+    width = max(map(len, texts), default=0) or 1
+    chars = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), 1, width)
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))[:, None]
+    return chars.take(idx, axis=0), lengths.take(idx, axis=0)
 
 
 def _format_rows(columns, lo: int, hi: int, fh) -> None:
@@ -526,8 +547,10 @@ def _write_csv(path: Path, comments: list[str], header: list[str], columns) -> N
     forked child, running the same _format_rows, into a temporary file
     and appended in order.  A part whose fork or child fails is formatted
     here, so the bytes never depend on the CPU count or on a failure.
-    Whole-array formatting still costs a few hundred ns per float, so the
-    split still shortens a large table on two CPUs.
+    Formatting still dominates a large table even with each distinct value
+    formatted once, so the split still shortens the transfer and phases
+    tables on two CPUs; on lindblad's tables it gains or loses with the
+    load on the second CPU.
     """
     n = len(columns[0])
     parts = min(_usable_cpus(), n // _CSV_BLOCK) if hasattr(os, "fork") else 1

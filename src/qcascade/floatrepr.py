@@ -16,6 +16,9 @@
   digits, exponent and sign characters go into one row, and its text is
   gathered from that row by a template chosen by (sign, notation,
   decimal point, digit count).
+- **Repeats.** Each distinct bit pattern is formatted once and its row
+  copied to every repeat; CSV columns repeat heavily (exact zeros, a
+  time grid repeated per snapshot).
 
 The power-of-ten table and the templates are built at first use, so
 importing the module computes nothing.
@@ -218,15 +221,30 @@ def _source_rows(x, g_hi, g_lo, quads, pow10) -> tuple[np.ndarray, np.ndarray]:
     return tid, src.view(np.uint8)
 
 
+def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, inverse): the distinct uint64 values, ascending, and bits == values[inverse]."""
+    order = np.argsort(bits, kind="stable")  # timsort: fast on the runs of a time grid
+    ordered = bits.take(order)
+    new = np.empty(bits.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(bits.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
 def repr_bytes(x) -> tuple[np.ndarray, np.ndarray]:
     """(chars, lengths): row i, up to lengths[i], holds the bytes of repr(float(x[i])).
 
     x is a 1-D array of float64; NaN has length 0.  chars has dtype uint8
     and shape (len(x), w), where w <= 24 is the longest length; each
-    row is NUL past its length.
+    row is NUL past its length.  Each distinct bit pattern is formatted
+    once, since repr depends only on a value's bits; keying on bits
+    rather than on float equality keeps +0.0 and -0.0 apart.
     """
     g_hi, g_lo, quads, pow10, templates, lengths = _tables()
-    tid, src = _source_rows(np.ascontiguousarray(x, dtype=np.float64), g_hi, g_lo, quads, pow10)
+    bits, inverse = _distinct(np.ascontiguousarray(x, dtype=np.float64).view(np.uint64))
+    tid, src = _source_rows(bits.view(np.float64), g_hi, g_lo, quads, pow10)
     size = lengths.take(tid)
     width = int(size.max(initial=0))
     chars = np.empty((tid.size, width), dtype=np.uint8)
@@ -236,4 +254,4 @@ def repr_bytes(x) -> tuple[np.ndarray, np.ndarray]:
         idx = np.add(templates[:, :width].take(part, axis=0),
                      np.arange(lo * _ROW, (lo + part.size) * _ROW, _ROW)[:, None], dtype=np.intp)
         chars[lo : lo + part.size] = flat.take(idx)
-    return chars, size
+    return chars.take(inverse, axis=0), size.take(inverse)

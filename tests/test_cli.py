@@ -186,6 +186,19 @@ def _csv_columns(n):
     return ["f", "count", "tag", "maybe", "strided", "f_rev", "flag"], columns
 
 
+def test_cell_bytes_matches_cell():
+    # equal values of different types, and floats that compare equal with different
+    # text, must each keep their own text when repeated
+    values = [1, True, np.int64(1), np.bool_(True), 1.0, 0.0, -0.0, np.float64(-0.0),
+              np.float32(-0.0), None, "", "in", "out", math.nan]
+    col = [v for block in range(3) for v in values for _ in range(block + 1)]
+    chars, lengths = cli._cell_bytes(col)
+    assert chars.shape[:2] == (len(col), 1) and lengths.shape == (len(col), 1)
+    got = [bytes(row[0, :n]) for row, n in zip(chars, lengths[:, 0].tolist())]
+    assert got == [cli._cell(v).encode() for v in col]
+    assert not chars[:, 0][np.arange(chars.shape[2]) >= lengths].any()  # NUL past each length
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -86,3 +86,27 @@ def test_random_bit_patterns():
 def test_strided_input():
     x = np.random.default_rng(7).standard_normal((500, 3))
     assert_repr(x[:, 1])
+
+
+def _nan(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+def test_repeated_values():
+    # each distinct bit pattern is formatted once and copied to its repeats, so the
+    # pool holds values that compare equal with different bits, and NaN payloads
+    pool = [0.0, -0.0, _nan(0x7FF8000000000000), _nan(0x7FF0000000000001),
+            _nan(0xFFF8000000000123), math.inf, -math.inf, 5e-324, -2.5e-310,
+            1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05,
+            *(0.3 + 1e-3 * np.arange(50)).tolist()]
+    rng = np.random.default_rng(11)
+    x = rng.choice(np.array(pool), 20_000, replace=True)
+    rng.shuffle(x)
+    assert {v.tobytes() for v in x} == {np.float64(v).tobytes() for v in pool}
+    assert_repr(x)
+    assert_repr(x[::3])  # a strided view
+    assert_repr(np.full(1000, -0.0))
+    assert_repr(np.full(1000, 0.1))
+    assert_repr([1e16])
+    assert_repr([])
+    assert _texts(np.array([0.0, -0.0] * 3)) == ["0.0", "-0.0"] * 3
