@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import itertools
 import json
 import math
 import os
@@ -142,7 +141,10 @@ _SECTION_KEYS = {name: [f.name for f in fields(cls)] for name, cls in (
 
 def load_config(path) -> RunConfig:
     """Parse the JSON config; structural problems raise ConfigError."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: not valid UTF-8 ({exc})") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -403,97 +405,72 @@ def validate(cfg: RunConfig) -> list[str]:
     return _resolve(cfg)[1]
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    f = float(v)
-    if math.isnan(f):
-        return ""
-    return repr(f)
-
-
 _CSV_BLOCK = 4096  # rows per part of a forked table are a multiple of this
 _FLOATS_PER_CALL = 2**14  # float64 values formatted per repr_bytes call
 
 
-# cell types whose text _cell_bytes builds once per distinct value; never a float
-# (np.floating included), since 0.0 == -0.0 would give both one text
-_MEMOIZED = (str, int, np.integer, np.bool_, type(None))
+@dataclass(frozen=True, eq=False)
+class Categorical:
+    """A CSV column of integer codes into a short tuple of label texts: row k is labels[codes[k]]."""
+
+    codes: np.ndarray
+    labels: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.codes)
 
 
-def _cell_bytes(col) -> tuple[np.ndarray, np.ndarray]:
-    """(chars, lengths) of _cell's UTF-8 text of each value, as (n, 1, width) and (n, 1).
-
-    The text of each distinct str, int, bool or None is built once, keyed
-    by (type, value) so that True, 1 and np.int64(1) stay apart.
-    """
-    memo, texts, idx = {}, [], []  # idx: for each value, the position of its text in texts
-    for v in col.tolist() if isinstance(col, np.ndarray) else col:
-        if isinstance(v, _MEMOIZED):
-            key = (type(v), v)
-            i = memo.get(key)
-            if i is None:
-                i = memo[key] = len(texts)
-                texts.append(_cell(v).encode())
-        else:
-            i = len(texts)
-            texts.append(_cell(v).encode())
-        idx.append(i)
-    width = max(map(len, texts), default=0) or 1
-    chars = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), 1, width)
-    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))[:, None]
-    return chars.take(idx, axis=0), lengths.take(idx, axis=0)
+def _integer_column(values) -> Categorical:
+    """An integer column as a Categorical labelled by the decimal text of each distinct value."""
+    distinct, codes = np.unique(values, return_inverse=True)
+    return Categorical(codes, tuple(map(str, distinct.tolist())))
 
 
 def _format_rows(columns, lo: int, hi: int, fh) -> None:
     """Write rows [lo, hi) of the columns to the binary file fh, one block of rows per write.
 
-    The float64 array columns of a block go through one repr_bytes call,
-    which writes exactly repr's bytes, so a block holds at most
-    _FLOATS_PER_CALL of their values; other columns go through _cell.
-    Each block is one byte matrix with a row per CSV row: a slot per
-    field, as wide as the field's longest text, followed by ',' or the
-    newline.  A mask keeps each field's own bytes and its separator.
+    A column is a float64 array or a Categorical.  The float columns of a
+    block go through one repr_bytes call, which writes exactly repr's
+    bytes, so a block holds at most _FLOATS_PER_CALL of their values; a
+    categorical column is one take from its table of encoded labels.  Each
+    block is one (rows, columns, w + 1) byte matrix, w the widest text:
+    a slot per field, its text followed by ',' or the newline.  A length
+    mask keeps each field's own bytes and its separator.
     """
-    floats = [isinstance(col, np.ndarray) and col.dtype == np.float64 for col in columns]
-    step = _FLOATS_PER_CALL // max(sum(floats), 1)
+    floats = [j for j, col in enumerate(columns) if not isinstance(col, Categorical)]
+    tables = {}  # column index -> (label bytes (labels, width), label lengths)
+    for j, col in enumerate(columns):
+        if isinstance(col, Categorical):
+            texts = [label.encode() for label in col.labels]
+            table = np.array(texts, dtype=bytes)
+            tables[j] = (table.view(np.uint8).reshape(len(texts), table.itemsize),
+                         np.array(list(map(len, texts)), dtype=np.intp))
+    step = _FLOATS_PER_CALL // max(len(floats), 1)
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
         rows = stop - start
-        if any(floats):
-            chars, lengths = repr_bytes(np.stack(
-                [col[start:stop] for col, f in zip(columns, floats) if f], 1).reshape(-1))
-            chars, lengths = chars.reshape(rows, sum(floats), -1), lengths.reshape(rows, -1)
-        # (chars (rows, c, w), lengths (rows, c)) of each run of c float columns
-        # and of each other column
-        pieces, j = [], 0
-        for is_float, run in itertools.groupby(zip(floats, columns), key=lambda fc: fc[0]):
-            run = [col for _, col in run]
-            if is_float:
-                pieces.append((chars[:, j : j + len(run)], lengths[:, j : j + len(run)]))
-                j += len(run)
-            else:
-                pieces += [_cell_bytes(col[start:stop]) for col in run]
-        widths = [text.shape[1] * (text.shape[2] + 1) for text, _ in pieces]
-        matrix = np.empty((rows, sum(widths)), dtype=np.uint8)
-        keep = np.empty((rows, sum(widths)), dtype=bool)
-        for at, width, (text, sizes) in zip(np.cumsum([0, *widths]), widths, pieces):
-            w = text.shape[2]
-            slots = matrix[:, at : at + width].reshape(rows, -1, w + 1)
-            slots[:, :, :w] = text
-            slots[:, :, w] = ord(",")
-            # mask[m] keeps the first m bytes of a slot and its separator
-            mask = np.arange(w + 1) < np.arange(w + 1)[:, None]
-            mask[:, w] = True
-            keep[:, at : at + width].reshape(rows, -1, w + 1)[...] = mask.take(sizes, axis=0)
-        matrix[:, -1] = ord("\n")
-        fh.write(matrix[keep].tobytes())
+        # (column indices, chars (rows, c, width), lengths (rows, c)) of the float
+        # columns together and of each categorical column
+        pieces = []
+        if floats:
+            chars, sizes = repr_bytes(
+                np.stack([columns[j][start:stop] for j in floats], 1).reshape(-1))
+            pieces.append((floats, chars.reshape(rows, len(floats), -1), sizes.reshape(rows, -1)))
+        for j, (text, size) in tables.items():
+            codes = columns[j].codes[start:stop]
+            pieces.append(([j], text.take(codes, axis=0)[:, None], size.take(codes)[:, None]))
+        w = max(chars.shape[2] for _, chars, _ in pieces)
+        matrix = np.empty((rows, len(columns), w + 1), dtype=np.uint8)
+        lengths = np.empty((rows, len(columns)), dtype=np.intp)
+        for j, chars, sizes in pieces:
+            matrix[:, j, : chars.shape[2]] = chars
+            lengths[:, j] = sizes
+        matrix[:, :, w] = ord(",")
+        matrix[:, -1, w] = ord("\n")
+        # mask[m] keeps the first m bytes of a slot and its separator
+        mask = np.arange(w + 1) < np.arange(w + 1)[:, None]
+        mask[:, w] = True
+        fh.write(matrix[mask.take(lengths, axis=0)].tobytes())
 
 
 def _usable_cpus() -> int:
@@ -597,6 +574,10 @@ def _units_comment(model: CascadeModel) -> str:
     )
 
 
+def _schedule_comments(sched, names=("t_i", "t_s", "t_f", "t_a")) -> list[str]:
+    return [f"schedule.{name} = {getattr(sched, name)!r}" for name in names]
+
+
 def _initial_ket(name: str) -> np.ndarray:
     if name == "plus_g":
         plus = (two_level_ket("e") + two_level_ket("g")) / math.sqrt(2.0)
@@ -669,7 +650,7 @@ def _trajectories(p: _Plan):
             "trajectories_jumps",
             ["jump-time histogram"],
             ["bin_lo", "bin_hi", "count"],
-            [edges[:-1], edges[1:], counts],
+            [edges[:-1], edges[1:], _integer_column(counts)],
         ),
     ]
     series = [(ens.times, ens.p2, "P2 ensemble"), (ens.times, p2_me, "P2 master")]
@@ -697,17 +678,15 @@ def _transform(p: _Plan):
         [
             _units_comment(model),
             f"alpha = {spec.alpha!r}, omega0 = {spec.omega0!r}, T = {spec.T!r}",
-            f"schedule.t_i = {sched.t_i!r}",
-            f"schedule.t_s = {sched.t_s!r}",
-            f"schedule.t_f = {sched.t_f!r}",
-            f"schedule.t_a = {sched.t_a!r}",
+            *_schedule_comments(sched),
             f"norm_in_window = {window.squared_norm()!r}",
             f"norm_out = {out_env.squared_norm()!r}",
             f"n_zero_filled = {out_env.n_zero_filled}",
         ],
         ["segment", "t", "re", "im", "abs"],
         [
-            ["in"] * at_device.samples.size + ["out"] * out_env.samples.size,
+            Categorical(np.repeat([0, 1], [at_device.samples.size, out_env.samples.size]),
+                        ("in", "out")),
             np.concatenate([at_device.times, out_env.times]),
             samples.real,
             samples.imag,
@@ -739,21 +718,19 @@ def _phases(p: _Plan):
         "phases",
         [
             _units_comment(model),
-            f"schedule.t_i = {sched.t_i!r}",
-            f"schedule.t_s = {sched.t_s!r}",
-            f"schedule.t_f = {sched.t_f!r}",
-            f"schedule.t_a = {sched.t_a!r}",
+            *_schedule_comments(sched),
             "snapshot_times = " + ",".join(repr(float(s)) for s in snaps),
         ],
         ["snapshot", "t", "x", "abs", "re", "im", "tag"],
         [
-            np.repeat(np.arange(len(snaps)), xs.size),
+            _integer_column(np.repeat(np.arange(len(snaps)), xs.size)),
             np.repeat(np.asarray(snaps, dtype=float), xs.size),
             np.tile(xs, len(snaps)),
             mags,
             amps.real,
             amps.imag,
-            [tag.value for _, tags in fields for tag in tags],
+            Categorical(np.concatenate([tags for _, tags in fields]),
+                        tuple(tag.value for tag in wavepacket.PhaseTag)),
         ],
     )
     series = [
@@ -775,9 +752,7 @@ def _timemap(p: _Plan):
         "timemap",
         [
             _units_comment(model),
-            f"schedule.t_i = {sched.t_i!r}",
-            f"schedule.t_s = {sched.t_s!r}",
-            f"schedule.t_f = {sched.t_f!r}",
+            *_schedule_comments(sched, ("t_i", "t_s", "t_f")),
             "horizontal_gap = " + repr(sched.t_s - sched.t_i),
             "vertical_gap = " + repr(sched.t_f - sched.t_s),
         ],
@@ -814,8 +789,10 @@ def _transfer(p: _Plan):
 
 
 # Each experiment maps the resolved plan to (tables, plot): tables is a
-# list of (stem, comments, header, columns) written as <stem>.csv, plot is
-# (series, title, xlabel, ylabel) drawn as <experiment>.svg.
+# list of (stem, comments, header, columns) written as <stem>.csv, each
+# column a float64 array or a Categorical (integer codes into label texts:
+# phase tags, segments, counts); plot is (series, title, xlabel, ylabel)
+# drawn as <experiment>.svg.
 EXPERIMENTS = {
     "decay": _decay,
     "lindblad": _lindblad,

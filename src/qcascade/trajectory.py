@@ -139,6 +139,8 @@ class TrajectoryConfig:
             raise ValueError("t_span must satisfy t1 > t0")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")
+        if self.record_stride >= 2**63:
+            raise ValueError("record_stride must fit in a signed 64-bit integer")
 
 
 @dataclass(eq=False)

@@ -491,8 +491,9 @@ def assemble_piecewise_field(
     initial field; elsewhere the initial field propagates freely.
 
     A scalar x gives (amplitude, PhaseTag); a 1-d array of positions gives
-    a complex amplitude array and an object array of tags, with one
-    envelope interpolation per branch.
+    a complex amplitude array and an int8 array of tag codes in PhaseTag's
+    order (list(PhaseTag)[code] is the tag), with one envelope
+    interpolation per branch.
     """
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -508,8 +509,9 @@ def assemble_piecewise_field(
     # by 1.0 can still turn an imaginary -0.0 into +0.0
     u = np.where(xs[free] == 0.0, heaviside(0.0), 1.0)
     amp[free] = u * initial.interp(t - xs[free] / spec.c)
-    tags = np.select([vacuum, produced], [PhaseTag.VACUUM, PhaseTag.TRANSFORMED], PhaseTag.INITIAL)
-    return (complex(amp[0]), tags[0]) if scalar else (amp, tags)
+    # positions in list(PhaseTag): INITIAL 0, VACUUM 1, TRANSFORMED 2
+    codes = np.select([vacuum, produced], [np.int8(1), np.int8(2)], np.int8(0))
+    return (complex(amp[0]), list(PhaseTag)[codes[0]]) if scalar else (amp, codes)
 
 
 def _on_phases(t, schedule: PhaseSchedule, buffering, producing, elsewhere):

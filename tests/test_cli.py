@@ -161,42 +161,47 @@ def test_csv_byte_determinism(tmp_path, capsys, experiment):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
+def _cell(v) -> str:
+    """The CSV text of one value, built one value at a time."""
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    f = float(v)
+    if math.isnan(f):
+        return ""
+    return repr(f)
+
+
 def _reference_write_csv(path, comments, header, rows):
     """The row-at-a-time writer the column writer replaced, kept as the byte reference."""
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(cli._cell(v) for v in row))
+        lines.append(",".join(_cell(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _csv_columns(n):
+    """(header, columns, values): the writer's columns, and each column's values for _cell."""
     specials = [math.nan, -0.0, 5e-324, 1e300, -1.0 / 3.0, math.inf, 0.0, 2.5e-310]
     floats = np.resize(np.array(specials), n)
     pairs = np.column_stack((floats[::-1], floats))
+    counts = (np.arange(n, dtype=np.int64) * 7) % 1001 - 500  # integers, some negative
+    labels = ("in", "", "transformed")
+    # the run of "" on rows 4000-4199 crosses the first 4096-row block's end
+    codes = np.searchsorted([4000, 4200], np.arange(n), side="right")
+    codes = np.where(np.arange(n) % 7 == 3, 2, codes)
+    values = [floats, counts, [labels[k] for k in codes.tolist()], pairs[:, 0]]
     columns = [
         floats,
-        np.arange(n, dtype=np.int64) * 7,  # histogram counts
-        [("in", "out", "")[k % 3] for k in range(n)],
-        [None if k % 4 == 0 else (k if k % 4 == 1 else 0.5 * k) for k in range(n)],
+        cli._integer_column(counts),
+        cli.Categorical(codes, labels),
         pairs[:, 0],  # strided float64 view
-        tuple(np.float64(v) for v in floats[::-1]),  # what zip(*rows) hands over
-        np.arange(n) % 2 == 0,
     ]
-    return ["f", "count", "tag", "maybe", "strided", "f_rev", "flag"], columns
-
-
-def test_cell_bytes_matches_cell():
-    # equal values of different types, and floats that compare equal with different
-    # text, must each keep their own text when repeated
-    values = [1, True, np.int64(1), np.bool_(True), 1.0, 0.0, -0.0, np.float64(-0.0),
-              np.float32(-0.0), None, "", "in", "out", math.nan]
-    col = [v for block in range(3) for v in values for _ in range(block + 1)]
-    chars, lengths = cli._cell_bytes(col)
-    assert chars.shape[:2] == (len(col), 1) and lengths.shape == (len(col), 1)
-    got = [bytes(row[0, :n]) for row, n in zip(chars, lengths[:, 0].tolist())]
-    assert got == [cli._cell(v).encode() for v in col]
-    assert not chars[:, 0][np.arange(chars.shape[2]) >= lengths].any()  # NUL past each length
+    return ["f", "count", "tag", "strided"], columns, values
 
 
 def _assert_no_child_left():
@@ -209,8 +214,8 @@ B = cli._CSV_BLOCK
 
 @pytest.mark.parametrize("n", [0, 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 5 * B + 7])
 def test_write_csv_matches_row_writer(tmp_path, monkeypatch, n):
-    header, columns = _csv_columns(n)
-    _reference_write_csv(tmp_path / "ref.csv", ["config {}", "units"], header, zip(*columns))
+    header, columns, values = _csv_columns(n)
+    _reference_write_csv(tmp_path / "ref.csv", ["config {}", "units"], header, zip(*values))
     ref = (tmp_path / "ref.csv").read_bytes()
     assert ref.count(b"\n") == 3 + n
     forks = []
@@ -231,8 +236,8 @@ def _fail_fork():
 
 @pytest.mark.parametrize("failure", ["fork", "child"])
 def test_write_csv_failed_part_is_formatted_in_process(tmp_path, monkeypatch, failure):
-    header, columns = _csv_columns(3 * B)
-    _reference_write_csv(tmp_path / "ref.csv", ["c"], header, zip(*columns))
+    header, columns, values = _csv_columns(3 * B)
+    _reference_write_csv(tmp_path / "ref.csv", ["c"], header, zip(*values))
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     if failure == "fork":
         monkeypatch.setattr(cli.os, "fork", _fail_fork)
@@ -290,6 +295,24 @@ def test_exit_2_on_empty_snapshot_times(tmp_path, capsys):
     assert cli.main(["--config", str(path), "--svg"]) == 2
     assert "numerics.snapshot_times: must list at least one time" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("validate_only", [True, False])
+def test_record_stride_must_fit_int64(tmp_path, capsys, validate_only):
+    flag = ["--validate-only"] if validate_only else []
+    numerics = {"dt": 0.01, "t_span": [0.0, 4.0], "n_traj": 10, "record_stride": 2**63}
+    path = write_config(tmp_path, experiment="trajectories", numerics=numerics)
+    assert cli.main(["--config", str(path), *flag]) == 2
+    out = capsys.readouterr()
+    assert "numerics.record_stride: must fit in a signed 64-bit integer" in out.out + out.err
+    assert not (tmp_path / "out").exists()
+    # a stride past the step count records the initial state only
+    path = write_config(tmp_path, experiment="trajectories",
+                        numerics=dict(numerics, record_stride=2**63 - 1))
+    assert cli.main(["--config", str(path), *flag]) == 0
+    if not validate_only:
+        _, _, rows = read_csv(tmp_path / "out" / "trajectories.csv")
+        assert [r[0] for r in rows] == ["0.0"]
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])
@@ -509,6 +532,11 @@ def test_exit_2_on_invalid_config(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{nope")
     assert cli.main(["--config", str(bad_json)]) == 2
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    assert cli.main(["--config", str(not_utf8), "--validate-only"]) == 2
+    assert "config: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_exit_2_on_nonfinite_numbers(tmp_path, capsys):

@@ -342,20 +342,21 @@ def test_assemble_piecewise_field_array_matches_scalar(lab_frame):
     assert {-1.0, 0.0, 12.0, 18.0, 30.0, 36.0} <= set(xs.tolist())
     for t in (6.0, 15.0, 18.0, 24.0, 30.0, 36.0, 48.0):
         for produced in (transformed, None):
-            amps, tags = assemble_piecewise_field(xs, t, env, produced, FIG2, sched)
+            amps, codes = assemble_piecewise_field(xs, t, env, produced, FIG2, sched)
             ref = [_scalar_field_reference(x, t, env, produced, FIG2, sched) for x in xs.tolist()]
-            assert amps.shape == xs.shape and tags.shape == xs.shape
+            assert amps.shape == xs.shape and codes.shape == xs.shape and codes.dtype == np.int8
             assert np.array_equal(_bits(amps), _bits([a for a, _ in ref]))
-            assert list(tags) == [tag for _, tag in ref]
+            tags = [list(PhaseTag)[code] for code in codes]
+            assert tags == [tag for _, tag in ref]
             scalar = [
                 assemble_piecewise_field(x, t, env, produced, FIG2, sched) for x in xs.tolist()
             ]
             assert np.array_equal(_bits([a for a, _ in scalar]), _bits(amps))
             assert all(type(a) is complex for a, _ in scalar)
-            assert [tag for _, tag in scalar] == list(tags)
+            assert [tag for _, tag in scalar] == tags
     # every branch was reached, including the boundaries of the production window
-    amps, tags = assemble_piecewise_field(xs, 36.0, env, transformed, FIG2, sched)
-    at = dict(zip(xs.tolist(), tags))
+    amps, codes = assemble_piecewise_field(xs, 36.0, env, transformed, FIG2, sched)
+    at = dict(zip(xs.tolist(), (list(PhaseTag)[code] for code in codes)))
     assert at[18.0] is at[30.0] is at[36.0] is PhaseTag.INITIAL
     assert at[24.0] is PhaseTag.TRANSFORMED and at[33.0] is PhaseTag.VACUUM
     assert amps[xs.tolist().index(-1.0)] == 0.0
