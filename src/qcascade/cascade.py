@@ -22,7 +22,13 @@ therefore carries two clocks.
 The master equation is integrated with fixed-step classical RK4, applied
 as one step matrix (`step_matrix`) to the vectorized density matrix; the
 step matrix is checked for stability first, the history is taken by blocks
-of its powers (`step_history`) and then re-Hermitized and trace-checked.
+of its powers (`step_history`) and then re-Hermitized.  Every observable a
+run reports, tr(rho op) for op in n1, n2, s1-, s2- and the identity, is one
+column of a single product of the flat history with a constant readout
+matrix, and the trace check reads the identity's column of that product.
+Where the generator and rho0 keep the excitation sectors {ee}, {eg, ge},
+{gg} apart, every rho is block-diagonal in them and its least eigenvalue
+comes from the blocks instead of a 4x4 eigensolve.
 """
 
 from __future__ import annotations
@@ -67,6 +73,17 @@ SIGMA2_Z = np.kron(_I2, _SZ)
 NUMBER1 = SIGMA1_PLUS @ SIGMA1_MINUS
 NUMBER2 = SIGMA2_PLUS @ SIGMA2_MINUS
 IDENT4 = np.eye(4, dtype=complex)
+
+# tr(rho op) = vec(rho) . vec(op^T) on row-major vecs, so vec(rho) @ _READOUT
+# holds the run's observables in one row: P1, P2, <s1->, <s2->, tr rho.
+_READOUT = np.stack(
+    [op.T.reshape(-1) for op in (NUMBER1, NUMBER2, SIGMA1_MINUS, SIGMA2_MINUS, IDENT4)], axis=1
+)
+
+# number of excitations of |ee>, |eg>, |ge>, |gg>, and the row-major vec(rho)
+# entries that couple two different such sectors
+_SECTOR = np.array([2, 1, 1, 0])
+_CROSS = (_SECTOR[:, None] != _SECTOR).reshape(-1)
 
 
 class IntegrationAbort(RuntimeError):
@@ -287,12 +304,15 @@ def _rk4_density_history(
     n_steps: int,
     dt: float,
     trace_tol: float = 1e-6,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 on vec(rho), one step matrix checked for stability first.
 
     The steps are taken by `step_history`, then the history is re-Hermitized
-    and trace-checked.  rho0 may carry a leading batch axis, shape (B, dim,
-    dim), sharing one scan.  Returns the history, (n_steps + 1, [B,] dim, dim).
+    and read: each row vec(rho) times `_READOUT`, a block of 4096 rows per
+    matmul, and the trace column of that product is checked.  rho0 (4, 4)
+    may carry a leading batch axis, shape (B, 4, 4), sharing one scan.
+    Returns the history, (n_steps + 1, [B,] 4, 4), and the product,
+    (n_steps + 1, [B,] 5).
     """
     pt = checked_step_matrix(lmat, dt).T.copy()
     batched = rho0.ndim == 3
@@ -300,10 +320,15 @@ def _rk4_density_history(
     history = np.empty((n_steps + 1, *rho_b.shape), dtype=complex)
     flat = history.reshape(n_steps + 1, rho_b.shape[0], -1)
     step_history(pt, rho_b.reshape(flat.shape[1:]), n_steps, out=flat)
+    reads = np.empty((*flat.shape[:2], 5), dtype=complex)
+    reads[0] = flat[0] @ _READOUT
     for lo in range(1, n_steps + 1, 4096):  # blocks: no temporary spans the whole history
         block = history[lo : lo + 4096]
-        block[...] = 0.5 * (block + block.conj().swapaxes(-1, -2))
-        worst = np.max(np.abs(np.trace(block, axis1=-2, axis2=-1) - 1.0), axis=1)
+        block += block.conj().swapaxes(-1, -2)  # in place: conj() is a copy, so no overlap
+        block *= 0.5
+        rows = reads[lo : lo + 4096]
+        np.matmul(flat[lo : lo + 4096].reshape(-1, 16), _READOUT, out=rows.reshape(-1, 5))
+        worst = np.max(np.abs(rows[..., 4] - 1.0), axis=1)
         bad = np.flatnonzero(~(worst <= trace_tol))  # NaN counts as bad
         if bad.size:
             step = lo + int(bad[0])
@@ -311,7 +336,16 @@ def _rk4_density_history(
                 f"trace deviation {worst[bad[0]]:.3e} > {trace_tol:.1e} at step "
                 f"{step} (t = {step * dt:.6g}); reduce the step size dt={dt:g}"
             )
-    return history if batched else history[:, 0]
+    return (history, reads) if batched else (history[:, 0], reads[:, 0])
+
+
+def _keeps_sectors(lmat: np.ndarray, rho0: np.ndarray) -> bool:
+    """True when no rho of the run can couple two excitation sectors.
+
+    rho0 has no entry between sectors and lmat feeds none from an entry
+    within a sector, so the scan keeps every such entry exactly 0.
+    """
+    return not (np.any(rho0.reshape(-1)[_CROSS]) or np.any(lmat[np.ix_(_CROSS, ~_CROSS)]))
 
 
 @dataclass(eq=False)
@@ -319,28 +353,42 @@ class MasterRun:
     """Time series emitted by integrate_master.
 
     tilde_t uses NaN where the fictitious system-1 clock is undefined.
+    readout is the history times `_READOUT`, one row per time: P1, P2,
+    <s1->, <s2->, tr rho.  keeps_sectors says that every rho is
+    block-diagonal in the excitation sectors {ee}, {eg, ge}, {gg}.
     """
 
     times: np.ndarray
     tilde_t: np.ndarray
     rhos: np.ndarray
     model: CascadeModel
+    readout: np.ndarray
+    keeps_sectors: bool = False
     p1: np.ndarray = field(init=False)
     p2: np.ndarray = field(init=False)
     sigma1: np.ndarray = field(init=False)
     sigma2: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.p1 = np.einsum("nij,ji->n", self.rhos, NUMBER1).real
-        self.p2 = np.einsum("nij,ji->n", self.rhos, NUMBER2).real
-        self.sigma1 = np.einsum("nij,ji->n", self.rhos, SIGMA1_MINUS)
-        self.sigma2 = np.einsum("nij,ji->n", self.rhos, SIGMA2_MINUS)
+        self.p1 = self.readout[:, 0].real
+        self.p2 = self.readout[:, 1].real
+        self.sigma1 = self.readout[:, 2]
+        self.sigma2 = self.readout[:, 3]
 
     def trace_deviation(self) -> np.ndarray:
-        return np.abs(np.einsum("nii->n", self.rhos) - 1.0)
+        return np.abs(self.readout[:, 4] - 1.0)
 
     def min_eigenvalues(self) -> np.ndarray:
-        return np.min(np.linalg.eigvalsh(self.rhos), axis=1)
+        r = self.rhos
+        if not self.keeps_sectors:
+            return np.min(np.linalg.eigvalsh(r), axis=1)
+        # rho_ee, rho_gg and the lower eigenvalue of the Hermitian {eg, ge} block,
+        # (a + b)/2 - hypot((a - b)/2, |c|); out= keeps at most two temporaries live
+        a, b = r[:, 1, 1].real, r[:, 2, 2].real
+        low = 0.5 * (a - b)
+        np.hypot(low, np.abs(r[:, 1, 2]), out=low)
+        np.subtract(0.5 * (a + b), low, out=low)
+        return np.minimum(np.minimum(r[:, 0, 0].real, r[:, 3, 3].real), low, out=low)
 
 
 def integrate_master(
@@ -356,6 +404,9 @@ def integrate_master(
     `wavepacket.TransformSpec` is supplied the fictitious system-1 clock
     is attached through the piecewise time map, in one call on the whole
     grid (NaN while the device buffers); otherwise tilde_t = t - tau.
+    Whether the run keeps the excitation sectors apart, so that
+    min_eigenvalues works per sector, is decided here from the Liouvillian
+    and rho0 before the scan (true at beta = 0 from eg, ge, ee or gg).
 
     Recommended dt * max(gamma1, gamma2, |beta|^2) <= 0.1.  An RK4 step
     matrix with spectral radius above 1 aborts with IntegrationAbort
@@ -370,14 +421,17 @@ def integrate_master(
     if rho0.shape != (4, 4):
         raise ValueError(f"rho0 must be 4x4 for the two-level pair, got {rho0.shape}")
     times = time_grid(t_span, dt)
-    rhos = _rk4_density_history(liouvillian(model), rho0, times.size - 1, dt)
+    lmat = liouvillian(model)
+    sectored = _keeps_sectors(lmat, rho0)
+    rhos, readout = _rk4_density_history(lmat, rho0, times.size - 1, dt)
     if transform is not None:
         from .wavepacket import phase_schedule, time_map
 
         tilde = time_map(times, transform, phase_schedule(transform), model.tau)
     else:
         tilde = times - model.tau
-    return MasterRun(times=times, tilde_t=tilde, rhos=rhos, model=model)
+    return MasterRun(times=times, tilde_t=tilde, rhos=rhos, model=model, readout=readout,
+                     keeps_sectors=sectored)
 
 
 @dataclass(eq=False)

@@ -121,6 +121,10 @@ class Output:
     emit_svg: bool = False
 
     def __post_init__(self) -> None:
+        try:
+            os.fsencode(self.directory)
+        except UnicodeEncodeError as exc:  # such as a lone surrogate, which Path.exists() hides
+            raise ValueError(f"directory is not a usable path ({exc})") from exc
         d = Path(self.directory)
         try:
             blocked = any(p.exists() and not p.is_dir() for p in (d, *d.parents))
@@ -589,9 +593,9 @@ def _decay(p: _Plan):
     model, num = p.model, p.numerics
     times = cascade.time_grid(num.t_span, num.dt)
     rho0 = np.stack([density_from_ket(_initial_ket(name)) for name in ("eg", "plus_g")])
-    hist = cascade._rk4_density_history(cascade.liouvillian(model), rho0, times.size - 1, num.dt)
-    eg = cascade.MasterRun(times, times - model.tau, hist[:, 0], model)
-    coh = np.einsum("nij,ji->n", hist[:, 1], cascade.SIGMA1_MINUS)
+    hist, reads = cascade._rk4_density_history(cascade.liouvillian(model), rho0, times.size - 1, num.dt)
+    eg = cascade.MasterRun(times, times - model.tau, hist[:, 0], model, reads[:, 0])
+    coh = reads[:, 1, 2]  # <sigma1->
     ratio = coh / coh[0]
     table = (
         "decay",

@@ -187,10 +187,11 @@ def test_unidirectionality_system2_alone():
     run = integrate_master(rho0, m, (0.0, 4.0), 1e-3)
 
     # reference: lone two-level atom with the same gamma2, integrated with
-    # the same superoperator machinery on the 2-dim space
+    # the same superoperator, step matrix and scan on the 2-dim space
     sm = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     lone = cascade._superoperator(np.zeros((2, 2), dtype=complex), math.sqrt(0.6) * sm)
-    hist = cascade._rk4_density_history(lone, density_from_ket(plus), 4000, 1e-3)
+    pt = cascade.checked_step_matrix(lone, 1e-3).T
+    hist = cascade.step_history(pt, density_from_ket(plus).reshape(1, -1), 4000)
     p2_alone = hist[:, 0, 0].real
     assert np.max(np.abs(run.p2 - p2_alone)) < 1e-10
 
@@ -362,7 +363,63 @@ def test_nonfinite_step_matrix_aborts():
 
 
 def test_min_eigenvalues_match_per_state():
-    m = CascadeModel(gamma1=1.0, gamma2=0.5, beta=0.3)
-    run = integrate_master(plus_g_density(), m, (0.0, 2.0), 0.01)
+    # a coherent drive, or a rho0 with a coherence between excitation
+    # sectors, couples the sectors: min_eig is eigvalsh's, bit for bit
+    for beta, rho0 in [(0.3, plus_g_density()), (0.0, plus_g_density()),
+                       (0.5, density_from_ket(composite_ket("eg"))),
+                       (-0.2 + 0.1j, density_from_ket(composite_ket("gg")))]:
+        run = integrate_master(rho0, CascadeModel(gamma1=1.0, gamma2=0.5, beta=beta), (0.0, 2.0), 0.01)
+        assert not run.keeps_sectors
+        per_state = np.array([np.min(np.linalg.eigvalsh(r)) for r in run.rhos])
+        assert np.array_equal(run.min_eigenvalues(), per_state)
+
+
+@pytest.mark.parametrize("state", ["eg", "ge", "ee", "gg"])
+def test_min_eigenvalues_per_sector_at_beta_0(state, monkeypatch):
+    # at beta = 0 every rho is block-diagonal in {ee}, {eg, ge}, {gg}, so min_eig
+    # is min(rho_ee, rho_gg, lower eigenvalue of the 2x2 block).  That and
+    # eigvalsh each round to within a few eps * ||rho|| of the exact value, and
+    # ||rho|| <= tr rho = 1
+    run = integrate_master(density_from_ket(composite_ket(state)),
+                           CascadeModel(gamma1=1.0, gamma2=0.5), (0.0, 10.0), 0.01)
+    assert run.keeps_sectors
+    excitations = np.array([2, 1, 1, 0])
+    assert not np.any(run.rhos[:, excitations[:, None] != excitations])
+    per_state = np.array([np.min(np.linalg.eigvalsh(r)) for r in run.rhos])
+
+    def no_eigensolve(*args):
+        raise AssertionError("the sector path takes no eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    assert np.max(np.abs(run.min_eigenvalues() - per_state)) <= 4 * np.finfo(float).eps
+
+
+def test_one_cross_sector_generator_entry_leaves_the_sector_path(monkeypatch):
+    # the sector rule is read off the generator, not the history: one entry feeding
+    # vec index (ee, gg) from (eg, eg) sends min_eig back through eigvalsh
+    lmat = liouvillian(CascadeModel(gamma1=1.0, gamma2=0.5))
+    assert cascade._keeps_sectors(lmat, density_from_ket(composite_ket("eg")))
+    lmat[0 * 4 + 3, 1 * 4 + 1] = 0.1
+    monkeypatch.setattr(cascade, "liouvillian", lambda model: lmat)
+    run = integrate_master(density_from_ket(composite_ket("eg")),
+                           CascadeModel(gamma1=1.0, gamma2=0.5), (0.0, 2.0), 0.01)
+    assert not run.keeps_sectors and np.all(run.rhos[1:, 0, 3] != 0)
     per_state = np.array([np.min(np.linalg.eigvalsh(r)) for r in run.rhos])
     assert np.array_equal(run.min_eigenvalues(), per_state)
+
+
+@pytest.mark.parametrize("beta, rho0", [(0.5, "eg"), (0.0, "plus_g")])
+def test_readout_bytes_match_einsum(beta, rho0):
+    # the readout product against the per-observable einsums it replaced, kept
+    # here as the reference; 10,001 rows span three of the history's blocks
+    rho0 = plus_g_density() if rho0 == "plus_g" else density_from_ket(composite_ket(rho0))
+    run = integrate_master(rho0, CascadeModel(gamma1=1.0, gamma2=1.0, beta=beta), (0.0, 10.0), 1e-3)
+    r = run.rhos
+    for got, want in [
+        (run.p1, np.einsum("nij,ji->n", r, NUMBER1).real),
+        (run.p2, np.einsum("nij,ji->n", r, NUMBER2).real),
+        (run.sigma1, np.einsum("nij,ji->n", r, SIGMA1_MINUS)),
+        (run.sigma2, np.einsum("nij,ji->n", r, SIGMA2_MINUS)),
+        (run.trace_deviation(), np.abs(np.einsum("nii->n", r) - 1.0)),
+    ]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

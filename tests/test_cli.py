@@ -131,6 +131,30 @@ def test_decay_run_matches_analytics(tmp_path):
     assert abs(decay_re[k] - math.exp(-0.5)) < 1e-6
 
 
+def test_decay_columns_match_einsum_readout(tmp_path):
+    # every decay column against the per-observable einsums of one shared
+    # history, kept here as the reference; beta = 0.3 couples the sectors
+    path = write_config(tmp_path, model={"beta": 0.3, "gamma2": 0.5})
+    assert cli.main(["--config", str(path)]) == 0
+    _, header, rows = read_csv(tmp_path / "out" / "decay.csv")
+    rho0 = np.stack([cli.density_from_ket(cli._initial_ket(s)) for s in ("eg", "plus_g")])
+    model = cli.CascadeModel(gamma1=1.0, gamma2=0.5, beta=0.3)
+    hist, _ = cli.cascade._rk4_density_history(cli.cascade.liouvillian(model), rho0, 10_000, 0.001)
+    eg = hist[:, 0]
+    s1 = np.einsum("nij,ji->n", eg, cli.cascade.SIGMA1_MINUS)
+    s2 = np.einsum("nij,ji->n", eg, cli.cascade.SIGMA2_MINUS)
+    coh = np.einsum("nij,ji->n", hist[:, 1], cli.cascade.SIGMA1_MINUS)
+    ratio = coh / coh[0]
+    want = {
+        "P1": np.einsum("nij,ji->n", eg, cli.cascade.NUMBER1).real,
+        "P2": np.einsum("nij,ji->n", eg, cli.cascade.NUMBER2).real,
+        "re_sigma1": s1.real, "im_sigma1": s1.imag, "re_sigma2": s2.real, "im_sigma2": s2.imag,
+        "decay_re": ratio.real, "decay_im": ratio.imag,
+    }
+    for name, values in want.items():
+        assert column(header, rows, name, str) == [repr(float(v)) for v in values], name
+
+
 _FIG2_RUN = {"transform": dict(FIG2_TRANSFORM), "numerics": {"dt": 0.01, "t_span": [0.0, 40.0]}}
 DETERMINISM_CONFIGS = {
     "decay": {"numerics": {"dt": 0.01, "t_span": [0.0, 2.0]}},
@@ -819,9 +843,13 @@ def test_exit_2_when_a_phase_overflows(tmp_path, capsys, name, section, key):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("directory", ["x\0y", "d" * 300])
+@pytest.mark.parametrize("directory", ["x\0y", "d" * 300, "\ud800"])
 def test_exit_2_on_unusable_output_directory(tmp_path, capsys, directory):
-    # a NUL byte or a name too long for the file system used to end in a traceback
+    # a NUL byte, a name too long for the file system or a lone surrogate (JSON
+    # "\ud800", which no file name can encode) used to end in a traceback
     path = write_config(tmp_path, output={"directory": str(tmp_path / directory)})
+    assert cli.main(["--config", str(path), "--validate-only"]) == 2
+    assert "output.directory: " in capsys.readouterr().out
     assert cli.main(["--config", str(path)]) == 2
     assert "output.directory: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
