@@ -19,12 +19,10 @@ from .cascade import (
     build_h_ex,
     build_jump_operator,
     integrate_master,
-    lindblad_rhs,
 )
 from .trajectory import TrajectoryConfig, ensemble_average, evolve_trajectory
 from .transfer import (
     TransferResult,
-    check_time_reversed_envelope,
     drive_system2,
     emit_envelope,
     transfer_experiment,
@@ -33,9 +31,7 @@ from .wavepacket import (
     Envelope,
     PhaseSchedule,
     PhaseTag,
-    Spectrum,
     TransformSpec,
-    apply_u_frequency_domain,
     apply_u_time_domain,
     derive_transform_params,
     phase_schedule,

@@ -38,26 +38,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import ladder_two_level
+from .hilbert import ladder_two_level, validate_density_matrix
 
 __all__ = [
     "CascadeModel",
     "MasterRun",
     "IntegrationAbort",
-    "ConsistencyReport",
     "build_h_sys",
     "build_jump_operator",
     "build_h_ex",
     "build_h0",
     "build_h_eff",
-    "lindblad_rhs",
     "liouvillian",
     "step_matrix",
     "checked_step_matrix",
     "time_grid",
     "step_history",
     "integrate_master",
-    "heisenberg_consistency",
 ]
 
 _SM, _SP, _SZ = ladder_two_level()
@@ -170,19 +167,6 @@ def build_h_eff(model: CascadeModel) -> np.ndarray:
     """
     j = build_jump_operator(model)
     return build_h0(model) - 0.5j * (j.conj().T @ j)
-
-
-def lindblad_rhs(rho: np.ndarray, model: CascadeModel) -> np.ndarray:
-    """Right-hand side i[rho, H0] + J rho J+ - (1/2){rho, J+J} (traceless)."""
-    rho = np.asarray(rho, dtype=complex)
-    h0 = build_h0(model)
-    j = build_jump_operator(model)
-    jdj = j.conj().T @ j
-    return (
-        1j * (rho @ h0 - h0 @ rho)
-        + j @ rho @ j.conj().T
-        - 0.5 * (jdj @ rho + rho @ jdj)
-    )
 
 
 def _superoperator(h0: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -400,7 +384,9 @@ def integrate_master(
 ) -> MasterRun:
     """Integrate the cascaded master equation with fixed-step RK4.
 
-    rho0 is the composite 4x4 density matrix at t_span[0].  When a
+    rho0 is the composite 4x4 density matrix at t_span[0]: Hermitian,
+    unit-trace and positive, or ValueError naming rho0, before any step
+    (`hilbert.validate_density_matrix`).  When a
     `wavepacket.TransformSpec` is supplied the fictitious system-1 clock
     is attached through the piecewise time map, in one call on the whole
     grid (NaN while the device buffers); otherwise tilde_t = t - tau.
@@ -420,6 +406,10 @@ def integrate_master(
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"rho0 must be 4x4 for the two-level pair, got {rho0.shape}")
+    try:
+        validate_density_matrix(rho0)
+    except ValueError as exc:  # a bad rho0 is not an integrator failure
+        raise ValueError(f"rho0 is not a density matrix: {exc}") from exc
     times = time_grid(t_span, dt)
     lmat = liouvillian(model)
     sectored = _keeps_sectors(lmat, rho0)
@@ -432,75 +422,3 @@ def integrate_master(
         tilde = times - model.tau
     return MasterRun(times=times, tilde_t=tilde, rhos=rhos, model=model, readout=readout,
                      keeps_sectors=sectored)
-
-
-@dataclass(eq=False)
-class ConsistencyReport:
-    """Cross-check of Heisenberg amplitude EOMs against the master equation.
-
-    max_deviation is over both coherences and the full time grid.
-    analytic_sigma1_deviation compares the master-equation <s1-> against
-    the closed-form decay (available for beta = 0); it carries the
-    integrator's own O(dt^4) error and is the quantity used for step-size
-    order checks, since the two integrations agree to round-off whenever
-    the amplitude closure is exact.
-    """
-
-    times: np.ndarray
-    sigma1_deviation: float
-    sigma2_deviation: float
-    max_deviation: float
-    analytic_sigma1_deviation: float | None
-
-
-def heisenberg_consistency(
-    model: CascadeModel,
-    t_span: tuple[float, float],
-    dt: float,
-    rho0: np.ndarray | None = None,
-) -> ConsistencyReport:
-    """Compare the two-level expectation EOMs against the master equation.
-
-    Integrates d<s1->/dt = -(gamma1/2 + i w1)<s1-> - sqrt(gamma1) beta and
-    d<s2->/dt = -(gamma2/2 + i w2)<s2-> - sqrt(gamma2)(beta
-    + sqrt(gamma1)<s1->), i.e. the operator EOMs closed with the
-    single-excitation replacement <sz . drive> -> -<drive>, and compares
-    with expectations of the RK4 master-equation run at the same step.
-    The closure is exact for beta = 0 and states in the <= 1 excitation
-    sector; for beta != 0 the reported deviation includes the closure bias.
-
-    Default initial state: ((|e> + |g>)/sqrt2) (x) |g>, which has nonzero
-    coherences so the comparison is not vacuous.
-    """
-    if rho0 is None:
-        plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-        psi0 = np.kron(plus, np.array([0.0, 1.0], dtype=complex))
-        rho0 = np.outer(psi0, psi0.conj())
-    run = integrate_master(rho0, model, t_span, dt)
-    w1, w2 = model.frame_omegas()
-    g1 = math.sqrt(model.gamma1)
-    g2 = math.sqrt(model.gamma2)
-    # the affine flow v' = M v + b as a linear flow on (v, 1)
-    aug = np.array(
-        [
-            [-(model.gamma1 / 2.0 + 1j * w1), 0.0, -g1 * model.beta],
-            [-g1 * g2, -(model.gamma2 / 2.0 + 1j * w2), -g2 * model.beta],
-            [0.0, 0.0, 0.0],
-        ],
-        dtype=complex,
-    )
-    amp0 = np.array([[run.sigma1[0], run.sigma2[0], 1.0]])
-    amp = step_history(step_matrix(aug, dt).T, amp0, run.times.size - 1)[:, 0]
-    dev1 = float(np.max(np.abs(amp[:, 0] - run.sigma1)))
-    dev2 = float(np.max(np.abs(amp[:, 1] - run.sigma2)))
-    analytic = None
-    if model.beta == 0:
-        exact = run.sigma1[0] * np.exp(-(model.gamma1 / 2.0 + 1j * w1) * (run.times - run.times[0]))
-        analytic = float(np.max(np.abs(run.sigma1 - exact)))
-    return ConsistencyReport(
-        times=run.times,
-        sigma1_deviation=dev1,
-        sigma2_deviation=dev2,
-        max_deviation=max(dev1, dev2),
-        analytic_sigma1_deviation=analytic,
-    )

@@ -752,13 +752,14 @@ def _timemap(p: _Plan):
     f_slope = wavepacket.time_map_slope(ts, spec, sched)
     f_inv = wavepacket.time_map_inverse(ts, spec, sched, model.tau)
     f_inv_slope = wavepacket.time_map_inverse_slope(ts, spec, sched, model.tau)
+    horizontal, vertical = wavepacket.gap_geometry(spec, sched)
     table = (
         "timemap",
         [
             _units_comment(model),
             *_schedule_comments(sched, ("t_i", "t_s", "t_f")),
-            "horizontal_gap = " + repr(sched.t_s - sched.t_i),
-            "vertical_gap = " + repr(sched.t_f - sched.t_s),
+            "horizontal_gap = " + repr(horizontal),
+            "vertical_gap = " + repr(vertical),
         ],
         ["t", "f", "f_slope", "f_inv", "f_inv_slope"],
         [ts, f, f_slope, f_inv, f_inv_slope],

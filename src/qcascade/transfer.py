@@ -49,13 +49,11 @@ from .wavepacket import (
 __all__ = [
     "TransferResult",
     "TransferComparison",
-    "TimeReversalReport",
     "qubit_transfer_fidelity",
     "emit_envelope",
     "drive_step_coefficients",
     "drive_system2",
     "transfer_experiment",
-    "check_time_reversed_envelope",
 ]
 
 
@@ -79,23 +77,7 @@ class TransferComparison:
     off: TransferResult
     on: TransferResult
     ratio: float
-    spec: TransformSpec
     schedule: PhaseSchedule
-
-
-@dataclass(eq=False)
-class TimeReversalReport:
-    """Fitted envelope rates of the reversed system-1 coherence.
-
-    The reversed coherence exp(-i omega0 t) <s1-(-t/alpha)> should grow at
-    +gamma2/2 in magnitude (sign flipped against system 2's decay) while
-    rotating at -omega2 (same sign as system 2).
-    """
-
-    alpha: float
-    omega0: float
-    magnitude_rate: float
-    phase_rate: float
 
 
 def qubit_transfer_fidelity(p2_max: float, excited_weight: float = 0.5) -> float:
@@ -273,24 +255,4 @@ def transfer_experiment(
     on = drive_system2(drive_on, model.gamma2, w2, model.tau, t)
     on.transform_enabled = True
     ratio = on.p2_max / off.p2_max if off.p2_max > 0.0 else math.inf
-    return TransferComparison(off=off, on=on, ratio=ratio, spec=spec, schedule=schedule)
-
-
-def check_time_reversed_envelope(
-    gamma1: float, gamma2: float, omega1: float, omega2: float
-) -> TimeReversalReport:
-    """Fit the reversed-coherence envelope rates against the matched target.
-
-    Builds exp(-i omega0 t) <s1-(-t/alpha)> from the closed-form decay
-    (vacuum input, <s1-(0)> = 1) on t <= 0 and fits d log|.|/dt and the
-    phase rotation rate by least squares.
-    """
-    alpha, omega0 = derive_transform_params(gamma1, gamma2, omega1, omega2)
-    t = np.linspace(-6.0 / gamma2, 0.0, 2001)
-    sigma1 = np.exp(-(gamma1 / 2.0 + 1j * omega1) * (-t / alpha))
-    tilde = np.exp(-1j * omega0 * t) * sigma1
-    magnitude_rate = float(np.polyfit(t, np.log(np.abs(tilde)), 1)[0])
-    phase_rate = float(np.polyfit(t, np.unwrap(np.angle(tilde)), 1)[0])
-    return TimeReversalReport(
-        alpha=alpha, omega0=omega0, magnitude_rate=magnitude_rate, phase_rate=phase_rate
-    )
+    return TransferComparison(off=off, on=on, ratio=ratio, schedule=schedule)

@@ -16,14 +16,9 @@ the device integrates over a window Delta, so processing runs on
 t_f = t_s + alpha Delta.  Choosing alpha = gamma1/gamma2 and
 omega0 = omega2 + omega1/alpha turns the packet emitted by system 1 into
 the time-reversed packet system 2 would emit, which is what system 2
-absorbs best.
-
-DFT convention: the forward transform uses the e^{+i nu t} kernel,
-F(nu) = (2 pi)^(-1/2) Int dt env(t) e^{+i nu t}, matching in-field mode
-expansions with e^{-i omega (t - t0)} time dependence; with this sign the
-e^{i nu T} factor delays the packet.  Spectra carry `t_ref`, the start of
-the time window they were computed from, which makes band-limited
-interpolation off the sample grid well defined.
+absorbs best.  Every experiment runs the time-domain form; the
+frequency-space route is kept with the tests as their reference
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "Envelope",
-    "Spectrum",
     "TransformSpec",
     "PhaseSchedule",
     "PhaseTag",
@@ -45,19 +39,13 @@ __all__ = [
     "matched_timing",
     "phase_schedule",
     "apply_u_time_domain",
-    "apply_u_frequency_domain",
-    "envelope_to_spectrum",
-    "spectrum_to_envelope",
     "assemble_piecewise_field",
-    "heaviside",
     "time_map",
     "time_map_inverse",
     "time_map_slope",
     "time_map_inverse_slope",
     "gap_geometry",
 ]
-
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(eq=False)
@@ -172,39 +160,6 @@ def _uniform_grid(grid, name: str) -> tuple[np.ndarray, float]:
     if arr.ndim != 1 or arr.size < 2 or np.any(np.abs(step - step[0]) > 1e-9 * abs(step[0])):
         raise ValueError(f"{name} must be a uniform 1-d grid of at least two points")
     return arr, float(step[0])
-
-
-@dataclass(eq=False)
-class Spectrum:
-    """Uniformly sampled complex amplitude in angular frequency.
-
-    t_ref declares the start of the time window the spectrum represents
-    (its canonical window has width 2 pi / dnu); it anchors band-limited
-    interpolation between frequency samples.
-    """
-
-    nu0: float
-    dnu: float
-    samples: np.ndarray
-    t_ref: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=complex)
-        if self.samples.ndim != 1 or self.samples.size < 2:
-            raise ValueError("spectrum needs at least two samples on a 1-d grid")
-        if not self.dnu > 0.0:
-            raise ValueError("spectrum sample spacing dnu must be positive")
-
-    @property
-    def nus(self) -> np.ndarray:
-        return self.nu0 + self.dnu * np.arange(self.samples.size)
-
-    @property
-    def nu_end(self) -> float:
-        return self.nu0 + self.dnu * (self.samples.size - 1)
-
-    def squared_norm(self) -> float:
-        return float(np.sum(np.abs(self.samples) ** 2) * self.dnu)
 
 
 @dataclass(frozen=True)
@@ -350,128 +305,6 @@ def apply_u_time_domain(
     return Envelope(float(t_arr[0]), dt_out, out_vals, n_zero_filled=n_fill)
 
 
-def _dtft_sum(values: np.ndarray, points: np.ndarray, targets: np.ndarray, sign: float) -> np.ndarray:
-    """Sum_m values[m] exp(sign * i * target * points[m]), chunked."""
-    out = np.empty(targets.size, dtype=complex)
-    chunk = max(1, 2_000_000 // max(1, points.size))
-    for j0 in range(0, targets.size, chunk):
-        block = np.exp(sign * 1j * np.outer(targets[j0 : j0 + chunk], points))
-        out[j0 : j0 + chunk] = block @ values
-    return out
-
-
-def envelope_to_spectrum(
-    env: Envelope,
-    nu0: float | None = None,
-    dnu: float | None = None,
-    n: int | None = None,
-) -> Spectrum:
-    """Forward transform F[k] = (dt/sqrt(2 pi)) Sum_m env[m] e^{+i nu_k t_m}.
-
-    Defaults to the conjugate grid dnu = 2 pi/(N dt) centered on zero,
-    evaluated by FFT; an explicit grid uses the direct sum.
-    """
-    m = env.samples.size
-    if nu0 is None and dnu is None and n is None:
-        dnu_c = 2.0 * math.pi / (m * env.dt)
-        nu0_c = -(m // 2) * dnu_c
-        phases = np.exp(1j * nu0_c * env.dt * np.arange(m))
-        core = m * np.fft.ifft(env.samples * phases)
-        nus = nu0_c + dnu_c * np.arange(m)
-        samples = (env.dt / _SQRT2PI) * np.exp(1j * nus * env.t0) * core
-        return Spectrum(nu0_c, dnu_c, samples, t_ref=env.t0)
-    if nu0 is None or dnu is None or n is None:
-        raise ValueError("give all of nu0, dnu, n or none of them")
-    nus = nu0 + dnu * np.arange(n)
-    samples = (env.dt / _SQRT2PI) * _dtft_sum(env.samples, env.times, nus, +1.0)
-    return Spectrum(float(nu0), float(dnu), samples, t_ref=env.t0)
-
-
-def spectrum_to_envelope(
-    spec: Spectrum,
-    t0: float | None = None,
-    dt: float | None = None,
-    n: int | None = None,
-) -> Envelope:
-    """Inverse transform env[m] = (dnu/sqrt(2 pi)) Sum_k F[k] e^{-i nu_k t_m}.
-
-    Defaults to the canonical window starting at t_ref with
-    dt = 2 pi/(N dnu) via FFT; an explicit grid uses the direct sum.
-    """
-    m = spec.samples.size
-    if t0 is None and dt is None and n is None:
-        dt_c = 2.0 * math.pi / (m * spec.dnu)
-        t0_c = spec.t_ref
-        core = np.fft.fft(spec.samples * np.exp(-1j * spec.nus * t0_c))
-        phases = np.exp(-1j * spec.nu0 * dt_c * np.arange(m))
-        samples = (spec.dnu / _SQRT2PI) * phases * core
-        return Envelope(t0_c, dt_c, samples)
-    if t0 is None or dt is None or n is None:
-        raise ValueError("give all of t0, dt, n or none of them")
-    times = t0 + dt * np.arange(n)
-    samples = (spec.dnu / _SQRT2PI) * _dtft_sum(spec.samples, spec.nus, times, -1.0)
-    return Envelope(float(t0), float(dt), samples)
-
-
-def _edge_advisory(samples: np.ndarray) -> None:
-    peak = float(np.max(np.abs(samples)))
-    if peak == 0.0:
-        return
-    edge = max(abs(samples[0]), abs(samples[-1]))
-    if edge > 1e-6 * peak:
-        warnings.warn(
-            f"spectrum magnitude at the band edges is {edge / peak:.2e} of the "
-            "peak (above 1e-6); the remap may lose out-of-band content",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def apply_u_frequency_domain(
-    spec_in: Spectrum, spec: TransformSpec, nu_out: np.ndarray | None = None
-) -> Spectrum:
-    """out(nu) = sqrt(alpha) in(-alpha (nu - omega0)) e^{i nu T}.
-
-    With nu_out = None the output grid is the exact image of the input
-    grid (spacing dnu/alpha), where the remap lands on input samples and
-    no interpolation is needed.  An explicit grid resamples the input by
-    band-limited interpolation (inverse transform over its canonical
-    window, direct re-evaluation); remapped points outside the input band
-    raise ValueError naming the required band.
-    """
-    a = spec.alpha
-    n = spec_in.samples.size
-    _edge_advisory(spec_in.samples)
-    dt_c = 2.0 * math.pi / (n * spec_in.dnu)
-    t_ref_out = spec.T - a * (spec_in.t_ref + (n - 1) * dt_c)
-    if nu_out is None:
-        dnu_out = spec_in.dnu / a
-        nu0_out = spec.omega0 - spec_in.nu_end / a
-        nus_out = nu0_out + dnu_out * np.arange(n)
-        samples = math.sqrt(a) * spec_in.samples[::-1] * np.exp(1j * nus_out * spec.T)
-        return Spectrum(float(nu0_out), float(dnu_out), samples, t_ref=t_ref_out)
-    nu_arr, dnu_out = _uniform_grid(nu_out, "nu_out")
-    u = -a * (nu_arr - spec.omega0)
-    tol = 1e-9 * spec_in.dnu
-    if u.min() < spec_in.nu0 - tol or u.max() > spec_in.nu_end + tol:
-        raise ValueError(
-            f"remap needs input band [{u.min()}, {u.max()}] but the spectrum "
-            f"covers [{spec_in.nu0}, {spec_in.nu_end}]"
-        )
-    base = spectrum_to_envelope(spec_in)
-    f_u = (base.dt / _SQRT2PI) * _dtft_sum(base.samples, base.times, u, +1.0)
-    samples = math.sqrt(a) * f_u * np.exp(1j * nu_arr * spec.T)
-    return Spectrum(float(nu_arr[0]), dnu_out, samples, t_ref=t_ref_out)
-
-
-def heaviside(x: float) -> float:
-    """Unit step with u(0) = 1/2."""
-    if x < 0.0:
-        return 0.0
-    if x == 0.0:
-        return 0.5
-    return 1.0
-
 
 def assemble_piecewise_field(
     x,
@@ -507,7 +340,7 @@ def assemble_piecewise_field(
         amp[produced] = transformed.interp(retarded[produced])
     # u(x), with u(0) = 1/2, scales the initial branch only: a float x complex product
     # by 1.0 can still turn an imaginary -0.0 into +0.0
-    u = np.where(xs[free] == 0.0, heaviside(0.0), 1.0)
+    u = np.where(xs[free] == 0.0, 0.5, 1.0)
     amp[free] = u * initial.interp(t - xs[free] / spec.c)
     # positions in list(PhaseTag): INITIAL 0, VACUUM 1, TRANSFORMED 2
     codes = np.select([vacuum, produced], [np.int8(1), np.int8(2)], np.int8(0))

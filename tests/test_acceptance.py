@@ -22,7 +22,6 @@ from qcascade.cascade import (
 from qcascade.hilbert import composite_ket, density_from_ket
 from qcascade.trajectory import TrajectoryConfig, ensemble_average
 from qcascade.transfer import (
-    check_time_reversed_envelope,
     drive_system2,
     emit_envelope,
     transfer_experiment,
@@ -30,15 +29,19 @@ from qcascade.transfer import (
 from qcascade.wavepacket import (
     Envelope,
     TransformSpec,
-    apply_u_frequency_domain,
     apply_u_time_domain,
-    envelope_to_spectrum,
     gap_geometry,
     phase_schedule,
-    spectrum_to_envelope,
     time_map,
     time_map_inverse,
     time_map_slope,
+)
+
+from oracles import (
+    apply_u_frequency_domain,
+    check_time_reversed_envelope,
+    envelope_to_spectrum,
+    spectrum_to_envelope,
 )
 
 

@@ -19,14 +19,14 @@ from qcascade.cascade import (
     build_h_ex,
     build_h_sys,
     build_jump_operator,
-    heisenberg_consistency,
     integrate_master,
-    lindblad_rhs,
     liouvillian,
     step_matrix,
 )
 from qcascade.hilbert import composite_ket, density_from_ket, two_level_ket
 from qcascade.wavepacket import TransformSpec
+
+from oracles import heisenberg_consistency, lindblad_rhs
 
 
 def plus_g_density():
@@ -266,6 +266,15 @@ def test_integrate_master_input_validation():
         integrate_master(rho0, m, (1.0, 0.0), 0.1)
     with pytest.raises(ValueError):
         integrate_master(np.eye(3) / 3.0, m, (0.0, 1.0), 0.1)
+
+
+@pytest.mark.parametrize("scale, skew", [(2.0, 0.0), (1.0, 0.25)], ids=["trace_2", "non_hermitian"])
+def test_integrate_master_rejects_a_bad_rho0(scale, skew):
+    # a bad initial state is named as such, not reported as an integrator failure
+    # that blames the step size; np.eye(4, k=1) fills only the upper diagonal
+    rho0 = scale * density_from_ket(composite_ket("eg")) + skew * np.eye(4, k=1)
+    with pytest.raises(ValueError, match="rho0"):
+        integrate_master(rho0, CascadeModel(1.0, 1.0), (0.0, 1.0), 1e-3)
 
 
 def rk4_stages(a, y, h):

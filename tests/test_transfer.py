@@ -7,7 +7,6 @@ import pytest
 from qcascade.cascade import CascadeModel, IntegrationAbort, integrate_master
 from qcascade.hilbert import composite_ket, density_from_ket
 from qcascade.transfer import (
-    check_time_reversed_envelope,
     drive_step_coefficients,
     drive_system2,
     emit_envelope,
@@ -15,6 +14,8 @@ from qcascade.transfer import (
     transfer_experiment,
 )
 from qcascade.wavepacket import Envelope, TransformSpec, matched_timing
+
+from oracles import check_time_reversed_envelope
 
 
 def grid(t0, t1, h):

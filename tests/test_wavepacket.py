@@ -8,22 +8,25 @@ from qcascade import wavepacket as wp
 from qcascade.wavepacket import (
     Envelope,
     PhaseTag,
-    Spectrum,
     TransformSpec,
-    apply_u_frequency_domain,
     apply_u_time_domain,
     assemble_piecewise_field,
     derive_transform_params,
-    envelope_to_spectrum,
     gap_geometry,
-    heaviside,
     matched_timing,
     phase_schedule,
-    spectrum_to_envelope,
     time_map,
     time_map_inverse,
     time_map_inverse_slope,
     time_map_slope,
+)
+
+from oracles import (
+    Spectrum,
+    apply_u_frequency_domain,
+    envelope_to_spectrum,
+    heaviside,
+    spectrum_to_envelope,
 )
 
 FIG2 = TransformSpec(alpha=2.0, omega0=0.0, T=54.0, Delta=6.0, X=12.0)
