@@ -282,12 +282,14 @@ def step_history(p, x0, n_steps, inputs=None, out=None) -> np.ndarray:
     return out
 
 
+_TRACE_TOL = 1e-6  # largest |tr rho - 1| a master-equation run may reach
+
+
 def _rk4_density_history(
     lmat: np.ndarray,
     rho0: np.ndarray,
     n_steps: int,
     dt: float,
-    trace_tol: float = 1e-6,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 on vec(rho), one step matrix checked for stability first.
 
@@ -313,11 +315,11 @@ def _rk4_density_history(
         rows = reads[lo : lo + 4096]
         np.matmul(flat[lo : lo + 4096].reshape(-1, 16), _READOUT, out=rows.reshape(-1, 5))
         worst = np.max(np.abs(rows[..., 4] - 1.0), axis=1)
-        bad = np.flatnonzero(~(worst <= trace_tol))  # NaN counts as bad
+        bad = np.flatnonzero(~(worst <= _TRACE_TOL))  # NaN counts as bad
         if bad.size:
             step = lo + int(bad[0])
             raise IntegrationAbort(
-                f"trace deviation {worst[bad[0]]:.3e} > {trace_tol:.1e} at step "
+                f"trace deviation {worst[bad[0]]:.3e} > {_TRACE_TOL:.1e} at step "
                 f"{step} (t = {step * dt:.6g}); reduce the step size dt={dt:g}"
             )
     return (history, reads) if batched else (history[:, 0], reads[:, 0])
@@ -345,7 +347,6 @@ class MasterRun:
     times: np.ndarray
     tilde_t: np.ndarray
     rhos: np.ndarray
-    model: CascadeModel
     readout: np.ndarray
     keeps_sectors: bool = False
     p1: np.ndarray = field(init=False)
@@ -420,5 +421,5 @@ def integrate_master(
         tilde = time_map(times, transform, phase_schedule(transform), model.tau)
     else:
         tilde = times - model.tau
-    return MasterRun(times=times, tilde_t=tilde, rhos=rhos, model=model, readout=readout,
+    return MasterRun(times=times, tilde_t=tilde, rhos=rhos, readout=readout,
                      keeps_sectors=sectored)

@@ -248,12 +248,6 @@ def _transform_spec(cfg: RunConfig, model: CascadeModel) -> TransformSpec:
     return _construct("transform", TransformSpec, **values)
 
 
-def _preimage(spec: TransformSpec) -> tuple[float, float]:
-    """Device-time window (T - t_f)/alpha .. (T - t_s)/alpha that production consumes."""
-    sched = phase_schedule(spec)
-    return (spec.T - sched.t_f) / spec.alpha, (spec.T - sched.t_s) / spec.alpha
-
-
 @dataclass(frozen=True)
 class _Plan:
     """Typed parts with every default filled in, and the work counts: field -> (count, what)."""
@@ -319,7 +313,8 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
     dt, (t0, t1) = num.dt, num.t_span
     work = {"numerics.dt": ((t1 - t0) / dt + 1.0, f"time samples over t_span [{t0:.6g}, {t1:.6g}]")}
     if spec is not None:
-        sched, (pre_lo, pre_hi), shift = phase_schedule(spec), _preimage(spec), spec.X / spec.c
+        sched = phase_schedule(spec)
+        (pre_lo, pre_hi), shift = sched.preimage, sched.delay
         if model.tau > 0.0 and not spec.position_ok(model.tau):
             diags.append(f"transform.X: device position {spec.X} must satisfy 0 < X < c*tau = "
                          f"{spec.c * model.tau}")
@@ -354,9 +349,8 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
                     f"numerics.t_span: [{t0:.6g}, {t1:.6g}] does not cover the production "
                     f"window [{sched.t_s:.6g}, {sched.t_f:.6g}]"
                 )
-            # transfer_experiment's emission grid reaches back to the emission, or the
-            # packet's pass through the device; it holds two samples, 32 bytes, a step
-            lo, hi = min(0.0, t0 - model.tau, t0 - shift), max(t1 - model.tau, t1 - shift)
+            # transfer_experiment's emission grid holds two samples, 32 bytes, a step
+            lo, hi = transfer._emission_window(t0, t1, model.tau, shift)
             work["numerics.dt"] = ((hi - lo) / dt + 2.0, f"time samples over the emission "
                                    f"window [{lo:.6g}, {hi:.6g}]")
     # each integrator's RK4 step must be stable at dt: the master equation's
@@ -594,7 +588,7 @@ def _decay(p: _Plan):
     times = cascade.time_grid(num.t_span, num.dt)
     rho0 = np.stack([density_from_ket(_initial_ket(name)) for name in ("eg", "plus_g")])
     hist, reads = cascade._rk4_density_history(cascade.liouvillian(model), rho0, times.size - 1, num.dt)
-    eg = cascade.MasterRun(times, times - model.tau, hist[:, 0], model, reads[:, 0])
+    eg = cascade.MasterRun(times, times - model.tau, hist[:, 0], reads[:, 0])
     coh = reads[:, 1, 2]  # <sigma1->
     ratio = coh / coh[0]
     table = (
@@ -661,21 +655,24 @@ def _trajectories(p: _Plan):
     return tables, (series, f"quantum trajectories (n = {ens.n_traj})", "t (1/gamma1)", "P2")
 
 
-def _emitted(p: _Plan):
-    """Envelope system 1 emits, sampled on the numerics time grid."""
+def _packets(p: _Plan):
+    """(schedule, emitted, at_device, transformed): the envelope system 1
+    emits, sampled on the numerics time grid, that envelope at the device,
+    and the device's output."""
+    sched = phase_schedule(p.spec)
     w1, _ = p.model.frame_omegas()
-    return transfer.emit_envelope(
+    emitted = transfer.emit_envelope(
         p.model.gamma1, w1, 1.0, cascade.time_grid(p.numerics.t_span, p.numerics.dt),
         rotating_frame=p.model.rotating_frame,
     )
+    at_device = emitted.shifted(sched.delay)
+    return sched, emitted, at_device, wavepacket.apply_u_time_domain(at_device, p.spec)
 
 
 def _transform(p: _Plan):
     model, spec = p.model, p.spec
-    sched = phase_schedule(spec)
-    at_device = _emitted(p).shifted(spec.X / spec.c)
-    out_env = wavepacket.apply_u_time_domain(at_device, spec)
-    window = at_device.slice_window(*_preimage(spec))
+    sched, _, at_device, out_env = _packets(p)
+    window = at_device.slice_window(*sched.preimage)
     samples = np.concatenate([at_device.samples, out_env.samples])
     table = (
         "transform",
@@ -706,9 +703,7 @@ def _transform(p: _Plan):
 
 def _phases(p: _Plan):
     model, spec, num = p.model, p.spec, p.numerics
-    sched = phase_schedule(spec)
-    emitted = _emitted(p)
-    transformed = wavepacket.apply_u_time_domain(emitted.shifted(spec.X / spec.c), spec)
+    sched, emitted, _, transformed = _packets(p)
     snaps = num.snapshot_times
     xs = np.linspace(0.0, num.x_max, num.nx)
     fields = [
@@ -771,7 +766,7 @@ def _timemap(p: _Plan):
 def _transfer(p: _Plan):
     model, spec = p.model, p.spec
     comparison = transfer.transfer_experiment(
-        model, spec=spec, t_grid=cascade.time_grid(p.numerics.t_span, p.numerics.dt)
+        model, spec, cascade.time_grid(p.numerics.t_span, p.numerics.dt)
     )
     off, on = comparison.off, comparison.on
     table = (

@@ -39,10 +39,9 @@ from .wavepacket import (
     Envelope,
     PhaseSchedule,
     TransformSpec,
+    _device_phase,
     _uniform_grid,
     apply_u_time_domain,
-    derive_transform_params,
-    matched_timing,
     phase_schedule,
 )
 
@@ -67,7 +66,6 @@ class TransferResult:
     p2_max: float
     t_at_max: float
     fidelity: float
-    transform_enabled: bool
 
 
 @dataclass(eq=False)
@@ -77,7 +75,6 @@ class TransferComparison:
     off: TransferResult
     on: TransferResult
     ratio: float
-    schedule: PhaseSchedule
 
 
 def qubit_transfer_fidelity(p2_max: float, excited_weight: float = 0.5) -> float:
@@ -179,7 +176,6 @@ def drive_system2(
         p2_max=p2_max,
         t_at_max=float(t[imax]),
         fidelity=qubit_transfer_fidelity(p2_max),
-        transform_enabled=False,
     )
 
 
@@ -192,60 +188,50 @@ def _transformed_drive(
 ) -> Envelope:
     """Device-output drive on the half-step grid through the four phases.
 
-    Retarded times are referenced to the device position: the incident
-    envelope passes untouched outside [t_i, t_f), the gap [t_i, t_s) is
-    vacuum, and [t_s, t_f) carries the transformed packet.
+    Retarded times are referenced to the device position; `_device_phase`
+    decides the phase: the incident envelope passes untouched outside
+    [t_i, t_f), the gap [t_i, t_s) is vacuum, and [t_s, t_f) carries the
+    transformed packet.
     """
-    at_device = emitted.shifted(spec.X / spec.c)
+    at_device = emitted.shifted(schedule.delay)
     vals = at_device.on_grid(float(t_half[0]), h_half, t_half.size)
-    in_gap = (t_half >= schedule.t_i) & (t_half < schedule.t_s)
-    vals[in_gap] = 0.0
-    in_prod = (t_half >= schedule.t_s) & (t_half < schedule.t_f)
+    phase = _device_phase(t_half, schedule)
+    vals[phase == 1] = 0.0
+    in_prod = phase == 2
     if in_prod.any():
         # apply_u_time_domain needs two samples: dt <= alpha*Delta keeps two in the window
         vals[in_prod] = apply_u_time_domain(at_device, spec, t_out=t_half[in_prod]).samples
     return Envelope(float(t_half[0]), h_half, vals)
 
 
+def _emission_window(t0: float, t1: float, tau: float, delay: float) -> tuple[float, float]:
+    """(lo, hi) of the emission times the transfer over [t0, t1] reads: the
+    off drive reads t - tau, the device t - delay, and lo reaches back to
+    the emission start at 0."""
+    return min(0.0, t0 - tau, t0 - delay), max(t1 - tau, t1 - delay)
+
+
 def transfer_experiment(
-    model: CascadeModel,
-    spec: TransformSpec | None = None,
-    t_grid: np.ndarray | None = None,
-    delta: float | None = None,
-    x_position: float | None = None,
+    model: CascadeModel, spec: TransformSpec, t_grid: np.ndarray
 ) -> TransferComparison:
     """Run the transfer with and without the reversing transformation.
 
-    When spec is None a rate-matched spec is derived from the model
-    (alpha = gamma1/gamma2, omega0 from the frame frequencies) with the
-    production timed to catch the leading slice, T = (1 + alpha) t_a;
-    delta defaults to 8/gamma1 and the device position to c * delta.  The
-    off branch feeds the emitted envelope straight to system 2; the on
+    The off branch feeds the emitted envelope straight to system 2; the on
     branch routes it through the device (vacuum gap, transformed packet,
-    untouched remainder).
+    untouched remainder).  The CLI derives a rate-matched spec and the
+    time grid from the model when a config leaves them out.
     """
     w1, w2 = model.frame_omegas()
-    if spec is None:
-        alpha, omega0 = derive_transform_params(model.gamma1, model.gamma2, w1, w2)
-        d = 8.0 / model.gamma1 if delta is None else delta
-        x = d if x_position is None else x_position
-        spec = TransformSpec(alpha, omega0, matched_timing(alpha, d, x), d, x)
     schedule = phase_schedule(spec)
-    if t_grid is None:
-        h = 1e-3 / max(model.gamma1, model.gamma2)
-        t_end = schedule.t_f + 10.0 / model.gamma2
-        t_grid = np.arange(0.0, t_end + h, h)
     t = np.asarray(t_grid, dtype=float)
     h = float(t[1] - t[0])
     n_steps = t.size - 1
     t_half = t[0] + (h / 2.0) * np.arange(2 * n_steps + 1)
     half = h / 2.0
     # Emission-time grid aligned with the half-step drive grid (so the off
-    # branch consumes exact samples), extended to cover the emission start
-    # and the device pass-through window.
-    start_target = min(0.0, t[0] - model.tau, t[0] - spec.X / spec.c)
+    # branch consumes exact samples), extended to cover the emission window.
+    start_target, end_target = _emission_window(t[0], t[-1], model.tau, schedule.delay)
     n_lead = max(0, int(math.ceil((t[0] - model.tau - start_target) / half - 1e-9)))
-    end_target = max(t[-1] - model.tau, t[-1] - spec.X / spec.c)
     n_tail = max(0, int(math.ceil((end_target - (t[-1] - model.tau)) / half - 1e-9))) + 2
     emit_t0 = t[0] - model.tau - n_lead * half
     emit_grid = emit_t0 + half * np.arange(n_lead + 2 * n_steps + 1 + n_tail)
@@ -253,6 +239,5 @@ def transfer_experiment(
     off = drive_system2(emitted, model.gamma2, w2, model.tau, t)
     drive_on = _transformed_drive(emitted, spec, schedule, t_half, h / 2.0)
     on = drive_system2(drive_on, model.gamma2, w2, model.tau, t)
-    on.transform_enabled = True
     ratio = on.p2_max / off.p2_max if off.p2_max > 0.0 else math.inf
-    return TransferComparison(off=off, on=on, ratio=ratio, schedule=schedule)
+    return TransferComparison(off=off, on=on, ratio=ratio)

@@ -12,7 +12,7 @@ and the equivalent time-domain form on the production window is
 
 The timing parameter T fixes when production starts, t_s = T/(1+alpha);
 the device integrates over a window Delta, so processing runs on
-(t_i, t_s) with t_i = t_s - Delta and production on (t_s, t_f) with
+[t_i, t_s) with t_i = t_s - Delta and production on [t_s, t_f) with
 t_f = t_s + alpha Delta.  Choosing alpha = gamma1/gamma2 and
 omega0 = omega2 + omega1/alpha turns the packet emitted by system 1 into
 the time-reversed packet system 2 would emit, which is what system 2
@@ -198,16 +198,21 @@ class TransformSpec:
 
 @dataclass(frozen=True)
 class PhaseSchedule:
-    """Derived instants of the transformation phases.
+    """The device geometry: derived instants of the transformation phases.
 
     t_i: processing starts; t_s: production starts; t_f: production ends;
-    t_a: arrival time of a window Delta of wave packet at the device.
+    t_a: arrival time of a window Delta of wave packet at the device;
+    delay: travel time X/c from the emitter to the device; preimage: the
+    device-time window ((T - t_f)/alpha, (T - t_s)/alpha) that production
+    consumes.
     """
 
     t_i: float
     t_s: float
     t_f: float
     t_a: float
+    delay: float
+    preimage: tuple[float, float]
 
 
 class PhaseTag(Enum):
@@ -242,12 +247,25 @@ def matched_timing(alpha: float, delta: float, x: float, c: float = 1.0) -> floa
 
 def phase_schedule(spec: TransformSpec) -> PhaseSchedule:
     t_s = spec.T / (1.0 + spec.alpha)
+    t_f = t_s + spec.alpha * spec.Delta
+    delay = spec.X / spec.c
     return PhaseSchedule(
         t_i=t_s - spec.Delta,
         t_s=t_s,
-        t_f=t_s + spec.alpha * spec.Delta,
-        t_a=spec.X / spec.c + spec.Delta,
+        t_f=t_f,
+        t_a=delay + spec.Delta,
+        delay=delay,
+        preimage=((spec.T - t_f) / spec.alpha, (spec.T - t_s) / spec.alpha),
     )
+
+
+def _device_phase(r: np.ndarray, schedule: PhaseSchedule) -> np.ndarray:
+    """int8 PhaseTag codes of device times r: VACUUM (1) while the device
+    buffers, on [t_i, t_s); TRANSFORMED (2) while it produces, on
+    [t_s, t_f); INITIAL (0) at every other time."""
+    return np.select([(schedule.t_i <= r) & (r < schedule.t_s),
+                      (schedule.t_s <= r) & (r < schedule.t_f)],
+                     [np.int8(1), np.int8(2)], np.int8(0))
 
 
 def apply_u_time_domain(
@@ -266,9 +284,7 @@ def apply_u_time_domain(
     """
     sched = phase_schedule(spec)
     a = spec.alpha
-    # Preimage of the production window under s = (T - t)/alpha.
-    s_lo = (spec.T - sched.t_f) / a
-    s_hi = (spec.T - sched.t_s) / a
+    s_lo, s_hi = sched.preimage
     if min(s_hi, env.t_end) - max(s_lo, env.t0) <= 0.0:
         raise ValueError(
             f"production window [{sched.t_s}, {sched.t_f}] has preimage "
@@ -320,8 +336,9 @@ def assemble_piecewise_field(
     of emission time s (the field at x is u(x) initial(t - x/c));
     `transformed` is the produced envelope at the device as a function of
     time.  Downstream of the device the retarded time t - (x - X)/c
-    selects the vacuum gap, the transformed packet, or the untouched
-    initial field; elsewhere the initial field propagates freely.
+    selects, by `_device_phase`, the vacuum gap on [t_i, t_s), the
+    transformed packet on [t_s, t_f), or the untouched initial field;
+    elsewhere the initial field propagates freely.
 
     A scalar x gives (amplitude, PhaseTag); a 1-d array of positions gives
     a complex amplitude array and an int8 array of tag codes in PhaseTag's
@@ -331,10 +348,9 @@ def assemble_piecewise_field(
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     retarded = t - (xs - spec.X) / spec.c
-    downstream = xs >= spec.X
-    vacuum = downstream & (schedule.t_i < retarded) & (retarded < schedule.t_s)
-    produced = downstream & (schedule.t_s < retarded) & (retarded < schedule.t_f)
-    free = ~(vacuum | produced) & (xs >= 0.0)
+    codes = np.where(xs >= spec.X, _device_phase(retarded, schedule), np.int8(0))
+    produced = codes == 2
+    free = (codes == 0) & (xs >= 0.0)
     amp = np.zeros(xs.shape, dtype=complex)
     if transformed is not None:
         amp[produced] = transformed.interp(retarded[produced])
@@ -342,8 +358,6 @@ def assemble_piecewise_field(
     # by 1.0 can still turn an imaginary -0.0 into +0.0
     u = np.where(xs[free] == 0.0, 0.5, 1.0)
     amp[free] = u * initial.interp(t - xs[free] / spec.c)
-    # positions in list(PhaseTag): INITIAL 0, VACUUM 1, TRANSFORMED 2
-    codes = np.select([vacuum, produced], [np.int8(1), np.int8(2)], np.int8(0))
     return (complex(amp[0]), list(PhaseTag)[codes[0]]) if scalar else (amp, codes)
 
 

@@ -18,6 +18,7 @@ from qcascade.cascade import (
     CascadeModel,
     build_h_eff,
     integrate_master,
+    time_grid,
 )
 from qcascade.hilbert import composite_ket, density_from_ket
 from qcascade.trajectory import TrajectoryConfig, ensemble_average
@@ -287,8 +288,12 @@ def test_criterion_9_transfer_improvement():
     details = []
     ok = True
     for ratio in (0.25, 0.5, 2.0, 4.0):
-        model = CascadeModel(gamma1=ratio, gamma2=1.0)
-        comp = transfer_experiment(model)  # Delta = 8/gamma1, matched alpha/omega0
+        # the path `qcascade transfer` runs: Delta = 8/gamma1, matched alpha/omega0
+        cfg = cli.RunConfig("transfer", {"gamma1": ratio, "gamma2": 1.0},
+                            {"dt": 1e-3 / max(ratio, 1)}, {})
+        plan, _ = cli._resolve(cfg)
+        t = time_grid(plan.numerics.t_span, plan.numerics.dt)
+        comp = transfer_experiment(plan.model, plan.spec, t)
         ok = ok and comp.on.p2_max >= 0.99 * captured and comp.on.p2_max > comp.off.p2_max
         details.append(f"{ratio:g}: on {comp.on.p2_max:.4f} off {comp.off.p2_max:.4f}")
     # perfect-absorption oracle: rising exponential ending at t = 0

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qcascade.cascade import CascadeModel, IntegrationAbort, integrate_master
+from qcascade import cli
+from qcascade.cascade import CascadeModel, IntegrationAbort, integrate_master, time_grid
 from qcascade.hilbert import composite_ket, density_from_ket
 from qcascade.transfer import (
     drive_step_coefficients,
@@ -13,13 +14,28 @@ from qcascade.transfer import (
     qubit_transfer_fidelity,
     transfer_experiment,
 )
-from qcascade.wavepacket import Envelope, TransformSpec, matched_timing
+from qcascade.wavepacket import Envelope, TransformSpec, matched_timing, phase_schedule
 
 from oracles import check_time_reversed_envelope
 
 
 def grid(t0, t1, h):
     return t0 + h * np.arange(int(round((t1 - t0) / h)) + 1)
+
+
+def resolved_transfer(model, transform=None, **numerics):
+    """(model, spec, time grid) of a transfer config as the CLI resolves it;
+    dt defaults to 1e-3/max(gamma1, gamma2)."""
+    numerics.setdefault("dt", 1e-3 / max(model["gamma1"], model["gamma2"]))
+    plan, diags = cli._resolve(cli.RunConfig("transfer", model, numerics, {}, transform))
+    assert not diags
+    return plan.model, plan.spec, time_grid(plan.numerics.t_span, plan.numerics.dt)
+
+
+def matched_spec(gamma1, gamma2):
+    # rate-matched alpha, omega0 = 0, Delta = 8/gamma1, X = c Delta, production timed to t_a
+    alpha, delta = gamma1 / gamma2, 8.0 / gamma1
+    return TransformSpec(alpha, 0.0, matched_timing(alpha, delta, delta), delta, delta)
 
 
 def drive_stagewise(xi, gamma2, omega2, h):
@@ -166,7 +182,7 @@ def test_off_branch_matches_master_equation():
     model = CascadeModel(gamma1=1.0, gamma2=1.0)
     h = 1e-3
     t = grid(0.0, 10.0, h)
-    comp = transfer_experiment(model, t_grid=t)
+    comp = transfer_experiment(model, matched_spec(1.0, 1.0), t)
     master = integrate_master(
         density_from_ket(composite_ket("eg")), model, (0.0, 10.0), h
     )
@@ -175,56 +191,55 @@ def test_off_branch_matches_master_equation():
 
 def test_transfer_experiment_matched_rates_off():
     model = CascadeModel(gamma1=1.0, gamma2=1.0)
-    comp = transfer_experiment(model, t_grid=grid(0.0, 30.0, 1e-3))
+    comp = transfer_experiment(model, matched_spec(1.0, 1.0), grid(0.0, 30.0, 1e-3))
     assert abs(comp.off.p2_max - 4.0 * math.exp(-2.0)) < 1e-4
 
 
 def test_transfer_experiment_capture_bound():
-    model = CascadeModel(gamma1=2.0, gamma2=1.0)
-    delta = 6.0 / model.gamma1
-    comp = transfer_experiment(model, delta=delta)
+    delta = 6.0 / 2.0
+    model, spec, t = resolved_transfer({"gamma1": 2.0, "gamma2": 1.0}, {"Delta": delta})
+    comp = transfer_experiment(model, spec, t)
     captured = 1.0 - math.exp(-model.gamma1 * delta)
     assert comp.on.p2_max >= 0.99 * captured
-    assert comp.on.transform_enabled and not comp.off.transform_enabled
     assert comp.ratio > 1.0
 
 
 @pytest.mark.parametrize("ratio", [0.25, 0.5, 2.0, 4.0])
 def test_transfer_improvement_sweep(ratio):
-    model = CascadeModel(gamma1=ratio, gamma2=1.0)
-    comp = transfer_experiment(model)  # Delta = 8/gamma1, matched alpha, omega0
+    model, spec, t = resolved_transfer({"gamma1": ratio, "gamma2": 1.0})
+    comp = transfer_experiment(model, spec, t)  # Delta = 8/gamma1, matched alpha, omega0
     captured = 1.0 - math.exp(-8.0)
     assert comp.on.p2_max >= 0.99 * captured
     assert comp.on.p2_max > comp.off.p2_max
     # the photon meets the device at t_i = X/c and is buffered until t_s: nothing
     # reaches system 2 before production starts
-    before = comp.on.times < comp.schedule.t_s
+    before = comp.on.times < phase_schedule(spec).t_s
     assert before.sum() > 1000 and np.all(comp.on.p2[before] == 0.0)
 
 
 def test_smooth_driving_across_phase_boundaries():
-    model = CascadeModel(gamma1=2.0, gamma2=1.0)
-    delta = 6.0 / model.gamma1
-    comp = transfer_experiment(model, delta=delta)
-    on = comp.on
+    model, spec, t = resolved_transfer({"gamma1": 2.0, "gamma2": 1.0}, {"Delta": 3.0})
+    on = transfer_experiment(model, spec, t).on
     h = on.times[1] - on.times[0]
     dc2 = np.abs(np.diff(on.c2)) / h
     xi_max = math.sqrt(model.gamma2)  # peak of the rate-matched rising exponential
     bound = model.gamma2 + math.sqrt(model.gamma2) * xi_max
-    for edge in (comp.schedule.t_s, comp.schedule.t_f):
+    sched = phase_schedule(spec)
+    for edge in (sched.t_s, sched.t_f):
         sel = (on.times[:-1] > edge - 0.5) & (on.times[:-1] < edge + 0.5)
         assert np.max(dc2[sel]) <= bound
 
 
-def test_transfer_with_explicit_spec_matches_auto():
-    model = CascadeModel(gamma1=2.0, gamma2=1.0)
-    delta = 8.0 / model.gamma1
-    spec = TransformSpec(
-        alpha=2.0, omega0=0.0, T=matched_timing(2.0, delta, delta), Delta=delta, X=delta
-    )
-    auto = transfer_experiment(model)
-    explicit = transfer_experiment(model, spec=spec)
-    assert explicit.on.p2_max == pytest.approx(auto.on.p2_max, abs=1e-12)
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_resolver_transfer_defaults(c):
+    # a transfer config that gives at most c gets Delta = 8/gamma1, the device at
+    # X = c Delta, production timed to the arrival and a span to t_f + 10/gamma2
+    model, spec, t = resolved_transfer({"gamma1": 4.0, "gamma2": 0.5}, {"c": c}, dt=2.5e-3)
+    assert (spec.alpha, spec.omega0, spec.Delta, spec.X, spec.c) == (8.0, 0.0, 2.0, c * 2.0, c)
+    assert spec.T == matched_timing(8.0, 2.0, c * 2.0, c) == 9.0 * (2.0 + 2.0)
+    sched = phase_schedule(spec)
+    assert sched.t_s == sched.t_a == 4.0 and sched.delay == 2.0
+    assert t[0] == 0.0 and t[-1] == pytest.approx(sched.t_f + 10.0 / 0.5, abs=1e-12)
 
 
 def test_amplitude_states_weight_bound():

@@ -311,13 +311,40 @@ def test_assemble_piecewise_field_fig2():
     assert abs(amp - math.exp(-(31.0 - 12.0) / 2.0)) < 1e-10
 
 
+def test_assemble_piecewise_field_at_the_phase_boundaries():
+    env = decaying_envelope()
+    transformed = apply_u_time_domain(env, FIG2)
+    sched = phase_schedule(FIG2)
+    # x = 14 is 2 past the device: retarded time t_i = 12 at t = 14, t_s = 18 at t = 20
+    assert assemble_piecewise_field(14.0, 14.0, env, transformed, FIG2, sched) == (
+        0.0, PhaseTag.VACUUM)
+    amp, tag = assemble_piecewise_field(14.0, 20.0, env, transformed, FIG2, sched)
+    assert tag is PhaseTag.TRANSFORMED and amp == transformed.interp(18.0)
+
+
+def test_field_and_drive_share_the_device_phase():
+    # at x = X the retarded time is t itself, so the field's tags are the phases the
+    # transfer drive takes on its half-step grid, the boundaries 12, 18 and 30 included
+    sched = phase_schedule(FIG2)
+    h = 0.5
+    t_half = (h / 2.0) * np.arange(2 * 80 + 1)
+    env = decaying_envelope()
+    transformed = apply_u_time_domain(env, FIG2)
+    codes = [list(PhaseTag).index(assemble_piecewise_field(FIG2.X, float(t), env, transformed,
+                                                           FIG2, sched)[1]) for t in t_half]
+    drive = wp._device_phase(t_half, sched)
+    assert codes == drive.tolist()
+    assert drive.dtype == np.int8
+    assert [drive[t_half.tolist().index(edge)] for edge in (12.0, 18.0, 30.0)] == [1, 2, 0]
+
+
 def _scalar_field_reference(x, t, initial, transformed, spec, schedule):
-    """Point-by-point field assembly as written before the array path existed."""
+    """Point-by-point field assembly, buffering on [t_i, t_s) and producing on [t_s, t_f)."""
     if x >= spec.X:
         retarded = t - (x - spec.X) / spec.c
-        if schedule.t_i < retarded < schedule.t_s:
+        if schedule.t_i <= retarded < schedule.t_s:
             return 0.0j, PhaseTag.VACUUM
-        if schedule.t_s < retarded < schedule.t_f:
+        if schedule.t_s <= retarded < schedule.t_f:
             if transformed is None:
                 return 0.0j, PhaseTag.TRANSFORMED
             return complex(transformed.interp(retarded)), PhaseTag.TRANSFORMED
@@ -357,11 +384,14 @@ def test_assemble_piecewise_field_array_matches_scalar(lab_frame):
             assert np.array_equal(_bits([a for a, _ in scalar]), _bits(amps))
             assert all(type(a) is complex for a, _ in scalar)
             assert [tag for _, tag in scalar] == tags
-    # every branch was reached, including the boundaries of the production window
+    # every branch was reached, including the boundaries of the production window:
+    # a phase starts at its boundary, so r = t_s produces, r = t_i buffers and r = t_f
+    # passes the initial field again
     amps, codes = assemble_piecewise_field(xs, 36.0, env, transformed, FIG2, sched)
     at = dict(zip(xs.tolist(), (list(PhaseTag)[code] for code in codes)))
-    assert at[18.0] is at[30.0] is at[36.0] is PhaseTag.INITIAL
-    assert at[24.0] is PhaseTag.TRANSFORMED and at[33.0] is PhaseTag.VACUUM
+    assert at[18.0] is PhaseTag.INITIAL
+    assert at[24.0] is at[30.0] is PhaseTag.TRANSFORMED
+    assert at[33.0] is at[36.0] is PhaseTag.VACUUM
     assert amps[xs.tolist().index(-1.0)] == 0.0
 
 
