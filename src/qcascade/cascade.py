@@ -14,10 +14,8 @@ with a single collective jump operator
 and H0 = H_sys + H_ex, where H_ex contains the channel-mediated exchange.
 The propagation delay tau never enters the generator; it lives purely in
 the interpretation of the composite state, whose system-1 factor is read
-at the fictitious time tilde_t = f(t) (see `wavepacket.time_map`, which
-maps a scalar or the whole time grid at once: None for a scalar, NaN in
-an array, where f is undefined).  Each emitted integration step
-therefore carries two clocks.
+at the fictitious time tilde_t = f(t).  The integrator knows only lab
+time: the `lindblad` experiment tags each row with the second clock.
 
 The master equation is integrated with fixed-step classical RK4, applied
 as one step matrix (`step_matrix`) to the vectorized density matrix; the
@@ -110,6 +108,9 @@ class CascadeModel:
 
     def __post_init__(self) -> None:
         # each message starts with the field it names
+        for name in ("gamma1", "gamma2", "omega1", "omega2", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("gamma1", "gamma2"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be strictly positive")
@@ -230,7 +231,7 @@ _BLOCK = 64  # the longest block of step_history, and the most steps it takes on
 _SLICE = 4096  # rows of step_history's output per matmul
 
 
-def step_history(p, x0, n_steps, inputs=None, out=None) -> np.ndarray:
+def step_history(p, x0, n_steps, inputs=None) -> np.ndarray:
     """Rows x[k+1] = x[k] @ p + inputs[k], k < n_steps, from x[0] = x0, each of shape (m, d).
 
     The blocked scan of a linear recurrence (Blelloch, "Prefix sums and their
@@ -240,11 +241,11 @@ def step_history(p, x0, n_steps, inputs=None, out=None) -> np.ndarray:
     first row against [p^1 | ... | p^b], plus, with inputs (n_steps, m, d), one
     of its inputs against the block-Toeplitz matrix of p^(j - i), j >= i.  The
     block starts are the same recurrence in p^b, solved by recursion, so at
-    most 64 steps are taken one at a time.  Rows go into `out` ((n_steps + 1,
-    m, d), complex by default) in slices of 4096, and `out` is returned.
+    most 64 steps are taken one at a time.  The blocks are filled in slices
+    of 4096 rows; returns all n_steps + 1 rows, (n_steps + 1, m, d) complex.
     """
     m, d = x0.shape
-    out = np.empty((n_steps + 1, m, d), dtype=complex) if out is None else out
+    out = np.empty((n_steps + 1, m, d), dtype=complex)
     out[0] = x0
     if n_steps <= _BLOCK:
         for k in range(n_steps):
@@ -270,7 +271,7 @@ def step_history(p, x0, n_steps, inputs=None, out=None) -> np.ndarray:
         toep = toep.transpose(0, 2, 1, 3).reshape(b * d, b * d)
         ends = [response(lo, nb, b, slice(-d, None)) for lo, nb in spans]
         ends = np.concatenate(ends).reshape(n_full, m, d)
-    step_history(wide[:, -d:], x0, n_full, ends, out[::b])
+    out[::b] = step_history(wide[:, -d:], x0, n_full, ends)
     # each full block's last row is the next block's start, set by the recursion
     tail = [(n_steps - rem, 1, rem)] if rem else []
     for lo, nb, w in [(lo, nb, b - 1) for lo, nb in spans] + tail:
@@ -295,26 +296,22 @@ def _rk4_density_history(
 
     The steps are taken by `step_history`, then the history is re-Hermitized
     and read: each row vec(rho) times `_READOUT`, a block of 4096 rows per
-    matmul, and the trace column of that product is checked.  rho0 (4, 4)
-    may carry a leading batch axis, shape (B, 4, 4), sharing one scan.
-    Returns the history, (n_steps + 1, [B,] 4, 4), and the product,
-    (n_steps + 1, [B,] 5).
+    matmul, and the trace column of that product is checked.  Returns the
+    history of rho0 (4, 4), (n_steps + 1, 4, 4), and the product,
+    (n_steps + 1, 5).
     """
     pt = checked_step_matrix(lmat, dt).T.copy()
-    batched = rho0.ndim == 3
-    rho_b = rho0 if batched else rho0[None, :, :]
-    history = np.empty((n_steps + 1, *rho_b.shape), dtype=complex)
-    flat = history.reshape(n_steps + 1, rho_b.shape[0], -1)
-    step_history(pt, rho_b.reshape(flat.shape[1:]), n_steps, out=flat)
-    reads = np.empty((*flat.shape[:2], 5), dtype=complex)
-    reads[0] = flat[0] @ _READOUT
+    flat = step_history(pt, rho0.reshape(1, -1), n_steps)  # (n_steps + 1, 1, 16)
+    history = flat.reshape(n_steps + 1, 4, 4)
+    reads = np.empty((n_steps + 1, 5), dtype=complex)
+    reads[:1] = flat[0] @ _READOUT
     for lo in range(1, n_steps + 1, 4096):  # blocks: no temporary spans the whole history
         block = history[lo : lo + 4096]
         block += block.conj().swapaxes(-1, -2)  # in place: conj() is a copy, so no overlap
         block *= 0.5
         rows = reads[lo : lo + 4096]
-        np.matmul(flat[lo : lo + 4096].reshape(-1, 16), _READOUT, out=rows.reshape(-1, 5))
-        worst = np.max(np.abs(rows[..., 4] - 1.0), axis=1)
+        np.matmul(flat[lo : lo + 4096].reshape(-1, 16), _READOUT, out=rows)
+        worst = np.abs(rows[:, 4] - 1.0)
         bad = np.flatnonzero(~(worst <= _TRACE_TOL))  # NaN counts as bad
         if bad.size:
             step = lo + int(bad[0])
@@ -322,7 +319,7 @@ def _rk4_density_history(
                 f"trace deviation {worst[bad[0]]:.3e} > {_TRACE_TOL:.1e} at step "
                 f"{step} (t = {step * dt:.6g}); reduce the step size dt={dt:g}"
             )
-    return (history, reads) if batched else (history[:, 0], reads[:, 0])
+    return history, reads
 
 
 def _keeps_sectors(lmat: np.ndarray, rho0: np.ndarray) -> bool:
@@ -338,14 +335,12 @@ def _keeps_sectors(lmat: np.ndarray, rho0: np.ndarray) -> bool:
 class MasterRun:
     """Time series emitted by integrate_master.
 
-    tilde_t uses NaN where the fictitious system-1 clock is undefined.
     readout is the history times `_READOUT`, one row per time: P1, P2,
     <s1->, <s2->, tr rho.  keeps_sectors says that every rho is
     block-diagonal in the excitation sectors {ee}, {eg, ge}, {gg}.
     """
 
     times: np.ndarray
-    tilde_t: np.ndarray
     rhos: np.ndarray
     readout: np.ndarray
     keeps_sectors: bool = False
@@ -381,16 +376,12 @@ def integrate_master(
     model: CascadeModel,
     t_span: tuple[float, float],
     dt: float,
-    transform=None,
 ) -> MasterRun:
     """Integrate the cascaded master equation with fixed-step RK4.
 
     rho0 is the composite 4x4 density matrix at t_span[0]: Hermitian,
     unit-trace and positive, or ValueError naming rho0, before any step
-    (`hilbert.validate_density_matrix`).  When a
-    `wavepacket.TransformSpec` is supplied the fictitious system-1 clock
-    is attached through the piecewise time map, in one call on the whole
-    grid (NaN while the device buffers); otherwise tilde_t = t - tau.
+    (`hilbert.validate_density_matrix`).  The run is on lab time only.
     Whether the run keeps the excitation sectors apart, so that
     min_eigenvalues works per sector, is decided here from the Liouvillian
     and rho0 before the scan (true at beta = 0 from eg, ge, ee or gg).
@@ -415,11 +406,4 @@ def integrate_master(
     lmat = liouvillian(model)
     sectored = _keeps_sectors(lmat, rho0)
     rhos, readout = _rk4_density_history(lmat, rho0, times.size - 1, dt)
-    if transform is not None:
-        from .wavepacket import phase_schedule, time_map
-
-        tilde = time_map(times, transform, phase_schedule(transform), model.tau)
-    else:
-        tilde = times - model.tau
-    return MasterRun(times=times, tilde_t=tilde, rhos=rhos, readout=readout,
-                     keeps_sectors=sectored)
+    return MasterRun(times=times, rhos=rhos, readout=readout, keeps_sectors=sectored)

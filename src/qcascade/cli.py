@@ -51,9 +51,9 @@ INITIAL_STATES = ("eg", "ge", "ee", "gg", "plus_g")
 
 # Each count a run sizes its arrays by must stay below this, checked before
 # the run starts: time samples at dt, phases field points nx *
-# len(snapshot_times), and trajectories.  The largest array per count is
-# decay's density history, 512 bytes a time sample, so every array stays
-# under 1 GiB; every shipped and benchmark config is 18x or more below.
+# len(snapshot_times), and trajectories.  The most memory per count goes to
+# decay's two density histories, 256 bytes a time sample each, so no single
+# array reaches 512 MiB; every shipped and benchmark config is 18x or more below.
 MAX_SAMPLES = 2**21
 # trajectories * steps must stay below this: about 4.5 min at 0.25 us per
 # trajectory-step, over 100x the 10^7 of every shipped and benchmark config
@@ -585,12 +585,10 @@ def _initial_ket(name: str) -> np.ndarray:
 
 def _decay(p: _Plan):
     model, num = p.model, p.numerics
-    times = cascade.time_grid(num.t_span, num.dt)
-    rho0 = np.stack([density_from_ket(_initial_ket(name)) for name in ("eg", "plus_g")])
-    hist, reads = cascade._rk4_density_history(cascade.liouvillian(model), rho0, times.size - 1, num.dt)
-    eg = cascade.MasterRun(times, times - model.tau, hist[:, 0], reads[:, 0])
-    coh = reads[:, 1, 2]  # <sigma1->
-    ratio = coh / coh[0]
+    eg, plus = (cascade.integrate_master(density_from_ket(_initial_ket(name)), model,
+                                         num.t_span, num.dt) for name in ("eg", "plus_g"))
+    times = eg.times
+    ratio = plus.sigma1 / plus.sigma1[0]
     table = (
         "decay",
         [
@@ -610,13 +608,20 @@ def _decay(p: _Plan):
 def _lindblad(p: _Plan):
     model, num = p.model, p.numerics
     rho0 = density_from_ket(_initial_ket(num.initial_state))
-    run_ = cascade.integrate_master(rho0, model, num.t_span, num.dt, transform=p.spec)
+    run_ = cascade.integrate_master(rho0, model, num.t_span, num.dt)
+    comments = [_units_comment(model), f"initial state {num.initial_state}"]
+    if p.spec is None:
+        tilde = run_.times - model.tau
+    else:
+        tilde = wavepacket.time_map(run_.times, p.spec, phase_schedule(p.spec), model.tau)
+        comments.append("P1, P2 and the sigma columns are the transform-off master equation; "
+                        "tilde_t only relabels system 1's clock")
     table = (
         "lindblad",
-        [_units_comment(model), f"initial state {num.initial_state}"],
+        comments,
         ["t", "tilde_t", "P1", "P2", "re_sigma1", "im_sigma1", "re_sigma2",
          "im_sigma2", "trace_dev", "min_eig"],
-        [run_.times, run_.tilde_t, run_.p1, run_.p2, run_.sigma1.real, run_.sigma1.imag,
+        [run_.times, tilde, run_.p1, run_.p2, run_.sigma1.real, run_.sigma1.imag,
          run_.sigma2.real, run_.sigma2.imag, run_.trace_deviation(), run_.min_eigenvalues()],
     )
     series = [(run_.times, run_.p1, "P1"), (run_.times, run_.p2, "P2")]

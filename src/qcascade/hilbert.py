@@ -78,37 +78,33 @@ def density_from_ket(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj()) / norm2
 
 
-def validate_state_vector(psi: np.ndarray, norm_tol: float = 1e-9) -> None:
+_NORM_TOL = 1e-9  # largest |norm - 1| of a ket
+# a density matrix's largest elementwise Hermiticity deviation and |Tr rho - 1|,
+# and its least eigenvalue (slightly negative values are integrator round-off)
+_HERM_TOL, _TRACE_TOL, _EIG_FLOOR = 1e-12, 1e-9, -1e-9
+
+
+def validate_state_vector(psi: np.ndarray) -> None:
     """Raise ValueError unless psi is a normalized ket."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1:
         raise ValueError(f"state vector must be 1-d, got shape {psi.shape}")
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > norm_tol:
-        raise ValueError(f"state vector norm {norm} deviates from 1 by more than {norm_tol}")
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise ValueError(f"state vector norm {norm} deviates from 1 by more than {_NORM_TOL}")
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-9,
-    eig_floor: float = -1e-9,
-) -> None:
-    """Raise ValueError unless rho is Hermitian, unit-trace and positive.
-
-    Tolerances: elementwise Hermiticity herm_tol, |Tr rho - 1| < trace_tol,
-    smallest eigenvalue >= eig_floor (slightly negative values are allowed
-    for integrator round-off).
-    """
+def validate_density_matrix(rho: np.ndarray) -> None:
+    """Raise ValueError unless rho is Hermitian, unit-trace and positive, to the tolerances above."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     herm_dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_dev > herm_tol:
-        raise ValueError(f"density matrix Hermiticity deviation {herm_dev} > {herm_tol}")
+    if herm_dev > _HERM_TOL:
+        raise ValueError(f"density matrix Hermiticity deviation {herm_dev} > {_HERM_TOL}")
     trace_dev = abs(complex(np.trace(rho)) - 1.0)
-    if trace_dev > trace_tol:
-        raise ValueError(f"density matrix trace deviation {trace_dev} > {trace_tol}")
+    if trace_dev > _TRACE_TOL:
+        raise ValueError(f"density matrix trace deviation {trace_dev} > {_TRACE_TOL}")
     min_eig = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)))
-    if min_eig < eig_floor:
-        raise ValueError(f"density matrix eigenvalue {min_eig} below floor {eig_floor}")
+    if min_eig < _EIG_FLOOR:
+        raise ValueError(f"density matrix eigenvalue {min_eig} below floor {_EIG_FLOOR}")

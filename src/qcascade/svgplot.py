@@ -24,13 +24,14 @@ _PALETTE = ("#0a4570", "#af1a2e", "#055805", "#b06f00", "#5b2d8c", "#006d66")
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 64, 16, 34, 46
 _BLOCK = 4096  # polyline points formatted at a time
+_TICKS = 5  # about this many ticks per axis
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if not math.isfinite(lo) or not math.isfinite(hi) or hi <= lo:
         return [lo]
     span = hi - lo
-    raw = span / max(target, 1)
+    raw = span / _TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

@@ -326,7 +326,7 @@ def assemble_piecewise_field(
     x,
     t: float,
     initial: Envelope,
-    transformed: Envelope | None,
+    transformed: Envelope,
     spec: TransformSpec,
     schedule: PhaseSchedule,
 ) -> tuple[complex, PhaseTag] | tuple[np.ndarray, np.ndarray]:
@@ -352,8 +352,7 @@ def assemble_piecewise_field(
     produced = codes == 2
     free = (codes == 0) & (xs >= 0.0)
     amp = np.zeros(xs.shape, dtype=complex)
-    if transformed is not None:
-        amp[produced] = transformed.interp(retarded[produced])
+    amp[produced] = transformed.interp(retarded[produced])
     # u(x), with u(0) = 1/2, scales the initial branch only: a float x complex product
     # by 1.0 can still turn an imaginary -0.0 into +0.0
     u = np.where(xs[free] == 0.0, 0.5, 1.0)

@@ -1,9 +1,12 @@
+import ast
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qcascade import cascade
+from qcascade import cascade, cli
 from qcascade.cascade import (
     IDENT4,
     NUMBER1,
@@ -24,7 +27,7 @@ from qcascade.cascade import (
     step_matrix,
 )
 from qcascade.hilbert import composite_ket, density_from_ket, two_level_ket
-from qcascade.wavepacket import TransformSpec
+from qcascade.wavepacket import TransformSpec, phase_schedule, time_map
 
 from oracles import heisenberg_consistency, lindblad_rhs
 
@@ -52,6 +55,25 @@ def test_model_invariants():
     assert m.frame_omegas() == (0.0, 0.0)
     lab = CascadeModel(gamma1=1.0, gamma2=1.0, omega1=3.0, omega2=5.0, rotating_frame=False)
     assert lab.frame_omegas() == (3.0, 5.0)
+
+
+@pytest.mark.parametrize("name", ["gamma1", "gamma2", "omega1", "omega2", "tau"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_rejects_nonfinite(name, value):
+    # named as a bad parameter, not left to fail as a bad step size or an all-NaN clock
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        CascadeModel(**{"gamma1": 1.0, "gamma2": 1.0, name: value})
+
+
+def test_integrator_knows_no_transform():
+    # the transform reaches the master equation only as the lindblad experiment's clock tag
+    names = []
+    for node in ast.walk(ast.parse(Path(cascade.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+    assert not [name for name in names if "wavepacket" in name.split(".")]
 
 
 def test_jump_operator():
@@ -165,18 +187,24 @@ def test_integrate_master_state_quality():
     assert herm < 1e-12
 
 
-def test_two_clock_tagging():
-    m = CascadeModel(gamma1=1.0, gamma2=1.0, tau=1.5)
-    run = integrate_master(density_from_ket(composite_ket("gg")), m, (0.0, 1.0), 0.1)
-    assert np.allclose(run.tilde_t, run.times - 1.5)
+def test_two_clock_tagging(tmp_path):
+    # the time map, the transformed clock: undefined while the device buffers
     spec = TransformSpec(alpha=2.0, omega0=0.0, T=54.0, Delta=6.0, X=12.0)
-    run2 = integrate_master(
-        density_from_ket(composite_ket("gg")), m, (10.0, 32.0), 0.5, transform=spec
-    )
-    by_t = {round(float(t), 6): tt for t, tt in zip(run2.times, run2.tilde_t)}
-    assert by_t[20.0] == pytest.approx((54.0 - 20.0) / 2.0 - 1.5)
-    assert math.isnan(by_t[14.0])  # buffering window: the system-1 clock is undefined
-    assert by_t[31.0] == pytest.approx(31.0 - 1.5)
+    tilde = time_map(np.array([14.0, 20.0, 31.0]), spec, phase_schedule(spec), 1.5)
+    assert tilde[1] == pytest.approx((54.0 - 20.0) / 2.0 - 1.5)
+    assert math.isnan(tilde[0])  # buffering window: the system-1 clock is undefined
+    assert tilde[2] == pytest.approx(31.0 - 1.5)
+    # without a transform the lindblad experiment tags tilde_t = t - tau
+    cfg = {"experiment": "lindblad", "model": {"gamma1": 1.0, "gamma2": 1.0, "tau": 1.5},
+           "numerics": {"dt": 0.1, "t_span": [0.0, 1.0], "initial_state": "gg"},
+           "output": {"directory": str(tmp_path / "out")}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(tmp_path / "cfg.json")]) == 0
+    text = (tmp_path / "out" / "lindblad.csv").read_text()
+    header, *rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    assert header[:2] == ["t", "tilde_t"] and len(rows) == 11
+    t, tilde = np.array([[float(row[0]), float(row[1])] for row in rows]).T
+    assert np.allclose(tilde, t - 1.5)
 
 
 def test_unidirectionality_system2_alone():
@@ -328,7 +356,7 @@ def assert_history_close(got, ref):
 @pytest.mark.parametrize("n_steps", [0, 1, 63, 64, 65, 1000, 4097])
 def test_step_history_matches_step_loop(n_steps):
     rng = np.random.default_rng(n_steps)
-    # the decay case: two 16-dim rows vec(rho) under one Liouvillian step matrix
+    # two 16-dim rows vec(rho) under one Liouvillian step matrix
     pt = step_matrix(liouvillian(CascadeModel(gamma1=1.0, gamma2=0.5, beta=0.3)), 0.01).T
     x0 = np.stack([random_density(rng).reshape(-1) for _ in range(2)])
     assert_history_close(cascade.step_history(pt, x0, n_steps), step_loop(pt, x0, n_steps))
@@ -340,18 +368,6 @@ def test_step_history_matches_step_loop(n_steps):
         x0 = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
         u = 0.01 * (rng.normal(size=(n_steps, m, d)) + 1j * rng.normal(size=(n_steps, m, d)))
         assert_history_close(cascade.step_history(p, x0, n_steps, u), step_loop(p, x0, n_steps, u))
-
-
-def test_step_history_writes_out_in_place():
-    pt = step_matrix(liouvillian(CascadeModel(gamma1=1.0, gamma2=0.5)), 0.01).T
-    x0 = np.stack([density_from_ket(composite_ket(s)).reshape(-1) for s in ("eg", "ge")])
-    out = np.full((4098, 2, 16), np.nan, dtype=complex)
-    assert cascade.step_history(pt, x0, 4097, out=out) is out
-    assert np.array_equal(out, cascade.step_history(pt, x0, 4097))
-    # a strided view of a larger array, as the scan's own recursion passes
-    wide = np.full((2 * 4098, 2, 16), np.nan, dtype=complex)
-    cascade.step_history(pt, x0, 4097, out=wide[::2])
-    assert np.array_equal(wide[::2], out) and np.all(np.isnan(wide[1::2]))
 
 
 def test_unstable_step_aborts_before_stepping():
@@ -366,7 +382,8 @@ def test_unstable_step_aborts_before_stepping():
 
 
 def test_nonfinite_step_matrix_aborts():
-    lmat = liouvillian(CascadeModel(gamma1=math.nan, gamma2=1.0))
+    lmat = liouvillian(CascadeModel(gamma1=1.0, gamma2=1.0))
+    lmat[0, 0] = math.nan
     with pytest.raises(IntegrationAbort, match="not finite"):
         cascade._rk4_density_history(lmat, density_from_ket(composite_ket("eg")), 10, 1e-3)
 

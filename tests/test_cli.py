@@ -2,6 +2,7 @@ import json
 import math
 import os
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -132,18 +133,17 @@ def test_decay_run_matches_analytics(tmp_path):
 
 
 def test_decay_columns_match_einsum_readout(tmp_path):
-    # every decay column against the per-observable einsums of one shared
-    # history, kept here as the reference; beta = 0.3 couples the sectors
+    # every decay column against the per-observable einsums of the histories
+    # of its two master-equation runs; beta = 0.3 couples the sectors
     path = write_config(tmp_path, model={"beta": 0.3, "gamma2": 0.5})
     assert cli.main(["--config", str(path)]) == 0
     _, header, rows = read_csv(tmp_path / "out" / "decay.csv")
-    rho0 = np.stack([cli.density_from_ket(cli._initial_ket(s)) for s in ("eg", "plus_g")])
     model = cli.CascadeModel(gamma1=1.0, gamma2=0.5, beta=0.3)
-    hist, _ = cli.cascade._rk4_density_history(cli.cascade.liouvillian(model), rho0, 10_000, 0.001)
-    eg = hist[:, 0]
+    eg, plus = (cli.cascade.integrate_master(cli.density_from_ket(cli._initial_ket(s)), model,
+                                             (0.0, 10.0), 0.001).rhos for s in ("eg", "plus_g"))
     s1 = np.einsum("nij,ji->n", eg, cli.cascade.SIGMA1_MINUS)
     s2 = np.einsum("nij,ji->n", eg, cli.cascade.SIGMA2_MINUS)
-    coh = np.einsum("nij,ji->n", hist[:, 1], cli.cascade.SIGMA1_MINUS)
+    coh = np.einsum("nij,ji->n", plus, cli.cascade.SIGMA1_MINUS)
     ratio = coh / coh[0]
     want = {
         "P1": np.einsum("nij,ji->n", eg, cli.cascade.NUMBER1).real,
@@ -422,6 +422,33 @@ def test_lindblad_transform_tags_tilde_clock(tmp_path):
     assert by_t[20.0] == pytest.approx((54.0 - 20.0) / 2.0)
     assert by_t[14.0] is None  # buffering window encoded as an empty field
     assert by_t[31.0] == pytest.approx(31.0)
+
+
+def test_transformed_lindblad_p2_is_transfer_p2_off(tmp_path):
+    # under a transform lindblad's P columns are the transform-off master equation,
+    # and say so: on transfer_matched's model, spec and grid, from eg, its P2 is
+    # the transfer's P2_off
+    shipped = Path(__file__).parent.parent / "configs" / "transfer_matched.json"
+    cfg = cli.load_config(shipped)
+    plan, diags = cli._resolve(cfg)
+    assert not diags
+    assert cli.main(["--config", str(shipped), "--out", str(tmp_path / "transfer")]) == 0
+    path = write_config(
+        tmp_path,
+        experiment="lindblad",
+        model=cfg.model,
+        transform={f.name: getattr(plan.spec, f.name) for f in fields(plan.spec)},
+        numerics={"dt": plan.numerics.dt, "t_span": list(plan.numerics.t_span),
+                  "initial_state": "eg"},
+    )
+    assert cli.main(["--config", str(path)]) == 0
+    comments, header, rows = read_csv(tmp_path / "out" / "lindblad.csv")
+    assert any("transform-off master equation" in c for c in comments)
+    _, t_header, t_rows = read_csv(tmp_path / "transfer" / "transfer.csv")
+    assert column(header, rows, "t") == column(t_header, t_rows, "t")
+    p2 = np.array(column(header, rows, "P2"))
+    p2_off = np.array(column(t_header, t_rows, "P2_off"))
+    assert np.max(np.abs(p2 - p2_off)) < 1e-12
 
 
 def test_trajectories_run_and_seed_override(tmp_path):

@@ -345,8 +345,6 @@ def _scalar_field_reference(x, t, initial, transformed, spec, schedule):
         if schedule.t_i <= retarded < schedule.t_s:
             return 0.0j, PhaseTag.VACUUM
         if schedule.t_s <= retarded < schedule.t_f:
-            if transformed is None:
-                return 0.0j, PhaseTag.TRANSFORMED
             return complex(transformed.interp(retarded)), PhaseTag.TRANSFORMED
     u = heaviside(x)
     if u == 0.0:
@@ -371,19 +369,18 @@ def test_assemble_piecewise_field_array_matches_scalar(lab_frame):
     xs = np.linspace(-4.0, 48.0, 105)
     assert {-1.0, 0.0, 12.0, 18.0, 30.0, 36.0} <= set(xs.tolist())
     for t in (6.0, 15.0, 18.0, 24.0, 30.0, 36.0, 48.0):
-        for produced in (transformed, None):
-            amps, codes = assemble_piecewise_field(xs, t, env, produced, FIG2, sched)
-            ref = [_scalar_field_reference(x, t, env, produced, FIG2, sched) for x in xs.tolist()]
-            assert amps.shape == xs.shape and codes.shape == xs.shape and codes.dtype == np.int8
-            assert np.array_equal(_bits(amps), _bits([a for a, _ in ref]))
-            tags = [list(PhaseTag)[code] for code in codes]
-            assert tags == [tag for _, tag in ref]
-            scalar = [
-                assemble_piecewise_field(x, t, env, produced, FIG2, sched) for x in xs.tolist()
-            ]
-            assert np.array_equal(_bits([a for a, _ in scalar]), _bits(amps))
-            assert all(type(a) is complex for a, _ in scalar)
-            assert [tag for _, tag in scalar] == tags
+        amps, codes = assemble_piecewise_field(xs, t, env, transformed, FIG2, sched)
+        ref = [_scalar_field_reference(x, t, env, transformed, FIG2, sched) for x in xs.tolist()]
+        assert amps.shape == xs.shape and codes.shape == xs.shape and codes.dtype == np.int8
+        assert np.array_equal(_bits(amps), _bits([a for a, _ in ref]))
+        tags = [list(PhaseTag)[code] for code in codes]
+        assert tags == [tag for _, tag in ref]
+        scalar = [
+            assemble_piecewise_field(x, t, env, transformed, FIG2, sched) for x in xs.tolist()
+        ]
+        assert np.array_equal(_bits([a for a, _ in scalar]), _bits(amps))
+        assert all(type(a) is complex for a, _ in scalar)
+        assert [tag for _, tag in scalar] == tags
     # every branch was reached, including the boundaries of the production window:
     # a phase starts at its boundary, so r = t_s produces, r = t_i buffers and r = t_f
     # passes the initial field again
