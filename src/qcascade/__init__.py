@@ -29,12 +29,10 @@ from .transfer import (
 )
 from .wavepacket import (
     Envelope,
-    PhaseSchedule,
     PhaseTag,
     TransformSpec,
     apply_u_time_domain,
     derive_transform_params,
-    phase_schedule,
     time_map,
     time_map_inverse,
 )

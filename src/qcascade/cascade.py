@@ -391,9 +391,9 @@ def integrate_master(
     before the first step, a trace deviation above 1e-6 after the loop.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
-    if t1 <= t0:
+    if not t1 > t0:
         raise ValueError("t_span must satisfy t1 > t0")
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):

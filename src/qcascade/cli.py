@@ -43,7 +43,7 @@ from .cascade import CascadeModel, IntegrationAbort
 from .floatrepr import repr_bytes
 from .hilbert import composite_ket, density_from_ket, two_level_ket
 from .svgplot import line_plot
-from .wavepacket import TransformSpec, matched_timing, phase_schedule
+from .wavepacket import TransformSpec, matched_timing
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "validate", "run", "main"]
 
@@ -264,15 +264,14 @@ def _experiment_defaults(exp: str, model: CascadeModel, spec, given: dict) -> di
     """The numerics left out that an experiment derives from the model and the transform."""
     if spec is None:
         return {}
-    sched = phase_schedule(spec)
-    span = given["t_span"] or (sched.t_i - spec.Delta, sched.t_f + spec.Delta)
+    span = given["t_span"] or (spec.t_i - spec.Delta, spec.t_f + spec.Delta)
     derived = {
-        "transfer": {"t_span": (0.0, sched.t_f + 10.0 / model.gamma2)},
+        "transfer": {"t_span": (0.0, spec.t_f + 10.0 / model.gamma2)},
         "timemap": {"t_span": span, "dt": (span[1] - span[0]) / 600.0},
-        "phases": {"snapshot_times": (0.5 * sched.t_i, 0.5 * (sched.t_i + sched.t_s),
-                                      0.5 * (sched.t_s + sched.t_f),
-                                      sched.t_f + 0.5 * (sched.t_f - sched.t_s)),
-                   "x_max": spec.c * (sched.t_f + 2.0 * spec.Delta)},
+        "phases": {"snapshot_times": (0.5 * spec.t_i, 0.5 * (spec.t_i + spec.t_s),
+                                      0.5 * (spec.t_s + spec.t_f),
+                                      spec.t_f + 0.5 * (spec.t_f - spec.t_s)),
+                   "x_max": spec.c * (spec.t_f + 2.0 * spec.Delta)},
     }.get(exp, {})
     return {key: value for key, value in derived.items() if given[key] is None}
 
@@ -313,8 +312,7 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
     dt, (t0, t1) = num.dt, num.t_span
     work = {"numerics.dt": ((t1 - t0) / dt + 1.0, f"time samples over t_span [{t0:.6g}, {t1:.6g}]")}
     if spec is not None:
-        sched = phase_schedule(spec)
-        (pre_lo, pre_hi), shift = sched.preimage, sched.delay
+        (pre_lo, pre_hi), shift = spec.preimage, spec.delay
         if model.tau > 0.0 and not spec.position_ok(model.tau):
             diags.append(f"transform.X: device position {spec.X} must satisfy 0 < X < c*tau = "
                          f"{spec.c * model.tau}")
@@ -333,7 +331,7 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
                 "(band coverage)"
             )
         # each phase omega*t that emission, drive and production evaluate must fit a float
-        far = 4.0 * max(abs(t0), abs(t1), model.tau, shift, abs(spec.T), abs(sched.t_f))
+        far = 4.0 * max(abs(t0), abs(t1), model.tau, shift, abs(spec.T), abs(spec.t_f))
         diags += [f"{field}: {w:.3g} times the run's times, up to {far:.3g}, overflows a float"
                   for field, w in zip(("model.omega1", "model.omega2", "transform.omega0"),
                                       (*model.frame_omegas(), abs(spec.omega0)))
@@ -344,10 +342,10 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
                     f"transform.T: {spec.T:.6g} ends the production window's preimage "
                     f"[{pre_lo:.6g}, {pre_hi:.6g}] by the packet's arrival at X/c = {shift:.6g}"
                 )
-            if not t0 <= sched.t_s <= sched.t_f <= t1:
+            if not t0 <= spec.t_s <= spec.t_f <= t1:
                 diags.append(
                     f"numerics.t_span: [{t0:.6g}, {t1:.6g}] does not cover the production "
-                    f"window [{sched.t_s:.6g}, {sched.t_f:.6g}]"
+                    f"window [{spec.t_s:.6g}, {spec.t_f:.6g}]"
                 )
             # transfer_experiment's emission grid holds two samples, 32 bytes, a step
             lo, hi = transfer._emission_window(t0, t1, model.tau, shift)
@@ -572,8 +570,8 @@ def _units_comment(model: CascadeModel) -> str:
     )
 
 
-def _schedule_comments(sched, names=("t_i", "t_s", "t_f", "t_a")) -> list[str]:
-    return [f"schedule.{name} = {getattr(sched, name)!r}" for name in names]
+def _schedule_comments(spec: TransformSpec, names=("t_i", "t_s", "t_f", "t_a")) -> list[str]:
+    return [f"schedule.{name} = {getattr(spec, name)!r}" for name in names]
 
 
 def _initial_ket(name: str) -> np.ndarray:
@@ -613,7 +611,7 @@ def _lindblad(p: _Plan):
     if p.spec is None:
         tilde = run_.times - model.tau
     else:
-        tilde = wavepacket.time_map(run_.times, p.spec, phase_schedule(p.spec), model.tau)
+        tilde = wavepacket.time_map(run_.times, p.spec, model.tau)
         comments.append("P1, P2 and the sigma columns are the transform-off master equation; "
                         "tilde_t only relabels system 1's clock")
     table = (
@@ -661,30 +659,27 @@ def _trajectories(p: _Plan):
 
 
 def _packets(p: _Plan):
-    """(schedule, emitted, at_device, transformed): the envelope system 1
-    emits, sampled on the numerics time grid, that envelope at the device,
-    and the device's output."""
-    sched = phase_schedule(p.spec)
+    """(emitted, at_device, transformed): the envelope system 1 emits,
+    sampled on the numerics time grid, that envelope at the device, and
+    the device's output."""
     w1, _ = p.model.frame_omegas()
     emitted = transfer.emit_envelope(
-        p.model.gamma1, w1, 1.0, cascade.time_grid(p.numerics.t_span, p.numerics.dt),
-        rotating_frame=p.model.rotating_frame,
-    )
-    at_device = emitted.shifted(sched.delay)
-    return sched, emitted, at_device, wavepacket.apply_u_time_domain(at_device, p.spec)
+        p.model.gamma1, w1, cascade.time_grid(p.numerics.t_span, p.numerics.dt))
+    at_device = emitted.shifted(p.spec.delay)
+    return emitted, at_device, wavepacket.apply_u_time_domain(at_device, p.spec)
 
 
 def _transform(p: _Plan):
     model, spec = p.model, p.spec
-    sched, _, at_device, out_env = _packets(p)
-    window = at_device.slice_window(*sched.preimage)
+    _, at_device, out_env = _packets(p)
+    window = at_device.slice_window(*spec.preimage)
     samples = np.concatenate([at_device.samples, out_env.samples])
     table = (
         "transform",
         [
             _units_comment(model),
             f"alpha = {spec.alpha!r}, omega0 = {spec.omega0!r}, T = {spec.T!r}",
-            *_schedule_comments(sched),
+            *_schedule_comments(spec),
             f"norm_in_window = {window.squared_norm()!r}",
             f"norm_out = {out_env.squared_norm()!r}",
             f"n_zero_filled = {out_env.n_zero_filled}",
@@ -708,11 +703,11 @@ def _transform(p: _Plan):
 
 def _phases(p: _Plan):
     model, spec, num = p.model, p.spec, p.numerics
-    sched, emitted, _, transformed = _packets(p)
+    emitted, _, transformed = _packets(p)
     snaps = num.snapshot_times
     xs = np.linspace(0.0, num.x_max, num.nx)
     fields = [
-        wavepacket.assemble_piecewise_field(xs, float(t_snap), emitted, transformed, spec, sched)
+        wavepacket.assemble_piecewise_field(xs, float(t_snap), emitted, transformed, spec)
         for t_snap in snaps
     ]
     amps = np.concatenate([np.zeros(0, dtype=complex), *(amp for amp, _ in fields)])
@@ -722,7 +717,7 @@ def _phases(p: _Plan):
         "phases",
         [
             _units_comment(model),
-            *_schedule_comments(sched),
+            *_schedule_comments(spec),
             "snapshot_times = " + ",".join(repr(float(s)) for s in snaps),
         ],
         ["snapshot", "t", "x", "abs", "re", "im", "tag"],
@@ -746,18 +741,17 @@ def _phases(p: _Plan):
 
 def _timemap(p: _Plan):
     model, spec = p.model, p.spec
-    sched = phase_schedule(spec)
     ts = cascade.time_grid(p.numerics.t_span, p.numerics.dt)
-    f = wavepacket.time_map(ts, spec, sched, model.tau)
-    f_slope = wavepacket.time_map_slope(ts, spec, sched)
-    f_inv = wavepacket.time_map_inverse(ts, spec, sched, model.tau)
-    f_inv_slope = wavepacket.time_map_inverse_slope(ts, spec, sched, model.tau)
-    horizontal, vertical = wavepacket.gap_geometry(spec, sched)
+    f = wavepacket.time_map(ts, spec, model.tau)
+    f_slope = wavepacket.time_map_slope(ts, spec)
+    f_inv = wavepacket.time_map_inverse(ts, spec, model.tau)
+    f_inv_slope = wavepacket.time_map_inverse_slope(ts, spec, model.tau)
+    horizontal, vertical = wavepacket.gap_geometry(spec)
     table = (
         "timemap",
         [
             _units_comment(model),
-            *_schedule_comments(sched, ("t_i", "t_s", "t_f")),
+            *_schedule_comments(spec, ("t_i", "t_s", "t_f")),
             "horizontal_gap = " + repr(horizontal),
             "vertical_gap = " + repr(vertical),
         ],

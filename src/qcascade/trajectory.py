@@ -129,13 +129,13 @@ class TrajectoryConfig:
     record_stride: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if self.n_traj < 1:
             raise ValueError("n_traj must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.t_span[1] <= self.t_span[0]:
+        if not self.t_span[1] > self.t_span[0]:
             raise ValueError("t_span must satisfy t1 > t0")
         if self.record_stride < 1:
             raise ValueError("record_stride must be at least 1")

@@ -1,8 +1,8 @@
 """Single-excitation state transfer: emit, optionally transform, absorb.
 
 In the sector with at most one excitation the operator equations close
-exactly on the excited-state amplitudes: system 1 decays as
-c1(t) = c1(0) exp(-(gamma1/2 + i omega1) t), radiating the envelope
+exactly on the excited-state amplitudes: system 1 decays from its excited
+state as c1(t) = exp(-(gamma1/2 + i omega1) t), radiating the envelope
 xi(t) = sqrt(gamma1) c1(t), and system 2 is driven by whatever envelope
 arrives,
 
@@ -35,15 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import CascadeModel, IntegrationAbort, checked_step_matrix, step_history
-from .wavepacket import (
-    Envelope,
-    PhaseSchedule,
-    TransformSpec,
-    _device_phase,
-    _uniform_grid,
-    apply_u_time_domain,
-    phase_schedule,
-)
+from .wavepacket import Envelope, TransformSpec, _device_phase, _uniform_grid, apply_u_time_domain
 
 __all__ = [
     "TransferResult",
@@ -90,24 +82,16 @@ def qubit_transfer_fidelity(p2_max: float, excited_weight: float = 0.5) -> float
     return (1.0 - w) ** 2 + w**2 * p + 2.0 * w * (1.0 - w) * math.sqrt(p)
 
 
-def emit_envelope(
-    gamma1: float,
-    omega1: float,
-    c1_0: complex,
-    t_grid: np.ndarray,
-    rotating_frame: bool = True,
-) -> Envelope:
-    """Envelope radiated by system 1 decaying from amplitude c1_0.
+def emit_envelope(gamma1: float, omega1: float, t_grid: np.ndarray) -> Envelope:
+    """Envelope radiated by system 1 decaying from its excited state.
 
-    Samples sqrt(gamma1) c1_0 exp(-(gamma1/2 + i omega1) t) for t >= 0 and
-    zero before the emission starts (the t = 0 sample takes the full
-    value).  With rotating_frame the carrier omega1 is dropped.
+    Samples sqrt(gamma1) exp(-(gamma1/2 + i omega1) t) for t >= 0 and zero
+    before the emission starts (the t = 0 sample takes the full value).
+    omega1 is the carrier as it enters the chosen frame
+    (`CascadeModel.frame_omegas`): 0 in the rotating frame.
     """
-    if abs(c1_0) > 1.0 + 1e-12:
-        raise ValueError("|c1_0| cannot exceed 1")
     t, h = _uniform_grid(t_grid, "t_grid")
-    w = 0.0 if rotating_frame else omega1
-    vals = math.sqrt(gamma1) * c1_0 * np.exp(-(gamma1 / 2.0 + 1j * w) * t)
+    vals = math.sqrt(gamma1) * np.exp(-(gamma1 / 2.0 + 1j * omega1) * t)
     vals[t < 0.0] = 0.0
     return Envelope(float(t[0]), h, vals)
 
@@ -158,7 +142,7 @@ def drive_system2(
     checked coefficients of `drive_step_coefficients`, through `cascade.step_history`.
     Returns the P2 series, its maximum and the equal-superposition fidelity.
     """
-    if gamma2 <= 0.0:
+    if not gamma2 > 0.0:
         raise ValueError("gamma2 must be positive")
     t, h = _uniform_grid(t_grid, "t_grid")
     n_steps = t.size - 1
@@ -182,7 +166,6 @@ def drive_system2(
 def _transformed_drive(
     emitted: Envelope,
     spec: TransformSpec,
-    schedule: PhaseSchedule,
     t_half: np.ndarray,
     h_half: float,
 ) -> Envelope:
@@ -193,9 +176,9 @@ def _transformed_drive(
     [t_i, t_f), the gap [t_i, t_s) is vacuum, and [t_s, t_f) carries the
     transformed packet.
     """
-    at_device = emitted.shifted(schedule.delay)
+    at_device = emitted.shifted(spec.delay)
     vals = at_device.on_grid(float(t_half[0]), h_half, t_half.size)
-    phase = _device_phase(t_half, schedule)
+    phase = _device_phase(t_half, spec)
     vals[phase == 1] = 0.0
     in_prod = phase == 2
     if in_prod.any():
@@ -222,22 +205,20 @@ def transfer_experiment(
     time grid from the model when a config leaves them out.
     """
     w1, w2 = model.frame_omegas()
-    schedule = phase_schedule(spec)
-    t = np.asarray(t_grid, dtype=float)
-    h = float(t[1] - t[0])
+    t, h = _uniform_grid(t_grid, "t_grid")
     n_steps = t.size - 1
     t_half = t[0] + (h / 2.0) * np.arange(2 * n_steps + 1)
     half = h / 2.0
     # Emission-time grid aligned with the half-step drive grid (so the off
     # branch consumes exact samples), extended to cover the emission window.
-    start_target, end_target = _emission_window(t[0], t[-1], model.tau, schedule.delay)
+    start_target, end_target = _emission_window(t[0], t[-1], model.tau, spec.delay)
     n_lead = max(0, int(math.ceil((t[0] - model.tau - start_target) / half - 1e-9)))
     n_tail = max(0, int(math.ceil((end_target - (t[-1] - model.tau)) / half - 1e-9))) + 2
     emit_t0 = t[0] - model.tau - n_lead * half
     emit_grid = emit_t0 + half * np.arange(n_lead + 2 * n_steps + 1 + n_tail)
-    emitted = emit_envelope(model.gamma1, w1, 1.0, emit_grid, rotating_frame=model.rotating_frame)
+    emitted = emit_envelope(model.gamma1, w1, emit_grid)
     off = drive_system2(emitted, model.gamma2, w2, model.tau, t)
-    drive_on = _transformed_drive(emitted, spec, schedule, t_half, h / 2.0)
+    drive_on = _transformed_drive(emitted, spec, t_half, h / 2.0)
     on = drive_system2(drive_on, model.gamma2, w2, model.tau, t)
     ratio = on.p2_max / off.p2_max if off.p2_max > 0.0 else math.inf
     return TransferComparison(off=off, on=on, ratio=ratio)

@@ -13,12 +13,14 @@ and the equivalent time-domain form on the production window is
 The timing parameter T fixes when production starts, t_s = T/(1+alpha);
 the device integrates over a window Delta, so processing runs on
 [t_i, t_s) with t_i = t_s - Delta and production on [t_s, t_f) with
-t_f = t_s + alpha Delta.  Choosing alpha = gamma1/gamma2 and
-omega0 = omega2 + omega1/alpha turns the packet emitted by system 1 into
-the time-reversed packet system 2 would emit, which is what system 2
-absorbs best.  Every experiment runs the time-domain form; the
-frequency-space route is kept with the tests as their reference
-(tests/oracles.py).
+t_f = t_s + alpha Delta.  TransformSpec holds the parameters and derives
+these instants, so one object is the whole device geometry.  Choosing
+alpha = gamma1/gamma2 and omega0 = omega2 + omega1/alpha turns the packet
+emitted by system 1 into the time-reversed packet system 2 would emit,
+which is what system 2 absorbs best.  Times go in as arrays and values
+come out as arrays shaped like them, NaN where a time map is undefined.
+Every experiment runs the time-domain form; the frequency-space route is
+kept with the tests as their reference (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -33,11 +35,9 @@ import numpy as np
 __all__ = [
     "Envelope",
     "TransformSpec",
-    "PhaseSchedule",
     "PhaseTag",
     "derive_transform_params",
     "matched_timing",
-    "phase_schedule",
     "apply_u_time_domain",
     "assemble_piecewise_field",
     "time_map",
@@ -84,12 +84,32 @@ class Envelope:
         """Sum |a|^2 dt over the samples."""
         return float(np.sum(np.abs(self.samples) ** 2) * self.dt)
 
-    def interp(self, t) -> np.ndarray | complex:
-        """Cubic (4-point Lagrange) interpolation; zero outside the support."""
-        scalar = np.isscalar(t)
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = _interp_uniform(self.samples, self.t0, self.dt, t_arr)
-        return complex(out[0]) if scalar else out
+    def interp(self, t) -> np.ndarray:
+        """Cubic (4-point Lagrange) interpolation, shaped like t; zero outside the support."""
+        samples, n = self.samples, self.samples.size
+        pos = (np.asarray(t, dtype=float) - self.t0) / self.dt
+        out = np.zeros(pos.shape, dtype=complex)
+        inside = (pos >= -1e-9) & (pos <= (n - 1) + 1e-9)
+        if not np.any(inside):
+            return out
+        p = np.clip(pos[inside], 0.0, float(n - 1))
+        if n < 4:
+            i0 = np.clip(np.floor(p).astype(int), 0, n - 2)
+            x = p - i0
+            out[inside] = (1.0 - x) * samples[i0] + x * samples[i0 + 1]
+            return out
+        base = np.clip(np.floor(p).astype(int) - 1, 0, n - 4)
+        x = p - base
+        s0 = samples[base]
+        s1 = samples[base + 1]
+        s2 = samples[base + 2]
+        s3 = samples[base + 3]
+        w0 = -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0
+        w1 = x * (x - 2.0) * (x - 3.0) / 2.0
+        w2 = -x * (x - 1.0) * (x - 3.0) / 2.0
+        w3 = x * (x - 1.0) * (x - 2.0) / 6.0
+        out[inside] = w0 * s0 + w1 * s1 + w2 * s2 + w3 * s3
+        return out
 
     def on_grid(self, t0: float, step: float, n: int) -> np.ndarray:
         """Values at t0 + j step for j = 0 .. n-1; zero outside the support.
@@ -109,7 +129,7 @@ class Envelope:
             if lo < hi:
                 vals[lo - k : hi - k] = self.samples[lo:hi]
             return vals
-        return np.asarray(self.interp(t0 + step * np.arange(n)))
+        return self.interp(t0 + step * np.arange(n))
 
     def shifted(self, offset: float) -> "Envelope":
         """Same samples with the time axis shifted by offset."""
@@ -125,39 +145,12 @@ class Envelope:
         return Envelope(float(self.times[idx[0]]), self.dt, self.samples[idx[0] : idx[-1] + 1])
 
 
-def _interp_uniform(samples: np.ndarray, t0: float, dt: float, t: np.ndarray) -> np.ndarray:
-    n = samples.size
-    pos = (t - t0) / dt
-    out = np.zeros(t.shape, dtype=complex)
-    inside = (pos >= -1e-9) & (pos <= (n - 1) + 1e-9)
-    if not np.any(inside):
-        return out
-    p = np.clip(pos[inside], 0.0, float(n - 1))
-    if n < 4:
-        i0 = np.clip(np.floor(p).astype(int), 0, n - 2)
-        x = p - i0
-        out[inside] = (1.0 - x) * samples[i0] + x * samples[i0 + 1]
-        return out
-    base = np.clip(np.floor(p).astype(int) - 1, 0, n - 4)
-    x = p - base
-    s0 = samples[base]
-    s1 = samples[base + 1]
-    s2 = samples[base + 2]
-    s3 = samples[base + 3]
-    w0 = -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0
-    w1 = x * (x - 2.0) * (x - 3.0) / 2.0
-    w2 = -x * (x - 1.0) * (x - 3.0) / 2.0
-    w3 = x * (x - 1.0) * (x - 2.0) / 6.0
-    out[inside] = w0 * s0 + w1 * s1 + w2 * s2 + w3 * s3
-    return out
-
-
 def _uniform_grid(grid, name: str) -> tuple[np.ndarray, float]:
     """(grid as a float array, its spacing); ValueError naming the grid
     unless it is a uniform 1-d grid of at least two points."""
     arr = np.asarray(grid, dtype=float)
     step = np.diff(arr.reshape(-1))
-    if arr.ndim != 1 or arr.size < 2 or np.any(np.abs(step - step[0]) > 1e-9 * abs(step[0])):
+    if arr.ndim != 1 or arr.size < 2 or not np.all(np.abs(step - step[0]) <= 1e-9 * abs(step[0])):
         raise ValueError(f"{name} must be a uniform 1-d grid of at least two points")
     return arr, float(step[0])
 
@@ -173,6 +166,12 @@ class TransformSpec:
     X      : device position along the channel (0 < X, and X < c tau when
              the downstream system position is part of the problem)
     c      : propagation speed (default 1, natural units)
+
+    The device geometry follows from these as properties: t_i, processing
+    starts; t_s, production starts; t_f, production ends; t_a, a window
+    Delta of wave packet has arrived at the device; delay, the travel
+    time X/c from the emitter to the device; preimage, the device-time
+    window ((T - t_f)/alpha, (T - t_s)/alpha) that production consumes.
     """
 
     alpha: float
@@ -191,28 +190,33 @@ class TransformSpec:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 
+    @property
+    def t_s(self) -> float:
+        return self.T / (1.0 + self.alpha)
+
+    @property
+    def t_f(self) -> float:
+        return self.t_s + self.alpha * self.Delta
+
+    @property
+    def t_i(self) -> float:
+        return self.t_s - self.Delta
+
+    @property
+    def delay(self) -> float:
+        return self.X / self.c
+
+    @property
+    def t_a(self) -> float:
+        return self.delay + self.Delta
+
+    @property
+    def preimage(self) -> tuple[float, float]:
+        return (self.T - self.t_f) / self.alpha, (self.T - self.t_s) / self.alpha
+
     def position_ok(self, tau: float) -> bool:
         """True when the device sits strictly between the systems."""
         return 0.0 < self.X < self.c * tau
-
-
-@dataclass(frozen=True)
-class PhaseSchedule:
-    """The device geometry: derived instants of the transformation phases.
-
-    t_i: processing starts; t_s: production starts; t_f: production ends;
-    t_a: arrival time of a window Delta of wave packet at the device;
-    delay: travel time X/c from the emitter to the device; preimage: the
-    device-time window ((T - t_f)/alpha, (T - t_s)/alpha) that production
-    consumes.
-    """
-
-    t_i: float
-    t_s: float
-    t_f: float
-    t_a: float
-    delay: float
-    preimage: tuple[float, float]
 
 
 class PhaseTag(Enum):
@@ -230,7 +234,7 @@ def derive_transform_params(
     2's; omega0 = omega2 + omega1/alpha lands its resonance on omega2
     after the reversal remaps nu -> -nu/alpha.
     """
-    if gamma1 <= 0.0 or gamma2 <= 0.0:
+    if not (gamma1 > 0.0 and gamma2 > 0.0):
         raise ValueError("decay rates must be positive")
     alpha = gamma1 / gamma2
     return alpha, omega2 + omega1 / alpha
@@ -245,26 +249,12 @@ def matched_timing(alpha: float, delta: float, x: float, c: float = 1.0) -> floa
     return (1.0 + alpha) * (x / c + delta)
 
 
-def phase_schedule(spec: TransformSpec) -> PhaseSchedule:
-    t_s = spec.T / (1.0 + spec.alpha)
-    t_f = t_s + spec.alpha * spec.Delta
-    delay = spec.X / spec.c
-    return PhaseSchedule(
-        t_i=t_s - spec.Delta,
-        t_s=t_s,
-        t_f=t_f,
-        t_a=delay + spec.Delta,
-        delay=delay,
-        preimage=((spec.T - t_f) / spec.alpha, (spec.T - t_s) / spec.alpha),
-    )
-
-
-def _device_phase(r: np.ndarray, schedule: PhaseSchedule) -> np.ndarray:
+def _device_phase(r: np.ndarray, spec: TransformSpec) -> np.ndarray:
     """int8 PhaseTag codes of device times r: VACUUM (1) while the device
     buffers, on [t_i, t_s); TRANSFORMED (2) while it produces, on
     [t_s, t_f); INITIAL (0) at every other time."""
-    return np.select([(schedule.t_i <= r) & (r < schedule.t_s),
-                      (schedule.t_s <= r) & (r < schedule.t_f)],
+    return np.select([(spec.t_i <= r) & (r < spec.t_s),
+                      (spec.t_s <= r) & (r < spec.t_f)],
                      [np.int8(1), np.int8(2)], np.int8(0))
 
 
@@ -282,12 +272,11 @@ def apply_u_time_domain(
     in n_zero_filled and flagged with a RuntimeWarning; an empty overlap
     between the production window's preimage and the support is an error.
     """
-    sched = phase_schedule(spec)
     a = spec.alpha
-    s_lo, s_hi = sched.preimage
+    s_lo, s_hi = spec.preimage
     if min(s_hi, env.t_end) - max(s_lo, env.t0) <= 0.0:
         raise ValueError(
-            f"production window [{sched.t_s}, {sched.t_f}] has preimage "
+            f"production window [{spec.t_s}, {spec.t_f}] has preimage "
             f"[{s_lo}, {s_hi}] with empty overlap against the envelope support "
             f"[{env.t0}, {env.t_end}]"
         )
@@ -308,7 +297,7 @@ def apply_u_time_domain(
     else:
         t_arr, dt_out = _uniform_grid(t_out, "t_out")
         s = (spec.T - t_arr) / a
-        vals = np.asarray(env.interp(s))
+        vals = env.interp(s)
         outside = (s < env.t0 - 1e-9 * env.dt) | (s > env.t_end + 1e-9 * env.dt)
         n_fill = int(np.count_nonzero(outside))
     if n_fill:
@@ -321,16 +310,11 @@ def apply_u_time_domain(
     return Envelope(float(t_arr[0]), dt_out, out_vals, n_zero_filled=n_fill)
 
 
-
 def assemble_piecewise_field(
-    x,
-    t: float,
-    initial: Envelope,
-    transformed: Envelope,
-    spec: TransformSpec,
-    schedule: PhaseSchedule,
-) -> tuple[complex, PhaseTag] | tuple[np.ndarray, np.ndarray]:
-    """Field amplitude at (x, t) through the four transformation phases.
+    xs: np.ndarray, t: float, initial: Envelope, transformed: Envelope, spec: TransformSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Field amplitudes at the positions xs (1-d) at time t, through the
+    four transformation phases.
 
     `initial` is the emitted envelope sqrt(gamma1) <s1-(s)> as a function
     of emission time s (the field at x is u(x) initial(t - x/c));
@@ -340,15 +324,12 @@ def assemble_piecewise_field(
     transformed packet on [t_s, t_f), or the untouched initial field;
     elsewhere the initial field propagates freely.
 
-    A scalar x gives (amplitude, PhaseTag); a 1-d array of positions gives
-    a complex amplitude array and an int8 array of tag codes in PhaseTag's
-    order (list(PhaseTag)[code] is the tag), with one envelope
+    Returns a complex amplitude array and an int8 array of tag codes in
+    PhaseTag's order (list(PhaseTag)[code] is the tag), with one envelope
     interpolation per branch.
     """
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     retarded = t - (xs - spec.X) / spec.c
-    codes = np.where(xs >= spec.X, _device_phase(retarded, schedule), np.int8(0))
+    codes = np.where(xs >= spec.X, _device_phase(retarded, spec), np.int8(0))
     produced = codes == 2
     free = (codes == 0) & (xs >= 0.0)
     amp = np.zeros(xs.shape, dtype=complex)
@@ -357,60 +338,56 @@ def assemble_piecewise_field(
     # by 1.0 can still turn an imaginary -0.0 into +0.0
     u = np.where(xs[free] == 0.0, 0.5, 1.0)
     amp[free] = u * initial.interp(t - xs[free] / spec.c)
-    return (complex(amp[0]), list(PhaseTag)[codes[0]]) if scalar else (amp, codes)
+    return amp, codes
 
 
-def _on_phases(t, schedule: PhaseSchedule, buffering, producing, elsewhere):
+def _on_phases(t: np.ndarray, spec: TransformSpec, buffering, producing, elsewhere) -> np.ndarray:
     """A time map's value by phase: buffering on (t_i, t_s), producing on
     (t_s, t_f), elsewhere at every other t, the boundary points included.
 
     Each branch is a value or an array shaped like t, NaN where the map
-    is undefined.  An array t gives an array; a scalar t gives a float,
-    or None where its branch is NaN.
+    is undefined; the result is an array shaped like t.
     """
-    out = np.where((schedule.t_i < t) & (t < schedule.t_s), buffering,
-                   np.where((schedule.t_s < t) & (t < schedule.t_f), producing, elsewhere))
-    return out if out.ndim else None if math.isnan(out) else float(out)
+    return np.where((spec.t_i < t) & (t < spec.t_s), buffering,
+                    np.where((spec.t_s < t) & (t < spec.t_f), producing, elsewhere))
 
 
-def time_map(t, spec: TransformSpec, schedule: PhaseSchedule, tau: float):
-    """Fictitious system-1 time tilde_t = f(t), for a scalar or an array t.
+def time_map(t, spec: TransformSpec, tau: float) -> np.ndarray:
+    """Fictitious system-1 time tilde_t = f(t), an array shaped like t.
 
     f(t) = (T - t)/alpha - tau on the production window (t_s, t_f), t - tau
-    elsewhere, undefined on (t_i, t_s): None for a scalar t, NaN in an
-    array.  Boundary points take the continuous / resumed branch value
-    t - tau.
+    elsewhere, undefined (NaN) on (t_i, t_s).  Boundary points take the
+    continuous / resumed branch value t - tau.
     """
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):  # as with Python floats: an overflow is inf, unwarned
-        return _on_phases(t, schedule, np.nan, (spec.T - t) / spec.alpha - tau, t - tau)
+        return _on_phases(t, spec, np.nan, (spec.T - t) / spec.alpha - tau, t - tau)
 
 
-def time_map_inverse(t, spec: TransformSpec, schedule: PhaseSchedule, tau: float):
+def time_map_inverse(t, spec: TransformSpec, tau: float) -> np.ndarray:
     """Inverse map: T - alpha (t + tau) when t + tau lies in (t_i, t_s),
-    undefined (None, or NaN in an array) when t + tau lies in (t_s, t_f),
-    t + tau elsewhere."""
+    undefined (NaN) when t + tau lies in (t_s, t_f), t + tau elsewhere."""
     s = np.asarray(t, dtype=float) + tau
     with np.errstate(over="ignore"):  # as in time_map
-        return _on_phases(s, schedule, spec.T - spec.alpha * s, np.nan, s)
+        return _on_phases(s, spec, spec.T - spec.alpha * s, np.nan, s)
 
 
-def time_map_slope(t, spec: TransformSpec, schedule: PhaseSchedule):
+def time_map_slope(t, spec: TransformSpec) -> np.ndarray:
     """d f/dt per branch: -1/alpha on the production window, 1 elsewhere,
-    undefined (None, or NaN in an array) while the device buffers."""
-    return _on_phases(np.asarray(t, dtype=float), schedule, np.nan, -1.0 / spec.alpha, 1.0)
+    undefined (NaN) while the device buffers."""
+    return _on_phases(np.asarray(t, dtype=float), spec, np.nan, -1.0 / spec.alpha, 1.0)
 
 
-def time_map_inverse_slope(t, spec: TransformSpec, schedule: PhaseSchedule, tau: float):
+def time_map_inverse_slope(t, spec: TransformSpec, tau: float) -> np.ndarray:
     """d f^-1/dt per branch of t + tau, undefined where time_map_inverse is."""
-    return _on_phases(np.asarray(t, dtype=float) + tau, schedule, -spec.alpha, np.nan, 1.0)
+    return _on_phases(np.asarray(t, dtype=float) + tau, spec, -spec.alpha, np.nan, 1.0)
 
 
-def gap_geometry(spec: TransformSpec, schedule: PhaseSchedule) -> tuple[float, float]:
+def gap_geometry(spec: TransformSpec) -> tuple[float, float]:
     """(horizontal, vertical) gaps of f.
 
     Horizontal: width of the undefined buffering window, t_s - t_i = Delta.
     Vertical: band of f values never attained because the initial packet
     is blocked during production, f(t_f) - f(t_s) = t_f - t_s = alpha Delta.
     """
-    return schedule.t_s - schedule.t_i, schedule.t_f - schedule.t_s
+    return spec.t_s - spec.t_i, spec.t_f - spec.t_s

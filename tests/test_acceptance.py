@@ -32,7 +32,6 @@ from qcascade.wavepacket import (
     TransformSpec,
     apply_u_time_domain,
     gap_geometry,
-    phase_schedule,
     time_map,
     time_map_inverse,
     time_map_slope,
@@ -134,7 +133,7 @@ def test_criterion_4_cascaded_peak_two_solvers():
     t_master = time.perf_counter() - start
     start = time.perf_counter()
     t = grid(0.0, 10.0, h)
-    env = emit_envelope(1.0, 0.0, 1.0, grid(0.0, 10.0, h / 2.0))
+    env = emit_envelope(1.0, 0.0, grid(0.0, 10.0, h / 2.0))
     amp = drive_system2(env, 1.0, 0.0, 0.0, t)
     t_amp = time.perf_counter() - start
     peak_me = float(np.max(master.p2))
@@ -194,9 +193,8 @@ def test_criterion_6_unitarity_and_path_equivalence():
     for vals in pulses.values():
         env = Envelope(-40.0, dt, vals.astype(complex))
         out_t = apply_u_time_domain(env, spec)
-        sched = phase_schedule(spec)
         window = env.slice_window(
-            (spec.T - sched.t_f) / spec.alpha, (spec.T - sched.t_s) / spec.alpha
+            (spec.T - spec.t_f) / spec.alpha, (spec.T - spec.t_s) / spec.alpha
         )
         worst_norm_analytic = max(
             worst_norm_analytic,
@@ -230,8 +228,8 @@ def test_criterion_6_unitarity_and_path_equivalence():
 
 def test_criterion_7_fig2_regression():
     spec = TransformSpec(alpha=2.0, omega0=0.0, T=54.0, Delta=6.0, X=12.0)
-    sched = phase_schedule(spec)
-    exact_schedule = (sched.t_i, sched.t_s, sched.t_f, sched.t_a) == (
+    sched = (spec.t_i, spec.t_s, spec.t_f, spec.t_a)
+    exact_schedule = sched == (
         12.0,
         18.0,
         30.0,
@@ -253,27 +251,22 @@ def test_criterion_7_fig2_regression():
 
 def test_criterion_8_time_map_regression():
     spec = TransformSpec(alpha=2.0, omega0=0.0, T=54.0, Delta=6.0, X=12.0)
-    sched = phase_schedule(spec)
     tau = 0.8
-    identity_ok = True
-    for t in np.linspace(-5.0, 45.0, 1001):
-        finv = time_map_inverse(float(t), spec, sched, tau)
-        if finv is None:
-            continue
-        back = time_map(finv, spec, sched, tau)
-        if back is None or abs(back - t) > 1e-12:
-            identity_ok = False
-            break
-    horizontal, vertical = gap_geometry(spec, sched)
-    f_s = time_map(sched.t_s, spec, sched, tau)
-    f_f = time_map(sched.t_f, spec, sched, tau)
+    ts = np.linspace(-5.0, 45.0, 1001)
+    finv = time_map_inverse(ts, spec, tau)
+    defined = ~np.isnan(finv)
+    back = time_map(finv[defined], spec, tau)
+    identity_ok = bool(np.all(np.abs(back - ts[defined]) <= 1e-12))
+    horizontal, vertical = gap_geometry(spec)
+    f_s = time_map(spec.t_s, spec, tau)
+    f_f = time_map(spec.t_f, spec, tau)
     geometry_ok = (
         horizontal == spec.Delta
         and vertical == spec.alpha * spec.Delta
         and f_f - f_s == spec.alpha * spec.Delta
-        and time_map(0.5 * (sched.t_i + sched.t_s), spec, sched, tau) is None
+        and math.isnan(time_map(0.5 * (spec.t_i + spec.t_s), spec, tau))
     )
-    slope = time_map_slope(0.5 * (sched.t_s + sched.t_f), spec, sched)
+    slope = time_map_slope(0.5 * (spec.t_s + spec.t_f), spec)
     ok = identity_ok and geometry_ok and slope == -1.0 / spec.alpha
     report(
         8,

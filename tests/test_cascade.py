@@ -27,7 +27,7 @@ from qcascade.cascade import (
     step_matrix,
 )
 from qcascade.hilbert import composite_ket, density_from_ket, two_level_ket
-from qcascade.wavepacket import TransformSpec, phase_schedule, time_map
+from qcascade.wavepacket import TransformSpec, time_map
 
 from oracles import heisenberg_consistency, lindblad_rhs
 
@@ -190,7 +190,7 @@ def test_integrate_master_state_quality():
 def test_two_clock_tagging(tmp_path):
     # the time map, the transformed clock: undefined while the device buffers
     spec = TransformSpec(alpha=2.0, omega0=0.0, T=54.0, Delta=6.0, X=12.0)
-    tilde = time_map(np.array([14.0, 20.0, 31.0]), spec, phase_schedule(spec), 1.5)
+    tilde = time_map(np.array([14.0, 20.0, 31.0]), spec, 1.5)
     assert tilde[1] == pytest.approx((54.0 - 20.0) / 2.0 - 1.5)
     assert math.isnan(tilde[0])  # buffering window: the system-1 clock is undefined
     assert tilde[2] == pytest.approx(31.0 - 1.5)

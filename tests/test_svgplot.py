@@ -161,6 +161,8 @@ CASES = {
     )],
     # non-monotone x revisits columns; y on a coarse grid ties min and max within a column
     "nonmonotone_x_with_ties": [(_WALK, np.round(np.cos(_WALK), 1), "walk")],
+    # every y equal, as lindblad's P1 and P2 from |gg> at beta = 0: the y range is widened to 1
+    "flat_range": [(_T, np.zeros_like(_T), "P1"), (_T, np.zeros_like(_T), "P2")],
 }
 
 

@@ -357,6 +357,8 @@ CORE_CASES = {
         "ee",
         TrajectoryConfig(0.01, 300, 17, (0.0, 5.0), record_stride=7),
     ),
+    # one trajectory: no spread to estimate, so sem_P2 is zero
+    "single_trajectory": (CascadeModel(1.0, 1.0), "eg", TrajectoryConfig(0.01, 1, 5, (0.0, 6.0))),
 }
 
 
@@ -447,6 +449,7 @@ def test_ensemble_average_matches_per_row_reference(case, monkeypatch):
     # so reordered additions move it by a few ulps of 1, not of itself
     var_got, var_ref = (r.sem_p2**2 * (cfg.n_traj - 1) for r in (got, ref))
     np.testing.assert_allclose(var_got, var_ref, rtol=1e-14, atol=1e-15)
+    assert np.all(np.isfinite(got.sem_p2)) and (cfg.n_traj > 1 or not got.sem_p2.any())
 
 
 @pytest.mark.parametrize("case", sorted(CORE_CASES))

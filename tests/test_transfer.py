@@ -7,6 +7,7 @@ import pytest
 from qcascade import cli
 from qcascade.cascade import CascadeModel, IntegrationAbort, integrate_master, time_grid
 from qcascade.hilbert import composite_ket, density_from_ket
+from qcascade.trajectory import TrajectoryConfig
 from qcascade.transfer import (
     drive_step_coefficients,
     drive_system2,
@@ -14,7 +15,7 @@ from qcascade.transfer import (
     qubit_transfer_fidelity,
     transfer_experiment,
 )
-from qcascade.wavepacket import Envelope, TransformSpec, matched_timing, phase_schedule
+from qcascade.wavepacket import Envelope, TransformSpec, derive_transform_params, matched_timing
 
 from oracles import check_time_reversed_envelope
 
@@ -57,25 +58,21 @@ def drive_stagewise(xi, gamma2, omega2, h):
 
 def test_emit_envelope_values():
     t = grid(0.0, 10.0, 1e-3)
-    env = emit_envelope(1.0, 0.0, 1.0, t)
+    env = emit_envelope(1.0, 0.0, t)
     k = int(round(2.0 / 1e-3))
     assert abs(env.samples[k] - math.exp(-1.0)) < 1e-12
-    zero = emit_envelope(1.0, 0.0, 0.0, t)
-    assert np.all(zero.samples == 0.0)
-    with pytest.raises(ValueError):
-        emit_envelope(1.0, 0.0, 1.5, t)
 
 
 def test_emit_envelope_total_energy():
-    # one photon is emitted with certainty: sum |xi|^2 dt -> |c1_0|^2
+    # one photon is emitted with certainty: sum |xi|^2 dt -> 1
     t = grid(0.0, 40.0, 1e-4)
-    env = emit_envelope(1.0, 0.0, 1.0, t)
+    env = emit_envelope(1.0, 0.0, t)
     assert abs(env.squared_norm() - 1.0) < 1e-3
 
 
 def test_emit_envelope_lab_frame_carrier():
     t = grid(0.0, 1.0, 1e-3)
-    env = emit_envelope(1.0, 5.0, 1.0, t, rotating_frame=False)
+    env = emit_envelope(1.0, 5.0, t)
     k = 500
     expected = math.sqrt(1.0) * np.exp(-(0.5 + 5.0j) * t[k])
     assert abs(env.samples[k] - expected) < 1e-12
@@ -84,7 +81,7 @@ def test_emit_envelope_lab_frame_carrier():
 def test_drive_system2_matched_closed_form():
     h = 1e-3
     t = grid(0.0, 10.0, h)
-    env = emit_envelope(1.0, 0.0, 1.0, grid(0.0, 10.0, h / 2.0))
+    env = emit_envelope(1.0, 0.0, grid(0.0, 10.0, h / 2.0))
     res = drive_system2(env, 1.0, 0.0, 0.0, t)
     expected = -t * np.exp(-t / 2.0)
     assert np.max(np.abs(res.c2 - expected)) < 1e-9
@@ -118,7 +115,7 @@ def test_drive_system2_interpolated_envelope():
     # unaligned input grid goes through cubic interpolation
     h = 1e-3
     t = grid(0.0, 6.0, h)
-    env = emit_envelope(1.0, 0.0, 1.0, grid(0.0, 8.0, 0.00071))
+    env = emit_envelope(1.0, 0.0, grid(0.0, 8.0, 0.00071))
     res = drive_system2(env, 1.0, 0.0, 0.0, t)
     expected = -t * np.exp(-t / 2.0)
     assert np.max(np.abs(res.c2 - expected)) < 1e-6
@@ -129,7 +126,7 @@ def test_drive_system2_takes_the_emitted_samples_of_the_transfer(monkeypatch):
     # on the half-step grid; its spacing, taken from the first difference, misses
     # h/2 = 5e-4 by 2.3e-12 of a step, yet the drive consumes the samples exactly
     half = 5e-4
-    emitted = emit_envelope(0.25, 0.0, 1.0, -32.0 + half * np.arange(228_003))
+    emitted = emit_envelope(0.25, 0.0, -32.0 + half * np.arange(228_003))
     assert abs(emitted.dt - half) > 1e-12 * half
     t = grid(0.0, 82.0, 2.0 * half)
     exact = drive_system2(Envelope(0.0, half, emitted.samples[64_000:228_001]), 1.0, 0.0, 0.0, t)
@@ -145,7 +142,7 @@ def test_drive_system2_long_run_matches_closed_form():
     # does not reach
     g1, g2, om1, om2, h = 2.0, 1.0, 3.0, 2.5, 2.5e-4
     n = 2**20
-    env = emit_envelope(g1, om1, 1.0, (h / 2.0) * np.arange(2 * n + 1), rotating_frame=False)
+    env = emit_envelope(g1, om1, (h / 2.0) * np.arange(2 * n + 1))
     res = drive_system2(env, g2, om2, 0.0, h * np.arange(n + 1))
     r, w0, wm, w1 = drive_step_coefficients(g2, om2, h)
     lam1 = -(g1 / 2.0 + 1j * om1)
@@ -161,7 +158,7 @@ def test_excitation_bound():
     h = 1e-3
     t = grid(0.0, 12.0, h)
     th = grid(0.0, 12.0, h / 2.0)
-    env = emit_envelope(2.0, 0.0, 1.0, th)
+    env = emit_envelope(2.0, 0.0, th)
     res = drive_system2(env, 1.0, 0.0, 0.0, t)
     consumed = np.cumsum(np.abs(env.samples[::2]) ** 2) * h
     assert np.all(res.p2 <= consumed + 1e-6)
@@ -171,7 +168,7 @@ def test_time_translation_covariance():
     # delaying the envelope by s and advancing tau by s cancels exactly
     h = 1e-3
     t = grid(0.0, 8.0, h)
-    env = emit_envelope(1.0, 0.0, 1.0, grid(0.0, 9.0, h / 2.0))
+    env = emit_envelope(1.0, 0.0, grid(0.0, 9.0, h / 2.0))
     base = drive_system2(env, 1.0, 0.0, 0.0, t)
     s = 2.0
     shifted = drive_system2(env.shifted(s), 1.0, 0.0, -s, t)
@@ -213,7 +210,7 @@ def test_transfer_improvement_sweep(ratio):
     assert comp.on.p2_max > comp.off.p2_max
     # the photon meets the device at t_i = X/c and is buffered until t_s: nothing
     # reaches system 2 before production starts
-    before = comp.on.times < phase_schedule(spec).t_s
+    before = comp.on.times < spec.t_s
     assert before.sum() > 1000 and np.all(comp.on.p2[before] == 0.0)
 
 
@@ -224,8 +221,7 @@ def test_smooth_driving_across_phase_boundaries():
     dc2 = np.abs(np.diff(on.c2)) / h
     xi_max = math.sqrt(model.gamma2)  # peak of the rate-matched rising exponential
     bound = model.gamma2 + math.sqrt(model.gamma2) * xi_max
-    sched = phase_schedule(spec)
-    for edge in (sched.t_s, sched.t_f):
+    for edge in (spec.t_s, spec.t_f):
         sel = (on.times[:-1] > edge - 0.5) & (on.times[:-1] < edge + 0.5)
         assert np.max(dc2[sel]) <= bound
 
@@ -237,15 +233,14 @@ def test_resolver_transfer_defaults(c):
     model, spec, t = resolved_transfer({"gamma1": 4.0, "gamma2": 0.5}, {"c": c}, dt=2.5e-3)
     assert (spec.alpha, spec.omega0, spec.Delta, spec.X, spec.c) == (8.0, 0.0, 2.0, c * 2.0, c)
     assert spec.T == matched_timing(8.0, 2.0, c * 2.0, c) == 9.0 * (2.0 + 2.0)
-    sched = phase_schedule(spec)
-    assert sched.t_s == sched.t_a == 4.0 and sched.delay == 2.0
-    assert t[0] == 0.0 and t[-1] == pytest.approx(sched.t_f + 10.0 / 0.5, abs=1e-12)
+    assert spec.t_s == spec.t_a == 4.0 and spec.delay == 2.0
+    assert t[0] == 0.0 and t[-1] == pytest.approx(spec.t_f + 10.0 / 0.5, abs=1e-12)
 
 
 def test_amplitude_states_weight_bound():
     h = 1e-3
     t = grid(0.0, 10.0, h)
-    env = emit_envelope(1.0, 0.0, 1.0, grid(0.0, 10.0, h / 2.0))
+    env = emit_envelope(1.0, 0.0, grid(0.0, 10.0, h / 2.0))
     res = drive_system2(env, 1.0, 0.0, 0.0, t)
     assert res.c2.size == t.size and res.c2[0] == 0.0
     # single-excitation sector: the emitter keeps c1 = exp(-gamma1 t/2), so
@@ -315,9 +310,38 @@ def test_transfer_grids_must_be_uniform():
     env = Envelope(0.0, 0.5, np.ones(8, dtype=complex))
     for bad in ([0.0, 1.0, 3.0], [1.0], [[0.0, 1.0], [2.0, 3.0]]):
         with pytest.raises(ValueError, match="t_grid must be a uniform 1-d grid"):
-            emit_envelope(1.0, 0.0, 1.0, np.array(bad))
+            emit_envelope(1.0, 0.0, np.array(bad))
         with pytest.raises(ValueError, match="t_grid must be a uniform 1-d grid"):
             drive_system2(env, 1.0, 0.0, 0.0, np.array(bad))
+
+
+_RHO_EG = density_from_ket(composite_ket("eg"))
+_PAIR = CascadeModel(gamma1=1.0, gamma2=1.0)
+_ENV = Envelope(0.0, 0.05, np.ones(21, dtype=complex))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: integrate_master(_RHO_EG, _PAIR, (0.0, 1.0), math.nan),
+                 "dt must be positive", id="integrate_master-dt"),
+    pytest.param(lambda: integrate_master(_RHO_EG, _PAIR, (0.0, math.nan), 0.1),
+                 "t_span must satisfy", id="integrate_master-t_span"),
+    pytest.param(lambda: TrajectoryConfig(math.nan, 10, 1, (0.0, 1.0)),
+                 "dt must be positive", id="TrajectoryConfig-dt"),
+    pytest.param(lambda: TrajectoryConfig(0.1, 10, 1, (0.0, math.nan)),
+                 "t_span must satisfy", id="TrajectoryConfig-t_span"),
+    pytest.param(lambda: drive_system2(_ENV, math.nan, 0.0, 0.0, grid(0.0, 1.0, 0.1)),
+                 "gamma2 must be positive", id="drive_system2-gamma2"),
+    pytest.param(lambda: derive_transform_params(math.nan, 1.0, 0.0, 0.0),
+                 "decay rates must be positive", id="derive_transform_params-gamma1"),
+    pytest.param(lambda: transfer_experiment(_PAIR, matched_spec(1.0, 1.0), np.array([0.0])),
+                 "t_grid must be a uniform 1-d grid", id="transfer_experiment-t_grid"),
+    pytest.param(lambda: drive_system2(_ENV, 1.0, 0.0, 0.0, np.array([0.0, 0.1, math.nan, 0.3])),
+                 "t_grid must be a uniform 1-d grid", id="drive_system2-t_grid"),
+])
+def test_entry_checks_name_the_field_they_reject(call, message):
+    # each check is written 'not x > y', so a NaN fails it as a bad value would
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_drive_system2_aborts_when_a_stable_step_overflows_in_its_stages():

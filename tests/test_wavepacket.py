@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from qcascade.wavepacket import (
     derive_transform_params,
     gap_geometry,
     matched_timing,
-    phase_schedule,
     time_map,
     time_map_inverse,
     time_map_inverse_slope,
@@ -107,14 +107,16 @@ def test_transform_spec_invariants():
 
 
 def test_phase_schedule_fig2():
-    s = phase_schedule(FIG2)
+    s = FIG2
     assert (s.t_i, s.t_s, s.t_f, s.t_a) == (12.0, 18.0, 30.0, 18.0)
+    assert s.delay == 12.0 and s.preimage == (12.0, 18.0)
     # T = (1 + alpha) t_a reproduces the matched timing
     assert matched_timing(2.0, 6.0, 12.0) == 54.0
     # alpha -> 1 with T = 2 t_a gives t_s = t_a
-    spec = TransformSpec(alpha=1.0, omega0=0.0, T=2.0 * 18.0, Delta=6.0, X=12.0)
-    s1 = phase_schedule(spec)
+    s1 = TransformSpec(alpha=1.0, omega0=0.0, T=2.0 * 18.0, Delta=6.0, X=12.0)
     assert s1.t_s == s1.t_a == 18.0
+    # the geometry is derived, not configured: the spec's fields are its parameters only
+    assert [f.name for f in fields(TransformSpec)] == ["alpha", "omega0", "T", "Delta", "X", "c"]
 
 
 def test_apply_u_pure_reversal():
@@ -280,33 +282,38 @@ def test_heaviside_convention():
     assert heaviside(2.0) == 1.0
 
 
+def _field_at(x, t, env, transformed):
+    """(amplitude, PhaseTag) at one position, through the array form."""
+    amps, codes = assemble_piecewise_field(np.array([x]), t, env, transformed, FIG2)
+    return complex(amps[0]), list(PhaseTag)[codes[0]]
+
+
 def test_assemble_piecewise_field_fig2():
     env = decaying_envelope()
     transformed = apply_u_time_domain(env, FIG2)
-    sched = phase_schedule(FIG2)
     # inside the buffering gap at the device: vacuum
-    amp, tag = assemble_piecewise_field(12.0, 15.0, env, transformed, FIG2, sched)
+    amp, tag = _field_at(12.0, 15.0, env, transformed)
     assert tag is PhaseTag.VACUUM and amp == 0.0
     # during production: the rising exponential
-    amp, tag = assemble_piecewise_field(12.0, 24.0, env, transformed, FIG2, sched)
+    amp, tag = _field_at(12.0, 24.0, env, transformed)
     assert tag is PhaseTag.TRANSFORMED
     assert abs(amp - math.exp(-(54.0 - 24.0) / 4.0) / math.sqrt(2.0)) < 1e-10
     # the transformed packet propagates at speed c
-    amp2, tag2 = assemble_piecewise_field(15.0, 27.0, env, transformed, FIG2, sched)
+    amp2, tag2 = _field_at(15.0, 27.0, env, transformed)
     assert tag2 is PhaseTag.TRANSFORMED
     assert amp2 == pytest.approx(amp)
     # upstream of the device: freely propagated initial field
-    amp, tag = assemble_piecewise_field(5.0, 8.0, env, transformed, FIG2, sched)
+    amp, tag = _field_at(5.0, 8.0, env, transformed)
     assert tag is PhaseTag.INITIAL
     assert abs(amp - math.exp(-(8.0 - 5.0) / 2.0)) < 1e-10
     # x < 0: Heaviside cutoff
-    amp, tag = assemble_piecewise_field(-1.0, 8.0, env, transformed, FIG2, sched)
+    amp, tag = _field_at(-1.0, 8.0, env, transformed)
     assert tag is PhaseTag.INITIAL and amp == 0.0
     # u(0) = 1/2 at the emitter
-    amp, tag = assemble_piecewise_field(0.0, 8.0, env, transformed, FIG2, sched)
+    amp, tag = _field_at(0.0, 8.0, env, transformed)
     assert abs(amp - 0.5 * math.exp(-4.0)) < 1e-10
     # after production ends the initial field passes again
-    amp, tag = assemble_piecewise_field(12.0, 31.0, env, transformed, FIG2, sched)
+    amp, tag = _field_at(12.0, 31.0, env, transformed)
     assert tag is PhaseTag.INITIAL
     assert abs(amp - math.exp(-(31.0 - 12.0) / 2.0)) < 1e-10
 
@@ -314,37 +321,34 @@ def test_assemble_piecewise_field_fig2():
 def test_assemble_piecewise_field_at_the_phase_boundaries():
     env = decaying_envelope()
     transformed = apply_u_time_domain(env, FIG2)
-    sched = phase_schedule(FIG2)
     # x = 14 is 2 past the device: retarded time t_i = 12 at t = 14, t_s = 18 at t = 20
-    assert assemble_piecewise_field(14.0, 14.0, env, transformed, FIG2, sched) == (
-        0.0, PhaseTag.VACUUM)
-    amp, tag = assemble_piecewise_field(14.0, 20.0, env, transformed, FIG2, sched)
+    assert _field_at(14.0, 14.0, env, transformed) == (0.0, PhaseTag.VACUUM)
+    amp, tag = _field_at(14.0, 20.0, env, transformed)
     assert tag is PhaseTag.TRANSFORMED and amp == transformed.interp(18.0)
 
 
 def test_field_and_drive_share_the_device_phase():
     # at x = X the retarded time is t itself, so the field's tags are the phases the
     # transfer drive takes on its half-step grid, the boundaries 12, 18 and 30 included
-    sched = phase_schedule(FIG2)
     h = 0.5
     t_half = (h / 2.0) * np.arange(2 * 80 + 1)
     env = decaying_envelope()
     transformed = apply_u_time_domain(env, FIG2)
-    codes = [list(PhaseTag).index(assemble_piecewise_field(FIG2.X, float(t), env, transformed,
-                                                           FIG2, sched)[1]) for t in t_half]
-    drive = wp._device_phase(t_half, sched)
+    codes = [list(PhaseTag).index(_field_at(FIG2.X, float(t), env, transformed)[1])
+             for t in t_half]
+    drive = wp._device_phase(t_half, FIG2)
     assert codes == drive.tolist()
     assert drive.dtype == np.int8
     assert [drive[t_half.tolist().index(edge)] for edge in (12.0, 18.0, 30.0)] == [1, 2, 0]
 
 
-def _scalar_field_reference(x, t, initial, transformed, spec, schedule):
+def _scalar_field_reference(x, t, initial, transformed, spec):
     """Point-by-point field assembly, buffering on [t_i, t_s) and producing on [t_s, t_f)."""
     if x >= spec.X:
         retarded = t - (x - spec.X) / spec.c
-        if schedule.t_i <= retarded < schedule.t_s:
+        if spec.t_i <= retarded < spec.t_s:
             return 0.0j, PhaseTag.VACUUM
-        if schedule.t_s <= retarded < schedule.t_f:
+        if spec.t_s <= retarded < spec.t_f:
             return complex(transformed.interp(retarded)), PhaseTag.TRANSFORMED
     u = heaviside(x)
     if u == 0.0:
@@ -363,28 +367,25 @@ def test_assemble_piecewise_field_array_matches_scalar(lab_frame):
     if lab_frame:  # real and imaginary parts change sign along the packet
         env = Envelope(env.t0, env.dt, env.samples * np.exp(-3j * env.times))
     transformed = apply_u_time_domain(env, FIG2)
-    sched = phase_schedule(FIG2)
     # unit steps: x < 0, x = 0 and x = X = 12 are on the grid, and for t = 36 the
     # retarded time t - (x - X) is exactly t_f, t_s and t_i at x = 18, 30 and 36
     xs = np.linspace(-4.0, 48.0, 105)
     assert {-1.0, 0.0, 12.0, 18.0, 30.0, 36.0} <= set(xs.tolist())
     for t in (6.0, 15.0, 18.0, 24.0, 30.0, 36.0, 48.0):
-        amps, codes = assemble_piecewise_field(xs, t, env, transformed, FIG2, sched)
-        ref = [_scalar_field_reference(x, t, env, transformed, FIG2, sched) for x in xs.tolist()]
+        amps, codes = assemble_piecewise_field(xs, t, env, transformed, FIG2)
+        ref = [_scalar_field_reference(x, t, env, transformed, FIG2) for x in xs.tolist()]
         assert amps.shape == xs.shape and codes.shape == xs.shape and codes.dtype == np.int8
         assert np.array_equal(_bits(amps), _bits([a for a, _ in ref]))
         tags = [list(PhaseTag)[code] for code in codes]
         assert tags == [tag for _, tag in ref]
-        scalar = [
-            assemble_piecewise_field(x, t, env, transformed, FIG2, sched) for x in xs.tolist()
-        ]
-        assert np.array_equal(_bits([a for a, _ in scalar]), _bits(amps))
-        assert all(type(a) is complex for a, _ in scalar)
-        assert [tag for _, tag in scalar] == tags
+        # one position at a time gives the same bits and tags
+        single = [_field_at(x, t, env, transformed) for x in xs.tolist()]
+        assert np.array_equal(_bits([a for a, _ in single]), _bits(amps))
+        assert [tag for _, tag in single] == tags
     # every branch was reached, including the boundaries of the production window:
     # a phase starts at its boundary, so r = t_s produces, r = t_i buffers and r = t_f
     # passes the initial field again
-    amps, codes = assemble_piecewise_field(xs, 36.0, env, transformed, FIG2, sched)
+    amps, codes = assemble_piecewise_field(xs, 36.0, env, transformed, FIG2)
     at = dict(zip(xs.tolist(), (list(PhaseTag)[code] for code in codes)))
     assert at[18.0] is PhaseTag.INITIAL
     assert at[24.0] is at[30.0] is PhaseTag.TRANSFORMED
@@ -393,58 +394,53 @@ def test_assemble_piecewise_field_array_matches_scalar(lab_frame):
 
 
 def test_time_map_values():
-    sched = phase_schedule(FIG2)
-    assert time_map(20.0, FIG2, sched, 0.0) == pytest.approx(17.0)
-    assert time_map(14.0, FIG2, sched, 0.0) is None
-    assert time_map(5.0, FIG2, sched, 0.0) == 5.0
-    assert time_map(35.0, FIG2, sched, 1.0) == 34.0
+    assert time_map(20.0, FIG2, 0.0) == pytest.approx(17.0)
+    assert math.isnan(time_map(14.0, FIG2, 0.0))
+    assert time_map(5.0, FIG2, 0.0) == 5.0
+    assert time_map(35.0, FIG2, 1.0) == 34.0
     # boundary convention: continuous branch values
-    assert time_map(18.0, FIG2, sched, 0.0) == 18.0
-    assert time_map(30.0, FIG2, sched, 0.0) == 30.0
+    assert time_map(18.0, FIG2, 0.0) == 18.0
+    assert time_map(30.0, FIG2, 0.0) == 30.0
 
 
 def test_time_map_slopes_and_monotone_branch():
-    sched = phase_schedule(FIG2)
-    assert time_map_slope(20.0, FIG2, sched) == -0.5
-    assert time_map_slope(5.0, FIG2, sched) == 1.0
-    assert time_map_slope(14.0, FIG2, sched) is None
-    assert time_map_inverse_slope(13.0, FIG2, sched, 0.0) == -2.0
+    assert time_map_slope(20.0, FIG2) == -0.5
+    assert time_map_slope(5.0, FIG2) == 1.0
+    assert math.isnan(time_map_slope(14.0, FIG2))
+    assert time_map_inverse_slope(13.0, FIG2, 0.0) == -2.0
     # the fictitious clock runs backwards on the production window
-    ts = np.linspace(18.001, 29.999, 50)
-    vals = [time_map(float(t), FIG2, sched, 0.0) for t in ts]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
+    vals = time_map(np.linspace(18.001, 29.999, 50), FIG2, 0.0)
+    assert np.all(np.diff(vals) < 0.0)
 
 
 def test_time_map_inverse_and_identity():
-    sched = phase_schedule(FIG2)
     tau = 0.7
-    assert time_map_inverse(13.0 - tau, FIG2, sched, tau) == pytest.approx(54.0 - 2.0 * 13.0)
-    assert time_map_inverse(20.0 - tau, FIG2, sched, tau) is None
-    for t in np.linspace(-5.0, 45.0, 401):
-        finv = time_map_inverse(float(t), FIG2, sched, tau)
-        if finv is None:
-            continue
-        assert time_map(finv, FIG2, sched, tau) == pytest.approx(float(t), abs=1e-12)
+    assert time_map_inverse(13.0 - tau, FIG2, tau) == pytest.approx(54.0 - 2.0 * 13.0)
+    assert math.isnan(time_map_inverse(20.0 - tau, FIG2, tau))
+    ts = np.linspace(-5.0, 45.0, 401)
+    finv = time_map_inverse(ts, FIG2, tau)
+    defined = ~np.isnan(finv)
+    assert defined.sum() > 300
+    assert np.allclose(time_map(finv[defined], FIG2, tau), ts[defined], rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.75])
 def test_time_maps_on_arrays_equal_the_scalar_maps(tau):
-    sched = phase_schedule(FIG2)
     # quarter steps: t and t + tau hit t_i = 12, t_s = 18 and t_f = 30 exactly
     ts = 0.25 * np.arange(-8, 177)
     maps = {
-        "f": lambda t: time_map(t, FIG2, sched, tau),
-        "f_inv": lambda t: time_map_inverse(t, FIG2, sched, tau),
-        "f_slope": lambda t: time_map_slope(t, FIG2, sched),
-        "f_inv_slope": lambda t: time_map_inverse_slope(t, FIG2, sched, tau),
+        "f": lambda t: time_map(t, FIG2, tau),
+        "f_inv": lambda t: time_map_inverse(t, FIG2, tau),
+        "f_slope": lambda t: time_map_slope(t, FIG2),
+        "f_inv_slope": lambda t: time_map_inverse_slope(t, FIG2, tau),
     }
     for name, f in maps.items():
-        scalar = [f(float(t)) for t in ts]
-        assert all(v is None or type(v) is float for v in scalar), name
+        # one time at a time: an array shaped like t, 0-d here
+        single = [f(float(t)) for t in ts]
+        assert all(v.shape == () and v.dtype == np.float64 for v in single), name
         got = f(ts)
         assert got.shape == ts.shape and got.dtype == np.float64, name
-        want = np.array([np.nan if v is None else v for v in scalar])
-        assert np.array_equal(_bits(got), _bits(want)), name
+        assert np.array_equal(_bits(got), _bits(single)), name
     # every branch is reached; the boundary points take the identity branch
     f = dict(zip(ts.tolist(), maps["f"](ts).tolist()))
     assert [f[t] for t in (12.0, 18.0, 30.0)] == [12.0 - tau, 18.0 - tau, 30.0 - tau]
@@ -468,11 +464,10 @@ def test_transform_grids_must_be_uniform():
 
 
 def test_gap_geometry():
-    sched = phase_schedule(FIG2)
-    horizontal, vertical = gap_geometry(FIG2, sched)
+    horizontal, vertical = gap_geometry(FIG2)
     assert horizontal == 6.0
     assert vertical == 12.0
     # measured from the map itself: the undefined window and the skipped band
-    f_at = lambda t: time_map(t, FIG2, sched, 0.0)
-    assert f_at(sched.t_f) - f_at(sched.t_s) == vertical
-    assert f_at(12.0 + 1e-9) is None and f_at(18.0 - 1e-9) is None
+    f_at = lambda t: time_map(t, FIG2, 0.0)
+    assert f_at(FIG2.t_f) - f_at(FIG2.t_s) == vertical
+    assert math.isnan(f_at(12.0 + 1e-9)) and math.isnan(f_at(18.0 - 1e-9))
