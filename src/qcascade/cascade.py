@@ -19,14 +19,16 @@ time: the `lindblad` experiment tags each row with the second clock.
 
 The master equation is integrated with fixed-step classical RK4, applied
 as one step matrix (`step_matrix`) to the vectorized density matrix; the
-step matrix is checked for stability first, the history is taken by blocks
-of its powers (`step_history`) and then re-Hermitized.  Every observable a
-run reports, tr(rho op) for op in n1, n2, s1-, s2- and the identity, is one
-column of a single product of the flat history with a constant readout
+step matrix is checked for stability first, and the history is taken by
+blocks of its powers, one slice of 4096 rows at a time (`_scan`).  A run
+holds no history: each slice is re-Hermitized and reduced as it is made.
+Every observable a run reports, tr(rho op) for op in n1, n2, s1-, s2- and
+the identity, is one column of the slice's product with a constant readout
 matrix, and the trace check reads the identity's column of that product.
-Where the generator and rho0 keep the excitation sectors {ee}, {eg, ge},
-{gg} apart, every rho is block-diagonal in them and its least eigenvalue
-comes from the blocks instead of a 4x4 eigensolve.
+The least eigenvalue of each rho is taken from the slice too, but only when
+asked for.  Where the generator and rho0 keep the excitation sectors {ee},
+{eg, ge}, {gg} apart, every rho is block-diagonal in them and its least
+eigenvalue comes from the blocks instead of a 4x4 eigensolve.
 """
 
 from __future__ import annotations
@@ -217,21 +219,36 @@ def checked_step_matrix(a: np.ndarray, h: float) -> np.ndarray:
     return p
 
 
+_MAX_GRID = np.iinfo(np.intp).max // 8  # the most float64 values one array can hold
+
+
 def time_grid(t_span: tuple[float, float], dt: float) -> np.ndarray:
     """Fixed-step grid t0 + k dt for k = 0 .. round((t1 - t0)/dt).
 
     The one time-grid rule of the integrators and the CLI: t1 is rounded
-    to a whole number of steps.
+    to a whole number of steps.  A dt that is not positive, a t_span that
+    is not finite with t1 > t0, or more steps than one array holds is a
+    ValueError naming dt or t_span.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    return t0 + dt * np.arange(int(round((t1 - t0) / dt)) + 1)
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if not t1 > t0:
+        raise ValueError("t_span must satisfy t1 > t0")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must have finite ends, got ({t0!r}, {t1!r})")
+    steps = (t1 - t0) / dt
+    if not steps < _MAX_GRID:
+        raise ValueError(f"dt = {dt!r} makes {steps:.3g} steps over t_span, "
+                         "more than one array holds")
+    return t0 + dt * np.arange(int(round(steps)) + 1)
 
 
-_BLOCK = 64  # the longest block of step_history, and the most steps it takes one at a time
-_SLICE = 4096  # rows of step_history's output per matmul
+_BLOCK = 64  # the longest block of the scan, and the most steps it takes one at a time
+_SLICE = 4096  # rows of the scan's output per slice, and so per matmul
 
 
-def step_history(p, x0, n_steps, inputs=None) -> np.ndarray:
+def _scan(p, x0, n_steps, inputs=None):
     """Rows x[k+1] = x[k] @ p + inputs[k], k < n_steps, from x[0] = x0, each of shape (m, d).
 
     The blocked scan of a linear recurrence (Blelloch, "Prefix sums and their
@@ -240,17 +257,26 @@ def step_history(p, x0, n_steps, inputs=None) -> np.ndarray:
     p^1..p^b come from log2(b) doublings.  A block's rows are one matmul of its
     first row against [p^1 | ... | p^b], plus, with inputs (n_steps, m, d), one
     of its inputs against the block-Toeplitz matrix of p^(j - i), j >= i.  The
-    block starts are the same recurrence in p^b, solved by recursion, so at
-    most 64 steps are taken one at a time.  The blocks are filled in slices
-    of 4096 rows; returns all n_steps + 1 rows, (n_steps + 1, m, d) complex.
+    block starts, n_steps/b rows, are the same recurrence in p^b, solved first
+    by recursion, so at most 64 steps are taken one at a time.
+
+    Yields (lo, rows) for rows lo .. lo + len(rows) - 1: row 0 alone, then
+    slices [1, 4097), [4097, 8193), ..., each filled into one reused (4096, m, d)
+    complex buffer, so the whole history is never held.  A consumer may change
+    a slice in place.
     """
+    x0 = np.array(x0, dtype=complex)
     m, d = x0.shape
-    out = np.empty((n_steps + 1, m, d), dtype=complex)
-    out[0] = x0
+    yield 0, x0[None]
+    buf = np.empty((min(n_steps, _SLICE), m, d), dtype=complex)
     if n_steps <= _BLOCK:
+        prev = x0
         for k in range(n_steps):
-            out[k + 1] = out[k] @ p if inputs is None else out[k] @ p + inputs[k]
-        return out
+            buf[k] = prev @ p if inputs is None else prev @ p + inputs[k]
+            prev = buf[k]
+        if n_steps:
+            yield 1, buf
+        return
     b = min(_BLOCK, 1 << ((n_steps - 1).bit_length() + 1) // 2)
     wide = np.empty((d, b * d), dtype=complex)  # [p^1 | ... | p^b]
     wide[:, :d] = p
@@ -262,55 +288,82 @@ def step_history(p, x0, n_steps, inputs=None) -> np.ndarray:
         return u.swapaxes(1, 2).reshape(nb * m, w * d) @ toep[: w * d, cols]
 
     n_full, rem = divmod(n_steps, b)
-    spans = [(lo, min(_SLICE // b, n_full - lo // b)) for lo in range(0, n_steps - rem, _SLICE)]
     ends = None
     if inputs is not None:
         lag = np.arange(b) - np.arange(b)[:, None]
         toep = np.concatenate((np.eye(d)[None], wide.reshape(d, b, d).swapaxes(0, 1)[:-1]))
         toep = np.where(lag[:, :, None, None] >= 0, toep[np.maximum(lag, 0)], 0)
         toep = toep.transpose(0, 2, 1, 3).reshape(b * d, b * d)
-        ends = [response(lo, nb, b, slice(-d, None)) for lo, nb in spans]
+        ends = [response(lo, min(_SLICE // b, n_full - lo // b), b, slice(-d, None))
+                for lo in range(0, n_steps - rem, _SLICE)]
         ends = np.concatenate(ends).reshape(n_full, m, d)
-    out[::b] = step_history(wide[:, -d:], x0, n_full, ends)
-    # each full block's last row is the next block's start, set by the recursion
-    tail = [(n_steps - rem, 1, rem)] if rem else []
-    for lo, nb, w in [(lo, nb, b - 1) for lo, nb in spans] + tail:
-        rows = out[lo : lo + nb * b : b].reshape(nb * m, d) @ wide[:, : w * d]
-        if inputs is not None:
-            rows += response(lo, nb, w, slice(w * d))
-        dest = out[lo + 1 : lo + 1 + nb * b].reshape(nb, -1, m, d)[:, :w]
-        dest[...] = rows.reshape(nb, m, w, d).swapaxes(1, 2)
+    starts = step_history(wide[:, -d:], x0, n_full, ends)  # row j is row j * b
+    for lo in range(0, n_steps, _SLICE):
+        j, nb = lo // b, min(_SLICE // b, n_full - lo // b)  # first block, full blocks
+        rows = buf[: min(_SLICE, n_steps - lo)]
+        if nb:
+            fill = starts[j : j + nb].reshape(nb * m, d) @ wide[:, : (b - 1) * d]
+            if inputs is not None:
+                fill += response(lo, nb, b - 1, slice((b - 1) * d))
+            blocks = rows[: nb * b].reshape(nb, b, m, d)
+            blocks[:, :-1] = fill.reshape(nb, m, b - 1, d).swapaxes(1, 2)
+            blocks[:, -1] = starts[j + 1 : j + nb + 1]  # a block ends where the next starts
+        if len(rows) > nb * b:  # the last rem rows, after the last full block
+            fill = starts[n_full] @ wide[:, : rem * d]
+            if inputs is not None:
+                fill += response(n_steps - rem, 1, rem, slice(rem * d))
+            rows[nb * b :] = fill.reshape(m, rem, d).swapaxes(0, 1)
+        yield lo + 1, rows
+
+
+def step_history(p, x0, n_steps, inputs=None) -> np.ndarray:
+    """All n_steps + 1 rows of the recurrence that `_scan` takes, (n_steps + 1, m, d) complex."""
+    out = np.empty((n_steps + 1, *np.shape(x0)), dtype=complex)
+    for lo, rows in _scan(p, x0, n_steps, inputs):
+        out[lo : lo + len(rows)] = rows
     return out
 
 
 _TRACE_TOL = 1e-6  # largest |tr rho - 1| a master-equation run may reach
 
 
-def _rk4_density_history(
-    lmat: np.ndarray,
-    rho0: np.ndarray,
-    n_steps: int,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def _least_eig(r: np.ndarray, sectored: bool) -> np.ndarray:
+    """Least eigenvalue of each Hermitian 4x4 of r, (k, 4, 4).
+
+    Where every rho is block-diagonal in the excitation sectors (sectored),
+    it is the least of rho_ee, rho_gg and the lower eigenvalue of the
+    Hermitian {eg, ge} block, (a + b)/2 - hypot((a - b)/2, |c|), with no
+    eigensolve; out= keeps at most two temporaries live.
+    """
+    if not sectored:
+        return np.min(np.linalg.eigvalsh(r), axis=1)
+    a, b = r[:, 1, 1].real, r[:, 2, 2].real
+    low = 0.5 * (a - b)
+    np.hypot(low, np.abs(r[:, 1, 2]), out=low)
+    np.subtract(0.5 * (a + b), low, out=low)
+    return np.minimum(np.minimum(r[:, 0, 0].real, r[:, 3, 3].real), low, out=low)
+
+
+def _rk4_readout(lmat, rho0, n_steps, dt, least=None):
     """Fixed-step RK4 on vec(rho), one step matrix checked for stability first.
 
-    The steps are taken by `step_history`, then the history is re-Hermitized
-    and read: each row vec(rho) times `_READOUT`, a block of 4096 rows per
-    matmul, and the trace column of that product is checked.  Returns the
-    history of rho0 (4, 4), (n_steps + 1, 4, 4), and the product,
-    (n_steps + 1, 5).
+    The steps come from `_scan` a slice at a time, and each slice is reduced
+    as it is made: re-Hermitized in place (rho0 is kept as given), read as
+    vec(rho) times `_READOUT` in one matmul, checked on that product's trace
+    column and, when least is given, passed to it for each rho's least
+    eigenvalue.  Returns the product, (n_steps + 1, 5), and the least
+    eigenvalues, (n_steps + 1,) or None.
     """
     pt = checked_step_matrix(lmat, dt).T.copy()
-    flat = step_history(pt, rho0.reshape(1, -1), n_steps)  # (n_steps + 1, 1, 16)
-    history = flat.reshape(n_steps + 1, 4, 4)
     reads = np.empty((n_steps + 1, 5), dtype=complex)
-    reads[:1] = flat[0] @ _READOUT
-    for lo in range(1, n_steps + 1, 4096):  # blocks: no temporary spans the whole history
-        block = history[lo : lo + 4096]
-        block += block.conj().swapaxes(-1, -2)  # in place: conj() is a copy, so no overlap
-        block *= 0.5
-        rows = reads[lo : lo + 4096]
-        np.matmul(flat[lo : lo + 4096].reshape(-1, 16), _READOUT, out=rows)
+    low = None if least is None else np.empty(n_steps + 1)
+    for lo, flat in _scan(pt, rho0.reshape(1, -1), n_steps):  # flat: (k, 1, 16)
+        block = flat.reshape(-1, 4, 4)
+        if lo:
+            block += block.conj().swapaxes(-1, -2)  # in place: conj() is a copy, so no overlap
+            block *= 0.5
+        rows = reads[lo : lo + len(block)]
+        np.matmul(flat.reshape(-1, 16), _READOUT, out=rows)
         worst = np.abs(rows[:, 4] - 1.0)
         bad = np.flatnonzero(~(worst <= _TRACE_TOL))  # NaN counts as bad
         if bad.size:
@@ -319,7 +372,9 @@ def _rk4_density_history(
                 f"trace deviation {worst[bad[0]]:.3e} > {_TRACE_TOL:.1e} at step "
                 f"{step} (t = {step * dt:.6g}); reduce the step size dt={dt:g}"
             )
-    return history, reads
+        if least is not None:
+            low[lo : lo + len(block)] = least(block)
+    return reads, low
 
 
 def _keeps_sectors(lmat: np.ndarray, rho0: np.ndarray) -> bool:
@@ -335,15 +390,17 @@ def _keeps_sectors(lmat: np.ndarray, rho0: np.ndarray) -> bool:
 class MasterRun:
     """Time series emitted by integrate_master.
 
-    readout is the history times `_READOUT`, one row per time: P1, P2,
-    <s1->, <s2->, tr rho.  keeps_sectors says that every rho is
-    block-diagonal in the excitation sectors {ee}, {eg, ge}, {gg}.
+    readout holds one row per time, tr(rho op) for op in n1, n2, s1-, s2-
+    and the identity: P1, P2, <s1->, <s2->, tr rho.  keeps_sectors says
+    that every rho is block-diagonal in the excitation sectors {ee},
+    {eg, ge}, {gg}.  min_eig holds each rho's least eigenvalue when the run
+    was asked for it, else None.
     """
 
     times: np.ndarray
-    rhos: np.ndarray
     readout: np.ndarray
     keeps_sectors: bool = False
+    min_eig: np.ndarray | None = None
     p1: np.ndarray = field(init=False)
     p2: np.ndarray = field(init=False)
     sigma1: np.ndarray = field(init=False)
@@ -359,16 +416,9 @@ class MasterRun:
         return np.abs(self.readout[:, 4] - 1.0)
 
     def min_eigenvalues(self) -> np.ndarray:
-        r = self.rhos
-        if not self.keeps_sectors:
-            return np.min(np.linalg.eigvalsh(r), axis=1)
-        # rho_ee, rho_gg and the lower eigenvalue of the Hermitian {eg, ge} block,
-        # (a + b)/2 - hypot((a - b)/2, |c|); out= keeps at most two temporaries live
-        a, b = r[:, 1, 1].real, r[:, 2, 2].real
-        low = 0.5 * (a - b)
-        np.hypot(low, np.abs(r[:, 1, 2]), out=low)
-        np.subtract(0.5 * (a + b), low, out=low)
-        return np.minimum(np.minimum(r[:, 0, 0].real, r[:, 3, 3].real), low, out=low)
+        if self.min_eig is None:
+            raise ValueError("min_eig was not taken: run integrate_master with min_eig=True")
+        return self.min_eig
 
 
 def integrate_master(
@@ -376,25 +426,27 @@ def integrate_master(
     model: CascadeModel,
     t_span: tuple[float, float],
     dt: float,
+    *,
+    min_eig: bool = False,
 ) -> MasterRun:
     """Integrate the cascaded master equation with fixed-step RK4.
 
-    rho0 is the composite 4x4 density matrix at t_span[0]: Hermitian,
-    unit-trace and positive, or ValueError naming rho0, before any step
+    dt and t_span are checked by `time_grid`.  rho0 is the composite 4x4
+    density matrix at t_span[0]: Hermitian, unit-trace and positive, or
+    ValueError naming rho0, before any step
     (`hilbert.validate_density_matrix`).  The run is on lab time only.
-    Whether the run keeps the excitation sectors apart, so that
-    min_eigenvalues works per sector, is decided here from the Liouvillian
-    and rho0 before the scan (true at beta = 0 from eg, ge, ee or gg).
+    With min_eig, each rho's least eigenvalue is taken too
+    (`MasterRun.min_eigenvalues`); a 4x4 eigensolve per row costs more than
+    the scan, so it is left out by default.  Whether the run keeps the
+    excitation sectors apart, so that it is taken per sector instead, is
+    decided here from the Liouvillian and rho0 before the scan (true at
+    beta = 0 from eg, ge, ee or gg).
 
     Recommended dt * max(gamma1, gamma2, |beta|^2) <= 0.1.  An RK4 step
     matrix with spectral radius above 1 aborts with IntegrationAbort
     before the first step, a trace deviation above 1e-6 after the loop.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if not t1 > t0:
-        raise ValueError("t_span must satisfy t1 > t0")
+    times = time_grid(t_span, dt)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"rho0 must be 4x4 for the two-level pair, got {rho0.shape}")
@@ -402,8 +454,8 @@ def integrate_master(
         validate_density_matrix(rho0)
     except ValueError as exc:  # a bad rho0 is not an integrator failure
         raise ValueError(f"rho0 is not a density matrix: {exc}") from exc
-    times = time_grid(t_span, dt)
     lmat = liouvillian(model)
     sectored = _keeps_sectors(lmat, rho0)
-    rhos, readout = _rk4_density_history(lmat, rho0, times.size - 1, dt)
-    return MasterRun(times=times, rhos=rhos, readout=readout, keeps_sectors=sectored)
+    least = (lambda r: _least_eig(r, sectored)) if min_eig else None
+    readout, low = _rk4_readout(lmat, rho0, times.size - 1, dt, least)
+    return MasterRun(times=times, readout=readout, keeps_sectors=sectored, min_eig=low)

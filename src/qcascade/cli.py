@@ -51,9 +51,12 @@ INITIAL_STATES = ("eg", "ge", "ee", "gg", "plus_g")
 
 # Each count a run sizes its arrays by must stay below this, checked before
 # the run starts: time samples at dt, phases field points nx *
-# len(snapshot_times), and trajectories.  The most memory per count goes to
-# decay's two density histories, 256 bytes a time sample each, so no single
-# array reaches 512 MiB; every shipped and benchmark config is 18x or more below.
+# len(snapshot_times), and trajectories.  A master-equation run holds no
+# density history, only its (n, 5) complex readout, 80 bytes a time sample.
+# The most memory per count still goes to decay, whose two runs peak at about
+# 210 bytes a time sample with the CSV writer's, just above transfer's 200, so
+# no single array reaches 512 MiB; every shipped and benchmark config is 18x or
+# more below.
 MAX_SAMPLES = 2**21
 # trajectories * steps must stay below this: about 4.5 min at 0.25 us per
 # trajectory-step, over 100x the 10^7 of every shipped and benchmark config
@@ -606,7 +609,7 @@ def _decay(p: _Plan):
 def _lindblad(p: _Plan):
     model, num = p.model, p.numerics
     rho0 = density_from_ket(_initial_ket(num.initial_state))
-    run_ = cascade.integrate_master(rho0, model, num.t_span, num.dt)
+    run_ = cascade.integrate_master(rho0, model, num.t_span, num.dt, min_eig=True)
     comments = [_units_comment(model), f"initial state {num.initial_state}"]
     if p.spec is None:
         tilde = run_.times - model.tau

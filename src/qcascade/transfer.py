@@ -144,6 +144,8 @@ def drive_system2(
     """
     if not gamma2 > 0.0:
         raise ValueError("gamma2 must be positive")
+    if not 0.0 <= omega2 < math.inf:
+        raise ValueError("omega2 must be finite and non-negative")
     t, h = _uniform_grid(t_grid, "t_grid")
     n_steps = t.size - 1
     xi = input_env.on_grid(float(t[0]) - tau, h / 2.0, 2 * n_steps + 1)

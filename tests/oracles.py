@@ -15,6 +15,8 @@ the package.
   out(nu) = sqrt(alpha) in(-alpha (nu - omega0)) e^{i nu T}, against the
   time-domain form every experiment runs.
 * `heaviside`, the unit step with u(0) = 1/2.
+* `density_history` -- every rho of a master-equation run, held whole,
+  against the run's slice-by-slice reduction.
 
 DFT convention: the forward transform uses the e^{+i nu t} kernel,
 F(nu) = (2 pi)^(-1/2) Int dt env(t) e^{+i nu t}, matching in-field mode
@@ -32,13 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qcascade import cascade
 from qcascade.cascade import (
     CascadeModel,
     build_h0,
     build_jump_operator,
+    checked_step_matrix,
     integrate_master,
     step_history,
     step_matrix,
+    time_grid,
 )
 from qcascade.wavepacket import Envelope, TransformSpec, _uniform_grid, derive_transform_params
 
@@ -56,6 +61,25 @@ def lindblad_rhs(rho: np.ndarray, model: CascadeModel) -> np.ndarray:
         + j @ rho @ j.conj().T
         - 0.5 * (jdj @ rho + rho @ jdj)
     )
+
+
+def density_history(
+    rho0: np.ndarray, model: CascadeModel, t_span: tuple[float, float], dt: float
+) -> np.ndarray:
+    """Every rho of `integrate_master`'s run, (n_steps + 1, 4, 4).
+
+    The whole history from `step_history` with the run's step matrix,
+    re-Hermitized as the run re-Hermitizes each slice (rho0 as given).
+    """
+    n_steps = time_grid(t_span, dt).size - 1
+    # through the module attribute, so that a test that patches liouvillian is seen
+    pt = checked_step_matrix(cascade.liouvillian(model), dt).T.copy()
+    rhos = step_history(pt, np.asarray(rho0, dtype=complex).reshape(1, -1), n_steps)
+    rhos = rhos.reshape(-1, 4, 4)
+    later = rhos[1:]
+    later += later.conj().swapaxes(-1, -2)
+    later *= 0.5
+    return rhos
 
 
 @dataclass(eq=False)

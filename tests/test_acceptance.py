@@ -110,7 +110,7 @@ def test_criterion_2_h_eff_structure():
 def test_criterion_3_trace_and_positivity():
     model = CascadeModel(gamma1=1.0, gamma2=1.0, beta=0.5)
     run = integrate_master(
-        density_from_ket(composite_ket("eg")), model, (0.0, 10.0), 1e-3
+        density_from_ket(composite_ket("eg")), model, (0.0, 10.0), 1e-3, min_eig=True
     )
     trace_dev = float(np.max(run.trace_deviation()))
     min_eig = float(np.min(run.min_eigenvalues()))

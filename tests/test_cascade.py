@@ -29,7 +29,7 @@ from qcascade.cascade import (
 from qcascade.hilbert import composite_ket, density_from_ket, two_level_ket
 from qcascade.wavepacket import TransformSpec, time_map
 
-from oracles import heisenberg_consistency, lindblad_rhs
+from oracles import density_history, heisenberg_consistency, lindblad_rhs
 
 
 def plus_g_density():
@@ -165,8 +165,7 @@ def test_integrate_master_decay():
 def test_integrate_master_stationary():
     m = CascadeModel(gamma1=1.0, gamma2=1.0)
     rho0 = density_from_ket(composite_ket("gg"))
-    run = integrate_master(rho0, m, (0.0, 2.0), 1e-2)
-    assert np.max(np.abs(run.rhos - rho0)) < 1e-12
+    assert np.max(np.abs(density_history(rho0, m, (0.0, 2.0), 1e-2) - rho0)) < 1e-12
 
 
 def test_integrate_master_peak():
@@ -180,10 +179,11 @@ def test_integrate_master_peak():
 def test_integrate_master_state_quality():
     m = CascadeModel(gamma1=1.0, gamma2=1.0, beta=0.5)
     rho0 = density_from_ket(composite_ket("eg"))
-    run = integrate_master(rho0, m, (0.0, 10.0), 1e-3)
+    run = integrate_master(rho0, m, (0.0, 10.0), 1e-3, min_eig=True)
     assert float(np.max(run.trace_deviation())) < 1e-9
     assert float(np.min(run.min_eigenvalues())) >= -1e-8
-    herm = np.max(np.abs(run.rhos - run.rhos.conj().transpose(0, 2, 1)))
+    rhos = density_history(rho0, m, (0.0, 10.0), 1e-3)
+    herm = np.max(np.abs(rhos - rhos.conj().transpose(0, 2, 1)))
     assert herm < 1e-12
 
 
@@ -377,7 +377,7 @@ def test_unstable_step_aborts_before_stepping():
     rho0 = density_from_ket(composite_ket("eg"))
     for n_steps in (0, 10):
         with pytest.raises(IntegrationAbort, match="spectral radius") as info:
-            cascade._rk4_density_history(lmat, rho0, n_steps, 3.0)
+            cascade._rk4_readout(lmat, rho0, n_steps, 3.0)
         assert "dt=3" in str(info.value)
 
 
@@ -385,7 +385,7 @@ def test_nonfinite_step_matrix_aborts():
     lmat = liouvillian(CascadeModel(gamma1=1.0, gamma2=1.0))
     lmat[0, 0] = math.nan
     with pytest.raises(IntegrationAbort, match="not finite"):
-        cascade._rk4_density_history(lmat, density_from_ket(composite_ket("eg")), 10, 1e-3)
+        cascade._rk4_readout(lmat, density_from_ket(composite_ket("eg")), 10, 1e-3)
 
 
 def test_min_eigenvalues_match_per_state():
@@ -394,10 +394,24 @@ def test_min_eigenvalues_match_per_state():
     for beta, rho0 in [(0.3, plus_g_density()), (0.0, plus_g_density()),
                        (0.5, density_from_ket(composite_ket("eg"))),
                        (-0.2 + 0.1j, density_from_ket(composite_ket("gg")))]:
-        run = integrate_master(rho0, CascadeModel(gamma1=1.0, gamma2=0.5, beta=beta), (0.0, 2.0), 0.01)
+        model = CascadeModel(gamma1=1.0, gamma2=0.5, beta=beta)
+        run = integrate_master(rho0, model, (0.0, 2.0), 0.01, min_eig=True)
         assert not run.keeps_sectors
-        per_state = np.array([np.min(np.linalg.eigvalsh(r)) for r in run.rhos])
+        rhos = density_history(rho0, model, (0.0, 2.0), 0.01)
+        per_state = np.array([np.min(np.linalg.eigvalsh(r)) for r in rhos])
         assert np.array_equal(run.min_eigenvalues(), per_state)
+
+
+def forbid_eigvalsh_per_row(monkeypatch):
+    # rho0's own check (hilbert.validate_density_matrix) takes one 4x4 eigvalsh;
+    # a batch of them is an eigensolve per row of the run
+    eigvalsh = np.linalg.eigvalsh
+
+    def one_matrix(a, *args, **kwargs):
+        assert np.ndim(a) == 2, f"eigvalsh on a batch of shape {np.shape(a)}"
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", one_matrix)
 
 
 @pytest.mark.parametrize("state", ["eg", "ge", "ee", "gg"])
@@ -406,17 +420,15 @@ def test_min_eigenvalues_per_sector_at_beta_0(state, monkeypatch):
     # is min(rho_ee, rho_gg, lower eigenvalue of the 2x2 block).  That and
     # eigvalsh each round to within a few eps * ||rho|| of the exact value, and
     # ||rho|| <= tr rho = 1
-    run = integrate_master(density_from_ket(composite_ket(state)),
-                           CascadeModel(gamma1=1.0, gamma2=0.5), (0.0, 10.0), 0.01)
-    assert run.keeps_sectors
+    rho0, model = density_from_ket(composite_ket(state)), CascadeModel(gamma1=1.0, gamma2=0.5)
+    rhos = density_history(rho0, model, (0.0, 10.0), 0.01)
     excitations = np.array([2, 1, 1, 0])
-    assert not np.any(run.rhos[:, excitations[:, None] != excitations])
-    per_state = np.array([np.min(np.linalg.eigvalsh(r)) for r in run.rhos])
+    assert not np.any(rhos[:, excitations[:, None] != excitations])
+    per_state = np.array([np.min(np.linalg.eigvalsh(r)) for r in rhos])
 
-    def no_eigensolve(*args):
-        raise AssertionError("the sector path takes no eigensolve")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+    forbid_eigvalsh_per_row(monkeypatch)
+    run = integrate_master(rho0, model, (0.0, 10.0), 0.01, min_eig=True)
+    assert run.keeps_sectors
     assert np.max(np.abs(run.min_eigenvalues() - per_state)) <= 4 * np.finfo(float).eps
 
 
@@ -427,10 +439,11 @@ def test_one_cross_sector_generator_entry_leaves_the_sector_path(monkeypatch):
     assert cascade._keeps_sectors(lmat, density_from_ket(composite_ket("eg")))
     lmat[0 * 4 + 3, 1 * 4 + 1] = 0.1
     monkeypatch.setattr(cascade, "liouvillian", lambda model: lmat)
-    run = integrate_master(density_from_ket(composite_ket("eg")),
-                           CascadeModel(gamma1=1.0, gamma2=0.5), (0.0, 2.0), 0.01)
-    assert not run.keeps_sectors and np.all(run.rhos[1:, 0, 3] != 0)
-    per_state = np.array([np.min(np.linalg.eigvalsh(r)) for r in run.rhos])
+    rho0, model = density_from_ket(composite_ket("eg")), CascadeModel(gamma1=1.0, gamma2=0.5)
+    run = integrate_master(rho0, model, (0.0, 2.0), 0.01, min_eig=True)
+    rhos = density_history(rho0, model, (0.0, 2.0), 0.01)  # reads the patched liouvillian
+    assert not run.keeps_sectors and np.all(rhos[1:, 0, 3] != 0)
+    per_state = np.array([np.min(np.linalg.eigvalsh(r)) for r in rhos])
     assert np.array_equal(run.min_eigenvalues(), per_state)
 
 
@@ -439,8 +452,9 @@ def test_readout_bytes_match_einsum(beta, rho0):
     # the readout product against the per-observable einsums it replaced, kept
     # here as the reference; 10,001 rows span three of the history's blocks
     rho0 = plus_g_density() if rho0 == "plus_g" else density_from_ket(composite_ket(rho0))
-    run = integrate_master(rho0, CascadeModel(gamma1=1.0, gamma2=1.0, beta=beta), (0.0, 10.0), 1e-3)
-    r = run.rhos
+    model = CascadeModel(gamma1=1.0, gamma2=1.0, beta=beta)
+    run = integrate_master(rho0, model, (0.0, 10.0), 1e-3)
+    r = density_history(rho0, model, (0.0, 10.0), 1e-3)
     for got, want in [
         (run.p1, np.einsum("nij,ji->n", r, NUMBER1).real),
         (run.p2, np.einsum("nij,ji->n", r, NUMBER2).real),
@@ -449,3 +463,47 @@ def test_readout_bytes_match_einsum(beta, rho0):
         (run.trace_deviation(), np.abs(np.einsum("nii->n", r) - 1.0)),
     ]:
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [10, 64, 4096, 4097, 10_000, 12_345])
+@pytest.mark.parametrize("beta, state", [(0.0, "eg"), (0.3, "plus_g")])
+def test_streamed_reduction_matches_the_whole_history(n_steps, beta, state):
+    # the run reduces each 4096-row slice as the scan makes it; the same reduction
+    # of the whole history must give the same bytes.  n <= 64 is one slice of
+    # single steps, 4096 a whole number of 64-step blocks, 4097 a slice edge, and
+    # 10,000 and 12,345 end on a partial block (n mod 64 = 16 and 57)
+    rho0 = plus_g_density() if state == "plus_g" else density_from_ket(composite_ket(state))
+    model, span = CascadeModel(gamma1=1.0, gamma2=0.5, beta=beta), (0.0, n_steps * 1e-3)
+    run = integrate_master(rho0, model, span, 1e-3, min_eig=True)
+    assert run.times.size == n_steps + 1 and run.keeps_sectors == (beta == 0.0)
+    r = density_history(rho0, model, span, 1e-3)
+    readout = r.reshape(-1, 16) @ cascade._READOUT
+    least = cascade._least_eig(r, run.keeps_sectors)
+    assert run.readout.tobytes() == readout.tobytes()
+    assert run.min_eigenvalues().tobytes() == least.tobytes()
+
+
+def test_a_40k_step_run_holds_no_density_history():
+    # the 40,001 density matrices alone would take 40,001 * 256 B = 10.24 MB
+    import tracemalloc
+
+    rho0 = density_from_ket(composite_ket("eg"))
+    tracemalloc.start()
+    try:
+        run = integrate_master(rho0, CascadeModel(gamma1=1.0, gamma2=1.0), (0.0, 40.0), 1e-3,
+                               min_eig=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.times.size == 40_001
+    assert peak < 40_001 * 256
+
+
+def test_min_eig_is_taken_only_when_asked(monkeypatch):
+    # at beta != 0 min_eig needs an eigensolve per row, which costs more than the scan
+    forbid_eigvalsh_per_row(monkeypatch)
+    run = integrate_master(density_from_ket(composite_ket("eg")),
+                           CascadeModel(gamma1=1.0, gamma2=1.0, beta=0.5), (0.0, 10.0), 1e-3)
+    assert not run.keeps_sectors and run.min_eig is None
+    with pytest.raises(ValueError, match="min_eig=True"):
+        run.min_eigenvalues()

@@ -11,6 +11,8 @@ import pytest
 from qcascade import cli
 from qcascade.cascade import IntegrationAbort
 
+from oracles import density_history
+
 
 def write_config(tmp_path, name="cfg.json", **overrides):
     cfg = {
@@ -139,8 +141,8 @@ def test_decay_columns_match_einsum_readout(tmp_path):
     assert cli.main(["--config", str(path)]) == 0
     _, header, rows = read_csv(tmp_path / "out" / "decay.csv")
     model = cli.CascadeModel(gamma1=1.0, gamma2=0.5, beta=0.3)
-    eg, plus = (cli.cascade.integrate_master(cli.density_from_ket(cli._initial_ket(s)), model,
-                                             (0.0, 10.0), 0.001).rhos for s in ("eg", "plus_g"))
+    eg, plus = (density_history(cli.density_from_ket(cli._initial_ket(s)), model,
+                                (0.0, 10.0), 0.001) for s in ("eg", "plus_g"))
     s1 = np.einsum("nij,ji->n", eg, cli.cascade.SIGMA1_MINUS)
     s2 = np.einsum("nij,ji->n", eg, cli.cascade.SIGMA2_MINUS)
     coh = np.einsum("nij,ji->n", plus, cli.cascade.SIGMA1_MINUS)
@@ -618,7 +620,7 @@ def test_exit_3_on_integrator_abort(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise IntegrationAbort("trace deviation 1e+00 > 1e-06 at step 1; reduce the step size")
 
-    monkeypatch.setattr(cli.cascade, "_rk4_density_history", boom)
+    monkeypatch.setattr(cli.cascade, "_rk4_readout", boom)
     assert cli.main(["--config", str(path)]) == 3
 
 

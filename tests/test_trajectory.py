@@ -24,6 +24,8 @@ from qcascade.trajectory import (
     uniform_counter,
 )
 
+from oracles import density_history
+
 MODEL = CascadeModel(gamma1=1.0, gamma2=1.0)
 PSI_EG = composite_ket("eg")
 
@@ -166,9 +168,9 @@ def test_mean_jump_count_against_master_oracle():
     dt = 0.01
     t_span = (0.0, 10.0)
     model = MODEL
-    run = integrate_master(density_from_ket(PSI_EG), model, t_span, dt)
+    rhos = density_history(density_from_ket(PSI_EG), model, t_span, dt)
     j = build_jump_operator(model)
-    rate = np.array([np.trace(j @ r @ j.conj().T).real for r in run.rhos])
+    rate = np.array([np.trace(j @ r @ j.conj().T).real for r in rhos])
     expected = float(np.trapezoid(rate, dx=dt))
     cfg = TrajectoryConfig(dt=dt, n_traj=2000, seed=71, t_span=t_span)
     ens = ensemble_average(PSI_EG, model, cfg)
@@ -184,7 +186,8 @@ def test_two_photon_jump_count_against_master_oracle():
     psi0 = composite_ket("ee")
     run = integrate_master(density_from_ket(psi0), MODEL, t_span, dt)
     j = build_jump_operator(MODEL)
-    rate = np.array([np.trace(j @ r @ j.conj().T).real for r in run.rhos])
+    rate = np.array([np.trace(j @ r @ j.conj().T).real
+                     for r in density_history(density_from_ket(psi0), MODEL, t_span, dt)])
     expected = float(np.trapezoid(rate, dx=dt))
     cfg = TrajectoryConfig(dt=dt, n_traj=2000, seed=73, t_span=t_span)
     ens = ensemble_average(psi0, MODEL, cfg)
@@ -214,7 +217,8 @@ def test_ensemble_with_coherent_drive():
     run = integrate_master(density_from_ket(psi0), model, (0.0, 4.0), dt)
     assert np.max(np.abs(ens.p2 - run.p2)) < 5.0 / math.sqrt(500)
     j = build_jump_operator(model)
-    rate = np.array([np.trace(j @ r @ j.conj().T).real for r in run.rhos])
+    rhos = density_history(density_from_ket(psi0), model, (0.0, 4.0), dt)
+    rate = np.array([np.trace(j @ r @ j.conj().T).real for r in rhos])
     expected = float(np.trapezoid(rate, dx=dt))
     assert abs(ens.mean_jumps - expected) < 0.05
 

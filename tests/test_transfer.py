@@ -325,12 +325,18 @@ _ENV = Envelope(0.0, 0.05, np.ones(21, dtype=complex))
                  "dt must be positive", id="integrate_master-dt"),
     pytest.param(lambda: integrate_master(_RHO_EG, _PAIR, (0.0, math.nan), 0.1),
                  "t_span must satisfy", id="integrate_master-t_span"),
+    pytest.param(lambda: integrate_master(_RHO_EG, _PAIR, (0.0, math.inf), 0.1),
+                 "t_span must have finite ends", id="integrate_master-t_span-inf"),
+    pytest.param(lambda: integrate_master(_RHO_EG, _PAIR, (0.0, 1.0), 1e-300),
+                 "dt = 1e-300 makes 1e\\+300 steps", id="integrate_master-dt-tiny"),
     pytest.param(lambda: TrajectoryConfig(math.nan, 10, 1, (0.0, 1.0)),
                  "dt must be positive", id="TrajectoryConfig-dt"),
     pytest.param(lambda: TrajectoryConfig(0.1, 10, 1, (0.0, math.nan)),
                  "t_span must satisfy", id="TrajectoryConfig-t_span"),
     pytest.param(lambda: drive_system2(_ENV, math.nan, 0.0, 0.0, grid(0.0, 1.0, 0.1)),
                  "gamma2 must be positive", id="drive_system2-gamma2"),
+    pytest.param(lambda: drive_system2(_ENV, 1.0, math.nan, 0.0, grid(0.0, 1.0, 0.1)),
+                 "omega2 must be finite and non-negative", id="drive_system2-omega2"),
     pytest.param(lambda: derive_transform_params(math.nan, 1.0, 0.0, 0.0),
                  "decay rates must be positive", id="derive_transform_params-gamma1"),
     pytest.param(lambda: transfer_experiment(_PAIR, matched_spec(1.0, 1.0), np.array([0.0])),
