@@ -303,7 +303,8 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
     if given is not None:
         num = attempt(_construct, "numerics", Numerics,
                       **{**given, **_experiment_defaults(exp, model, spec, given)})
-    if num is not None and model is not None and given["dt"] is not None:
+    # timemap integrates nothing, so only the integrators take the rate bound
+    if num is not None and model is not None and given["dt"] is not None and exp != "timemap":
         scale = max(model.gamma1, model.gamma2, abs(model.beta) ** 2)
         if num.dt * scale > 0.1:
             diags.append(f"numerics.dt: dt*max(gamma1, gamma2, |beta|^2) = {num.dt * scale:.3g} "
@@ -351,12 +352,13 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
                     f"window [{spec.t_s:.6g}, {spec.t_f:.6g}]"
                 )
             # transfer_experiment's emission grid holds two samples, 32 bytes, a step
-            lo, hi = transfer._emission_window(t0, t1, model.tau, shift)
+            lo, hi = transfer._emission_window(t0, t1, model.tau, spec)
             work["numerics.dt"] = ((hi - lo) / dt + 2.0, f"time samples over the emission "
                                    f"window [{lo:.6g}, {hi:.6g}]")
     # each integrator's RK4 step must be stable at dt: the master equation's
     # (decay, lindblad, trajectories), the trajectories' no-jump step and the
-    # transfer drive's step and coefficients, as transfer.drive_system2 takes them
+    # transfer drive's step and coefficients, as transfer.drive_system2 takes them;
+    # the trajectories' jump probability per step stays under 0.1, as _mc_core checks
     checks = {}
     if exp in ("decay", "lindblad", "trajectories"):
         checks["master-equation"] = lambda: cascade.checked_step_matrix(
@@ -364,6 +366,7 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
     if exp == "trajectories":
         checks["no-jump"] = lambda: cascade.checked_step_matrix(
             -1j * cascade.build_h_eff(model), dt)
+        checks["trajectory"] = lambda: trajectory.checked_jump_operator(model, dt)
     if exp == "transfer":
         checks["transfer drive"] = lambda: transfer.drive_step_coefficients(
             model.gamma2, model.frame_omegas()[1], dt)
@@ -377,13 +380,6 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
                                "field points nx * len(snapshot_times)")
     tcfg = None
     if exp == "trajectories":
-        # the trajectory guard aborts once dt <J+J>/<psi|psi> exceeds 0.1; its largest
-        # value over all states is the top eigenvalue of J+J
-        jump = cascade.build_jump_operator(model)
-        rate = np.linalg.eigvalsh(jump.conj().T @ jump)[-1]
-        if dt * rate > 0.1:
-            diags.append(f"numerics.dt: dt*max(<J+J>/<psi|psi>) = {dt * rate:.3g} exceeds the "
-                         "bound 0.1 on the jump probability per step")
         work["numerics.n_traj"] = (num.n_traj, "trajectories")
         steps = (t1 - t0) / dt
         if not num.n_traj < MAX_TRAJECTORY_STEPS / steps:

@@ -10,10 +10,11 @@ unnormalized state falls below r.  The state is then replaced by the
 normalized J psi of the post-step state, and the next threshold is drawn.
 A state with J psi = 0 cannot emit: where the step's truncation error
 alone takes its norm below r (as for |gg> in the lab frame), it keeps r.
-Observables are sampled from the renormalized state; the raw decaying
-norm is recorded for jump statistics.  Averaging the per-trajectory
-observables over the ensemble converges to the master equation at the
-usual 1/sqrt(n_traj) rate.
+One fixed set is recorded: P1, P2 and P2^2 of the renormalized state and
+the raw decaying norm.  Averaging the per-trajectory observables over the
+ensemble converges to the master equation at the usual 1/sqrt(n_traj)
+rate.  A dt that would let any state's jump probability per step,
+dt <J+J>/<psi|psi>, exceed 0.1 is refused before the first step.
 
 Randomness comes from a counter-based generator: the j-th threshold of
 trajectory k is a 64-bit hash of (seed, k, j), so any trajectory can be
@@ -70,6 +71,7 @@ __all__ = [
     "TrajectoryRecord",
     "EnsembleResult",
     "uniform_counter",
+    "checked_jump_operator",
     "evolve_trajectory",
     "ensemble_average",
 ]
@@ -114,12 +116,10 @@ class TrajectoryConfig:
     """Numerics of a trajectory run.
 
     Jumps follow the waiting-time rule, which has no first-order sampling
-    error in dt, so dt needs no trajectory-specific bound.  The run still
-    aborts with IntegrationAbort if a row's jump probability per step,
-    dt <J+J> / <psi|psi>, exceeds 0.1; the check runs on each pass's block
-    of steps, and the message names the earliest failing step over all
-    rows.  How many steps a pass takes is not a setting: it changes no
-    result.
+    error in dt.  dt must still keep the jump probability per step under
+    0.1 in every state (`checked_jump_operator`), or the run aborts with
+    IntegrationAbort before its first step.  How many steps a pass takes
+    is not a setting: it changes no result.
     """
 
     dt: float
@@ -213,6 +213,33 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, below) -> np.ndarray:
         hi = np.where(active & ~b, mid, hi)
 
 
+def checked_jump_operator(model: CascadeModel, dt: float) -> np.ndarray:
+    """The jump operator J, checked at dt before any step is taken with it.
+
+    The jump probability per step, dt <J+J>/<psi|psi>, is a Rayleigh
+    quotient of J+J, so no state exceeds dt times its top eigenvalue;
+    above 0.1 that bound is an IntegrationAbort.
+    """
+    jop = build_jump_operator(model)
+    bound = dt * float(np.linalg.eigvalsh(jop.conj().T @ jop)[-1])
+    if not bound <= 0.1:
+        raise IntegrationAbort(
+            f"jump probability per step dt*max(<J+J>/<psi|psi>) = {bound:.6g} exceeds 0.1; "
+            f"reduce dt={dt:g}"
+        )
+    return jop
+
+
+def _observables(states: np.ndarray, norm2: np.ndarray) -> np.ndarray:
+    # per row: the raw norm, then P1, P2 and P2^2 of the renormalized state,
+    # in the composite basis |ee>=0, |eg>=1, |ge>=2, |gg>=3
+    a = np.abs(states) ** 2
+    with np.errstate(invalid="ignore"):  # 0/0 at a norm of 0, which _mc_core reports
+        p1 = (a[:, 0] + a[:, 1]) / norm2
+        p2 = (a[:, 0] + a[:, 2]) / norm2
+    return np.array([np.sqrt(norm2), p1, p2, p2 * p2])
+
+
 # A pass advances every pending row by up to _WINDOW steps, fewer when
 # rows x steps would exceed _BLOCK, which bounds the memory of a pass.
 _WINDOW = 64
@@ -220,36 +247,31 @@ _BLOCK = 2**15
 
 
 def _mc_core(
-    psi0: np.ndarray,
-    model: CascadeModel,
-    dt: float,
-    t_span: tuple[float, float],
-    seed: int,
-    streams: np.ndarray,
-    record_stride: int,
-    observe,
+    psi0: np.ndarray, model: CascadeModel, cfg: TrajectoryConfig, streams: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance the jump-history rows in passes (see the module docstring).
+    """Advance the jump-history rows of the trajectories on streams in
+    passes (see the module docstring); cfg.n_traj is not read.
 
-    observe(states, norm2) maps row states and their squared norms to a
-    (q, rows) array of per-row values.  At every record_stride-th step,
-    and at the start, the core adds these up weighted by row size:
-    records[s] holds the ensemble sums of the s-th sampled step.
+    At every record_stride-th step, and at the start, the core adds up the
+    rows' raw norms, P1, P2 and P2^2 weighted by row size: records[s]
+    holds these ensemble sums at the s-th sampled step.
 
     Returns (records, jump steps, jump trajectories): jump i happened on
     trajectory jump_trajs[i] (an index into streams) at step jump_steps[i],
     in step order.  A step matrix P that is not finite or has spectral
-    radius above 1 aborts with IntegrationAbort before the first pass.
+    radius above 1, or a dt that lets some state's jump probability per
+    step exceed 0.1, aborts with IntegrationAbort before the first pass;
+    a state that cannot jump but whose norm the step takes to 0, after it.
     """
-    jop = build_jump_operator(model)
-    # one pass over the rows gives J psi, for the guard and the jumps, and
-    # the step P psi
-    jop_prop = np.concatenate([jop, checked_step_matrix(-1j * build_h_eff(model), dt)])
+    dt, record_stride = cfg.dt, cfg.record_stride
+    prop = checked_step_matrix(-1j * build_h_eff(model), dt)
+    jop = checked_jump_operator(model, dt)
+    # one pass over the rows gives J psi, for the jumps, and the step P psi
+    jop_prop = np.concatenate([jop, prop])
     dim = jop.shape[0]
-    times = time_grid(t_span, dt)
-    end = times.size - 1  # rows advance while their step is below end
+    end = time_grid(cfg.t_span, dt).size - 1  # rows advance while their step is below end
     n = streams.size
-    keys = _stream_keys(seed, streams)
+    keys = _stream_keys(cfg.seed, streams)
     jumps = np.zeros(n, dtype=np.int64)
     # perm lists the trajectories row segment by row segment; neg holds
     # their negated thresholds, ascending within each segment
@@ -260,7 +282,7 @@ def _mc_core(
     # sums[:, s] adds up the rows with members at sampled step s, and
     # sums[:, n_slots + s] the rows retired from sampled step s on
     new = np.array(psi0, dtype=complex).reshape(1, -1)
-    sums = np.zeros((observe(new, _norm2(new)).shape[0], 2 * n_slots))
+    sums = np.zeros((_observables(new, _norm2(new)).shape[0], 2 * n_slots))
     # the new rows, starting with psi0: state, step of that state, and
     # segment start and size
     new_begin = np.zeros(1, dtype=np.intp)
@@ -269,8 +291,6 @@ def _mc_core(
     # the pending rows, which have steps left
     states = np.empty((0, dim), dtype=complex)
     begin = start = size = np.zeros(0, dtype=np.intp)
-    # the earliest step that fails the guard, and its jump probabilities
-    fail, fail_worst = end, []
     jump_steps: list[np.ndarray] = []
     jumped: list[np.ndarray] = []
     slots: list[np.ndarray] = []
@@ -284,7 +304,7 @@ def _mc_core(
         shown = np.flatnonzero(~dark & (new_begin % record_stride == 0))
         gone = np.flatnonzero(dark & (first < n_slots))
         slots += [first[shown], n_slots + first[gone]]
-        seen = observe(new, _norm2(new)) * new_size
+        seen = _observables(new, _norm2(new)) * new_size
         values += [seen[:, shown], seen[:, gone]]
         # one bincount per observable adds up the records of a pass
         slot = np.concatenate(slots)
@@ -329,22 +349,10 @@ def _mc_core(
         )
         jumps_at = np.bincount(at * rows + row, minlength=w * rows).reshape(w, rows)
         left = size - np.cumsum(jumps_at, axis=0)
-        # the per-step jump probability of every row with members, before
-        # the jumps of the step; an abort names the earliest failing step
-        ratio = dt * jj[:-1] / n2[:-1]
-        if not ratio.max() <= 0.1:
-            bad = inside & (left + jumps_at > 0) & ~(ratio <= 0.1)
-            bs, br = np.nonzero(bad)
-            at_step = begin[br] + bs
-            earliest = int(at_step.min(initial=fail + 1))
-            if earliest < fail:
-                fail, fail_worst, end = earliest, [], earliest + 1
-            if earliest == fail:
-                fail_worst.append(ratio[bs, br][at_step == fail])
         # records of the states after each step, weighted by the members left
         index = begin + step + 1
         sampled = (inside & (left > 0) & (index % record_stride == 0)).reshape(-1)
-        seen = observe(block[:-1, :, dim:].reshape(-1, dim), n2[1:].reshape(-1))
+        seen = _observables(block[:-1, :, dim:].reshape(-1, dim), n2[1:].reshape(-1))
         slots = [np.where(sampled, index.reshape(-1) // record_stride, 0)]
         values = [np.where(sampled, seen * left.reshape(-1), 0.0)]
         # the jumpers of each row at each step become one new row holding
@@ -371,29 +379,13 @@ def _mc_core(
         size = size - count
         keep = (size > 0) & (begin < end)
         states, begin, start, size = states[keep], begin[keep], start[keep], size[keep]
-    if fail_worst:
-        worst = float(np.max(np.concatenate(fail_worst)))
-        raise IntegrationAbort(
-            f"jump probability per step {worst:.3g} > 0.1 at t = "
-            f"{times[fail]:.6g}; reduce dt={dt:g}"
-        )
     records = sums[:, :n_slots] + np.cumsum(sums[:, n_slots:], axis=1)
+    if not np.isfinite(records).all():  # P1 and P2 of a norm 0 are 0/0
+        raise IntegrationAbort(f"a state's norm fell to 0 without a jump; reduce dt={dt:g}")
     steps = np.concatenate([np.zeros(0, dtype=np.intp), *jump_steps])
     trajs = np.concatenate([np.zeros(0, dtype=np.intp), *jumped])
     order = np.argsort(steps, kind="stable")
     return records.T, steps[order], trajs[order]
-
-
-def _record_times(cfg: TrajectoryConfig) -> np.ndarray:
-    return time_grid(cfg.t_span, cfg.dt)[:: cfg.record_stride]
-
-
-def _populations(psi: np.ndarray, norm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # composite basis |ee>=0, |eg>=1, |ge>=2, |gg>=3
-    a = np.abs(psi) ** 2
-    p1 = (a[:, 0] + a[:, 1]) / norm2
-    p2 = (a[:, 0] + a[:, 2]) / norm2
-    return p1, p2
 
 
 def evolve_trajectory(
@@ -408,21 +400,16 @@ def evolve_trajectory(
     equals that trajectory's history inside any ensemble bit for bit.
     """
     validate_state_vector(psi0)
-
-    def observe(states, norm2):
-        return np.array([np.sqrt(norm2), *_populations(states, norm2)])
-
     streams = np.array([stream_index], dtype=np.uint64)
-    records, steps, _ = _mc_core(
-        psi0, model, cfg.dt, cfg.t_span, cfg.seed, streams, cfg.record_stride, observe
-    )
+    records, steps, _ = _mc_core(psi0, model, cfg, streams)
+    grid = time_grid(cfg.t_span, cfg.dt)
     return TrajectoryRecord(
         stream_index=stream_index,
-        times=_record_times(cfg),
+        times=grid[:: cfg.record_stride],
         norms=records[:, 0],
         p1=records[:, 1],
         p2=records[:, 2],
-        jump_times=time_grid(cfg.t_span, cfg.dt)[steps + 1],
+        jump_times=grid[steps + 1],
     )
 
 
@@ -446,18 +433,12 @@ def ensemble_average(
     additions.  Repeated runs are byte-identical.
     """
     validate_state_vector(psi0)
-
-    def observe(states, norm2):
-        p1, p2 = _populations(states, norm2)
-        return np.array([p1, p2, p2 * p2])
-
     n = cfg.n_traj
     streams = np.arange(n, dtype=np.uint64)
-    records, steps, _ = _mc_core(
-        psi0, model, cfg.dt, cfg.t_span, cfg.seed, streams, cfg.record_stride, observe
-    )
-    p1_mean, p2_mean, p2_sq = (records / n).T
-    times = _record_times(cfg)
+    records, steps, _ = _mc_core(psi0, model, cfg, streams)
+    _, p1_mean, p2_mean, p2_sq = (records / n).T
+    grid = time_grid(cfg.t_span, cfg.dt)
+    times = grid[:: cfg.record_stride]
     if n > 1:
         var = np.maximum(p2_sq - p2_mean**2, 0.0) * (n / (n - 1))
         sem = np.sqrt(var / n)
@@ -469,6 +450,6 @@ def ensemble_average(
         p2=p2_mean,
         sem_p2=sem,
         mean_jumps=float(steps.size) / n,
-        jump_times=time_grid(cfg.t_span, cfg.dt)[steps + 1],
+        jump_times=grid[steps + 1],
         n_traj=n,
     )

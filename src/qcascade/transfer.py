@@ -189,11 +189,13 @@ def _transformed_drive(
     return Envelope(float(t_half[0]), h_half, vals)
 
 
-def _emission_window(t0: float, t1: float, tau: float, delay: float) -> tuple[float, float]:
+def _emission_window(t0: float, t1: float, tau: float, spec: TransformSpec) -> tuple[float, float]:
     """(lo, hi) of the emission times the transfer over [t0, t1] reads: the
-    off drive reads t - tau, the device t - delay, and lo reaches back to
-    the emission start at 0."""
-    return min(0.0, t0 - tau, t0 - delay), max(t1 - tau, t1 - delay)
+    off drive reads t - tau, the device t - delay and its production
+    window's preimage from t_i - delay on, and lo reaches back to the
+    emission start at 0."""
+    d = spec.delay
+    return min(0.0, t0 - tau, t0 - d, spec.preimage[0] - d), max(t1 - tau, t1 - d)
 
 
 def transfer_experiment(
@@ -213,7 +215,7 @@ def transfer_experiment(
     half = h / 2.0
     # Emission-time grid aligned with the half-step drive grid (so the off
     # branch consumes exact samples), extended to cover the emission window.
-    start_target, end_target = _emission_window(t[0], t[-1], model.tau, spec.delay)
+    start_target, end_target = _emission_window(t[0], t[-1], model.tau, spec)
     n_lead = max(0, int(math.ceil((t[0] - model.tau - start_target) / half - 1e-9)))
     n_tail = max(0, int(math.ceil((end_target - (t[-1] - model.tau)) / half - 1e-9))) + 2
     emit_t0 = t[0] - model.tau - n_lead * half

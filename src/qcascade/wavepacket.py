@@ -289,10 +289,9 @@ def apply_u_time_domain(
         vals = np.zeros(j.size, dtype=complex)
         vals[valid] = env.samples[j[valid]]
         n_fill = int(np.count_nonzero(~valid))
-        t_vals = spec.T - a * (env.t0 + h * j)
-        order = np.argsort(t_vals)
-        t_arr = t_vals[order]
-        vals = vals[order]
+        # the image grid T - a (t0 + h j) falls with j, so reversed it ascends
+        t_arr = (spec.T - a * (env.t0 + h * j))[::-1]
+        vals = vals[::-1]
         dt_out = a * h
     else:
         t_arr, dt_out = _uniform_grid(t_out, "t_out")

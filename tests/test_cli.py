@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcascade import cli
-from qcascade.cascade import IntegrationAbort
+from qcascade import cli, trajectory
+from qcascade.cascade import CascadeModel, IntegrationAbort
+from qcascade.hilbert import composite_ket
 
 from oracles import density_history
 
@@ -70,7 +71,35 @@ def test_validate_trajectory_dt_bound(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["--config", str(path), "--validate-only"]) == 2
-    assert "numerics.dt: dt*max(<J+J>/<psi|psi>) = 0.2 exceeds" in capsys.readouterr().out
+    assert ("numerics.dt: trajectory jump probability per step dt*max(<J+J>/<psi|psi>) = 0.2 "
+            "exceeds 0.1") in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-4, 1.0 - 1e-4])
+def test_one_jump_bound_for_cli_and_core(tmp_path, capsys, monkeypatch, factor):
+    # lambda_max(J+J) = 2 at gamma1 = gamma2 = 1: just above dt = 0.05 the config is
+    # refused naming numerics.dt, and the core raises before it applies any step;
+    # just below, both run
+    dt = 0.05 * factor
+    path = write_config(tmp_path, experiment="trajectories",
+                        numerics={"dt": dt, "t_span": [0.0, 1.0], "n_traj": 20})
+    above = factor > 1.0
+    assert cli.main(["--config", str(path), "--validate-only"]) == (2 if above else 0)
+    out = capsys.readouterr().out
+    assert out.startswith("numerics.dt: trajectory jump probability per step "
+                          "dt*max(<J+J>/<psi|psi>) = 0.10001 exceeds 0.1" if above else "config ok")
+    args = (composite_ket("eg"), CascadeModel(1.0, 1.0),
+            trajectory.TrajectoryConfig(dt, 20, 1, (0.0, 1.0)), np.arange(20, dtype=np.uint64))
+    if above:
+        def no_step(*_):
+            raise AssertionError("the core stepped")
+
+        monkeypatch.setattr(trajectory, "_apply", no_step)
+        with pytest.raises(IntegrationAbort, match="jump probability per step"):
+            trajectory._mc_core(*args)
+    else:
+        assert trajectory._mc_core(*args)[0].shape == (21, 4)
+        assert cli.main(["--config", str(path)]) == 0
 
 
 def test_validate_alpha_positive(tmp_path):
@@ -499,6 +528,37 @@ def test_phases_schedule_block(tmp_path):
     assert sched["schedule.t_a"] == 18.0
     tags = set(column(header, rows, "tag", convert=str))
     assert {"initial", "vacuum", "transformed"} <= tags
+
+
+def test_timemap_takes_a_given_dt_as_it_derives_one(tmp_path):
+    # timemap integrates nothing, so the integrators' rate bound does not hold it:
+    # dt = 0.5 is what it derives from t_span [0, 300], five times that bound
+    tables = []
+    for name, dt in (("derived", None), ("given", 0.5)):
+        path = write_config(tmp_path, name=f"{name}.json", experiment="timemap",
+                            transform=dict(FIG2_TRANSFORM),
+                            numerics={"dt": dt, "t_span": [0.0, 300.0]},
+                            output={"directory": str(tmp_path / name)})
+        assert cli.main(["--config", str(path), "--validate-only"]) == 0
+        assert cli.main(["--config", str(path)]) == 0
+        lines = (tmp_path / name / "timemap.csv").read_text().splitlines()
+        assert lines[0].startswith("# config ")
+        tables.append(lines[1:])
+    assert tables[0] == tables[1] and len(tables[0]) > 600
+
+
+def test_transfer_preimage_before_the_device_input(tmp_path):
+    # the production window's preimage [t_i, t_s] = [-6.75, 1.25] reaches back past
+    # the device input, which starts at t0 = 0: the emission window covers it, so the
+    # transformation zero-fills nothing (a RuntimeWarning, an error here)
+    path = write_config(tmp_path, experiment="transfer",
+                        transform={"Delta": 8.0, "X": 1.0, "T": 2.5},
+                        numerics={"dt": 0.01, "t_span": None})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--config", str(path)]) == 0
+    comments, header, rows = read_csv(tmp_path / "out" / "transfer.csv")
+    assert header == ["t", "P2_off", "P2_on"] and len(rows) == 1926
 
 
 def test_timemap_slopes_and_undefined(tmp_path):
