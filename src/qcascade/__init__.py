@@ -20,7 +20,7 @@ from .cascade import (
     build_jump_operator,
     integrate_master,
 )
-from .trajectory import TrajectoryConfig, ensemble_average, evolve_trajectory
+from .trajectory import TrajectoryConfig, ensemble_average
 from .transfer import (
     TransferResult,
     drive_system2,

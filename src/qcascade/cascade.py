@@ -219,6 +219,29 @@ def checked_step_matrix(a: np.ndarray, h: float) -> np.ndarray:
     return p
 
 
+_RK4_TOL = 1e-4  # the largest RK4 error estimate that _screen_accuracy passes
+
+
+def _screen_accuracy(a: np.ndarray, h: float, n_steps: float) -> None:
+    """Screen n_steps RK4 steps of y' = a y for accuracy before any is taken.
+
+    On an eigenvector of a with eigenvalue lam the step multiplies by
+    R(h lam), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, where the flow
+    multiplies by e^(h lam).  n_steps max |R(h lam) - e^(h lam)| above
+    _RK4_TOL is an IntegrationAbort.  A stable step can fail it: RK4 damps
+    an undamped mode, |R(1.4i)| = 0.96.  The estimate ignores mode growth
+    and non-normality, so it is a screen, not an error bar.
+    """
+    z = h * np.linalg.eigvals(a)
+    r = 1.0 + z * (1.0 + z * (1.0 + z * (1.0 + z / 4.0) / 3.0) / 2.0)
+    err = n_steps * float(np.max(np.abs(r - np.exp(z))))
+    if not err <= _RK4_TOL:
+        raise IntegrationAbort(
+            f"RK4 error estimate n*max|R(dt*lam) - exp(dt*lam)| = {err:.3g} over {n_steps:.6g} "
+            f"steps exceeds {_RK4_TOL:g}; reduce the step size dt={h:g}"
+        )
+
+
 _MAX_GRID = np.iinfo(np.intp).max // 8  # the most float64 values one array can hold
 
 

@@ -358,21 +358,26 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
     # each integrator's RK4 step must be stable at dt: the master equation's
     # (decay, lindblad, trajectories), the trajectories' no-jump step and the
     # transfer drive's step and coefficients, as transfer.drive_system2 takes them;
-    # the trajectories' jump probability per step stays under 0.1, as _mc_core checks
-    checks = {}
+    # the trajectories' jump probability per step stays under 0.1, as _mc_core checks.
+    # A stable step's generator is then screened for accuracy over the run
+    checks = {}  # what -> (check, the generator it steps or None)
     if exp in ("decay", "lindblad", "trajectories"):
-        checks["master-equation"] = lambda: cascade.checked_step_matrix(
-            cascade.liouvillian(model), dt)
+        lmat = cascade.liouvillian(model)
+        checks["master-equation"] = (lambda: cascade.checked_step_matrix(lmat, dt), lmat)
     if exp == "trajectories":
-        checks["no-jump"] = lambda: cascade.checked_step_matrix(
-            -1j * cascade.build_h_eff(model), dt)
-        checks["trajectory"] = lambda: trajectory.checked_jump_operator(model, dt)
+        heff = -1j * cascade.build_h_eff(model)
+        checks["no-jump"] = (lambda: cascade.checked_step_matrix(heff, dt), heff)
+        checks["trajectory"] = (lambda: trajectory.checked_jump_operator(model, dt), None)
     if exp == "transfer":
-        checks["transfer drive"] = lambda: transfer.drive_step_coefficients(
-            model.gamma2, model.frame_omegas()[1], dt)
-    for what, check in checks.items():
+        w2 = model.frame_omegas()[1]
+        checks["transfer drive"] = (
+            lambda: transfer.drive_step_coefficients(model.gamma2, w2, dt),
+            np.array([[-(model.gamma2 / 2.0 + 1j * w2)]]))
+    for what, (check, generator) in checks.items():
         try:
             check()
+            if generator is not None:
+                cascade._screen_accuracy(generator, dt, (t1 - t0) / dt)
         except IntegrationAbort as exc:
             diags.append(f"numerics.dt: {what} {exc}")
     if exp == "phases":

@@ -17,8 +17,8 @@ rate.  A dt that would let any state's jump probability per step,
 dt <J+J>/<psi|psi>, exceed 0.1 is refused before the first step.
 
 Randomness comes from a counter-based generator: the j-th threshold of
-trajectory k is a 64-bit hash of (seed, k, j), so any trajectory can be
-recomputed in isolation.
+trajectory k is a 64-bit hash of (seed, k, j), so a trajectory's history
+is that of `_mc_core` run on its stream alone.
 
 Trajectories that share a jump history hold bitwise-equal states, so the
 ensemble propagates one state row per live jump history.  The members of
@@ -68,11 +68,8 @@ from .hilbert import validate_state_vector
 
 __all__ = [
     "TrajectoryConfig",
-    "TrajectoryRecord",
     "EnsembleResult",
-    "uniform_counter",
     "checked_jump_operator",
-    "evolve_trajectory",
     "ensemble_average",
 ]
 
@@ -99,16 +96,6 @@ def _uniforms(keys: np.ndarray, counters) -> np.ndarray:
     )
     v = _finalize(keys ^ c)
     return (v >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def uniform_counter(seed: int, stream: int, counter: int) -> float:
-    """Uniform [0, 1) variate keyed by (seed, stream, counter).
-
-    The trajectories draw the threshold for their j-th jump with
-    counter = j.
-    """
-    keys = _stream_keys(seed, np.array([stream], dtype=np.uint64))
-    return float(_uniforms(keys, counter)[0])
 
 
 @dataclass(frozen=True)
@@ -141,23 +128,6 @@ class TrajectoryConfig:
             raise ValueError("record_stride must be at least 1")
         if self.record_stride >= 2**63:
             raise ValueError("record_stride must fit in a signed 64-bit integer")
-
-
-@dataclass(eq=False)
-class TrajectoryRecord:
-    """One trajectory: sampled raw norms, observables and jump times.
-
-    Norms are of the unnormalized state (non-increasing between jumps,
-    reset to 1 at each jump); p1/p2 are excitation probabilities of the
-    renormalized state.
-    """
-
-    stream_index: int
-    times: np.ndarray
-    norms: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-    jump_times: np.ndarray
 
 
 @dataclass(eq=False)
@@ -388,31 +358,6 @@ def _mc_core(
     return records.T, steps[order], trajs[order]
 
 
-def evolve_trajectory(
-    psi0: np.ndarray,
-    model: CascadeModel,
-    cfg: TrajectoryConfig,
-    stream_index: int,
-) -> TrajectoryRecord:
-    """Evolve a single trajectory on the deterministic stream stream_index.
-
-    This is the ensemble core run with one trajectory, so the record
-    equals that trajectory's history inside any ensemble bit for bit.
-    """
-    validate_state_vector(psi0)
-    streams = np.array([stream_index], dtype=np.uint64)
-    records, steps, _ = _mc_core(psi0, model, cfg, streams)
-    grid = time_grid(cfg.t_span, cfg.dt)
-    return TrajectoryRecord(
-        stream_index=stream_index,
-        times=grid[:: cfg.record_stride],
-        norms=records[:, 0],
-        p1=records[:, 1],
-        p2=records[:, 2],
-        jump_times=grid[steps + 1],
-    )
-
-
 def ensemble_average(
     psi0: np.ndarray, model: CascadeModel, cfg: TrajectoryConfig
 ) -> EnsembleResult:
@@ -427,8 +372,8 @@ def ensemble_average(
     docstring).  The work scales with the live rows, not with n_traj.
 
     Every trajectory's jump history is bit-for-bit independent of the
-    ensemble it runs in: its jump times equal those of evolve_trajectory
-    on its stream.  The means are size-weighted sums over rows, so they
+    ensemble it runs in: it is the history of `_mc_core` run on its
+    stream alone.  The means are size-weighted sums over rows, so they
     equal the mean of the single trajectories up to the order of the
     additions.  Repeated runs are byte-identical.
     """

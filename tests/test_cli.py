@@ -910,6 +910,33 @@ def test_exit_2_on_unstable_lab_frame_trajectories(tmp_path, capsys, validate_on
     assert not (tmp_path / "out").exists()
 
 
+LAB_FRAME = {"gamma1": 1.0, "gamma2": 1.0, "rotating_frame": False}
+
+
+@pytest.mark.parametrize("cfg, screened", [
+    # |decay| at t = 10 came out 1.1e-20 against the exact 6.7e-3
+    ({"experiment": "decay", "model": {**LAB_FRAME, "omega1": 140.0, "omega2": 100.0},
+      "numerics": {"dt": 0.01, "t_span": [0.0, 10.0]}}, {"master-equation": "626"}),
+    # |gg>'s norm fell to 0 without a jump near t = 90: the run exited 3
+    ({"experiment": "trajectories", "model": {**LAB_FRAME, "omega1": 140.0, "omega2": 140.0},
+      "numerics": {"dt": 0.01, "t_span": [0.0, 100.0], "n_traj": 10, "initial_state": "gg"}},
+     {"master-equation": "1.33e+04", "no-jump": "440"}),
+    ({"experiment": "transfer", "model": {**LAB_FRAME, "gamma1": 2.0, "omega2": 100.0},
+      "numerics": {"dt": 0.01}}, {"transfer drive": "21.4"}),
+])
+def test_exit_2_on_stable_but_inaccurate_steps(tmp_path, capsys, cfg, screened):
+    # each RK4 step is stable at dt, but n*max|R(dt*lam) - exp(dt*lam)| over the
+    # run's steps is far above cascade._RK4_TOL: these configs used to validate
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(path), "--validate-only"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" RK4 error estimate ")[0] for line in lines] == [
+        f"numerics.dt: {what}" for what in screened]
+    for line, estimate in zip(lines, screened.values()):
+        assert f"= {estimate} over " in line and "reduce the step size dt=0.01" in line
+
+
 @pytest.mark.parametrize("x_max", [0.0, -1.0])
 def test_exit_2_on_nonpositive_x_max(tmp_path, capsys, x_max):
     # phases used to swap a non-positive x_max for its default without a word

@@ -5,7 +5,8 @@ the shipped package.  A fresh interpreter records every Python call from
 before `import qcascade.cli` (the import itself runs code), runs each of
 the seven experiments once on a small config, plus `--validate-only`,
 and the test then asserts that each top-level function and each method
-of a top-level class in the package's source ran, but for `ALLOWED`.
+of a top-level class in the package's source ran.  The one exception is
+`cli._fork_part` on a host with one usable CPU, where no CSV is forked.
 """
 
 import ast
@@ -16,10 +17,6 @@ import sys
 from pathlib import Path
 
 import qcascade
-
-# run by no experiment: the README documents both as the way to reproduce one
-# trajectory, and the batching-independence tests take them as the reference
-ALLOWED = {"trajectory.evolve_trajectory", "trajectory.uniform_counter"}
 
 TRANSFORM = {"Delta": 2.0, "X": 4.0}
 CONFIGS = {
@@ -100,9 +97,8 @@ def test_every_definition_runs_in_an_experiment(tmp_path):
     definitions = _definitions(package)
     assert len(definitions) > 100  # the walk found the package
     ran = {(Path(f).resolve(), line) for f, line in result["ran"]}
-    allowed = set(ALLOWED)
-    if result["cpus"] < 2:  # one CPU formats every CSV in this process
-        allowed.add("cli._fork_part")
+    # one CPU formats every CSV in this process
+    allowed = {"cli._fork_part"} if result["cpus"] < 2 else set()
     missed = sorted(name for (path, line), name in definitions.items()
                     if (Path(path).resolve(), line) not in ran and name not in allowed)
     assert missed == []

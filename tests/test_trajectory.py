@@ -1,6 +1,7 @@
 import functools
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,17 +17,27 @@ from qcascade.cascade import (
     time_grid,
 )
 from qcascade.hilbert import composite_ket, density_from_ket
-from qcascade.trajectory import (
-    TrajectoryConfig,
-    ensemble_average,
-    evolve_trajectory,
-    uniform_counter,
-)
+from qcascade.trajectory import TrajectoryConfig, ensemble_average
 
 from oracles import density_history
 
 MODEL = CascadeModel(gamma1=1.0, gamma2=1.0)
 PSI_EG = composite_ket("eg")
+
+
+def _alone(psi0, model, cfg, k):
+    # trajectory k as _mc_core runs it on its stream alone: sampled times,
+    # raw norms, P1, P2 and jump times
+    records, steps, _ = tj._mc_core(psi0, model, cfg, np.array([k], dtype=np.uint64))
+    grid = time_grid(cfg.t_span, cfg.dt)
+    return SimpleNamespace(times=grid[:: cfg.record_stride], norms=records[:, 0],
+                           p1=records[:, 1], p2=records[:, 2], jump_times=grid[steps + 1])
+
+
+def _uniform(seed, stream, counter):
+    # the counter-th threshold of trajectory stream, drawn for its key alone
+    keys = tj._stream_keys(seed, np.array([stream], dtype=np.uint64))
+    return float(tj._uniforms(keys, counter)[0])
 
 
 def test_config_invariants():
@@ -41,23 +52,23 @@ def test_config_invariants():
 
 
 def test_counter_rng_determinism_and_range():
-    assert uniform_counter(42, 3, 17) == uniform_counter(42, 3, 17)
-    assert uniform_counter(42, 3, 17) != uniform_counter(42, 4, 17)
-    assert uniform_counter(42, 3, 17) != uniform_counter(42, 3, 18)
-    assert uniform_counter(42, 3, 17) != uniform_counter(43, 3, 17)
-    vals = np.array([uniform_counter(1, s, k) for s in range(40) for k in range(50)])
+    assert _uniform(42, 3, 17) == _uniform(42, 3, 17)
+    assert _uniform(42, 3, 17) != _uniform(42, 4, 17)
+    assert _uniform(42, 3, 17) != _uniform(42, 3, 18)
+    assert _uniform(42, 3, 17) != _uniform(43, 3, 17)
+    vals = np.array([_uniform(1, s, k) for s in range(40) for k in range(50)])
     assert np.all((0.0 <= vals) & (vals < 1.0))
     assert abs(vals.mean() - 0.5) < 0.02
     assert abs(np.mean(vals < 0.25) - 0.25) < 0.03
-    # the core draws the j-th threshold of trajectory k as uniform_counter(seed, k, j)
+    # the core draws the thresholds of many keys in one call, each as drawn alone
     keys = tj._stream_keys(42, np.arange(5, dtype=np.uint64))
     j = np.array([0, 3, 17, 2**40, 7])
-    assert tj._uniforms(keys, j).tolist() == [uniform_counter(42, k, int(c)) for k, c in enumerate(j)]
+    assert tj._uniforms(keys, j).tolist() == [_uniform(42, k, int(c)) for k, c in enumerate(j)]
 
 
 def test_dark_state_no_jumps():
     cfg = TrajectoryConfig(dt=0.01, n_traj=1, seed=9, t_span=(0.0, 3.0))
-    rec = evolve_trajectory(composite_ket("gg"), MODEL, cfg, 0)
+    rec = _alone(composite_ket("gg"), MODEL, cfg, 0)
     assert rec.jump_times.size == 0
     assert np.allclose(rec.norms, 1.0, atol=1e-12)
     assert np.all(rec.p1 == 0.0)
@@ -70,9 +81,9 @@ def test_lab_frame_ground_state_loses_norm_without_jumping():
     # thresholds the norm falls below must not jump, and records stay finite
     model = CascadeModel(1.0, 1.0, omega1=50.0, omega2=50.0, rotating_frame=False)
     cfg = TrajectoryConfig(dt=0.01, n_traj=200, seed=5, t_span=(0.0, 10.0))
-    rec = evolve_trajectory(composite_ket("gg"), model, cfg, 0)
+    rec = _alone(composite_ket("gg"), model, cfg, 0)
     assert rec.norms[-1] ** 2 < 0.9
-    thresholds = [uniform_counter(cfg.seed, k, 0) for k in range(cfg.n_traj)]
+    thresholds = [_uniform(cfg.seed, k, 0) for k in range(cfg.n_traj)]
     assert max(thresholds) > rec.norms[-1] ** 2
     gg = ensemble_average(composite_ket("gg"), model, cfg)
     assert gg.mean_jumps == 0.0
@@ -88,8 +99,8 @@ def test_lab_frame_ground_state_loses_norm_without_jumping():
 
 def test_trajectory_bit_identical_repeat():
     cfg = TrajectoryConfig(dt=0.01, n_traj=1, seed=13, t_span=(0.0, 8.0))
-    a = evolve_trajectory(PSI_EG, MODEL, cfg, 7)
-    b = evolve_trajectory(PSI_EG, MODEL, cfg, 7)
+    a = _alone(PSI_EG, MODEL, cfg, 7)
+    b = _alone(PSI_EG, MODEL, cfg, 7)
     assert np.array_equal(a.norms, b.norms)
     assert np.array_equal(a.p1, b.p1)
     assert np.array_equal(a.p2, b.p2)
@@ -101,7 +112,7 @@ def test_norm_monotone_between_jumps_and_reset():
     cfg = TrajectoryConfig(0.01, 1, 13, (0.0, 10.0))
     rec = None
     for stream in range(50):
-        cand = evolve_trajectory(PSI_EG, MODEL, cfg, stream)
+        cand = _alone(PSI_EG, MODEL, cfg, stream)
         if cand.jump_times.size >= 1:
             rec = cand
             break
@@ -119,7 +130,7 @@ def test_no_jump_trajectory_matches_heff_evolution():
     cfg = TrajectoryConfig(dt=0.005, n_traj=1, seed=5, t_span=(0.0, 0.5))
     rec = None
     for stream in range(50):
-        cand = evolve_trajectory(PSI_EG, MODEL, cfg, stream)
+        cand = _alone(PSI_EG, MODEL, cfg, stream)
         if cand.jump_times.size == 0:
             rec = cand
             break
@@ -144,7 +155,7 @@ def test_ensemble_independent_of_batching():
     model = CascadeModel(gamma1=1.3, gamma2=0.8)
     cfg = TrajectoryConfig(dt=0.01, n_traj=5, seed=99, t_span=(0.0, 6.0))
     ens = ensemble_average(composite_ket("eg"), model, cfg)
-    singles = [evolve_trajectory(composite_ket("eg"), model, cfg, k) for k in range(5)]
+    singles = [_alone(composite_ket("eg"), model, cfg, k) for k in range(5)]
     _, steps, trajs = tj._mc_core(composite_ket("eg"), model, cfg, np.arange(5, dtype=np.uint64))
     grid = time_grid(cfg.t_span, cfg.dt)
     for k, single in enumerate(singles):
@@ -271,15 +282,15 @@ def test_norm_that_falls_to_zero_aborts():
 
 def test_record_stride():
     cfg = TrajectoryConfig(dt=0.01, n_traj=1, seed=4, t_span=(0.0, 1.0), record_stride=10)
-    rec = evolve_trajectory(PSI_EG, MODEL, cfg, 0)
-    assert rec.times.size == 11
+    rec = _alone(PSI_EG, MODEL, cfg, 0)
+    assert rec.times.size == rec.norms.size == 11
     assert rec.times[1] - rec.times[0] == pytest.approx(0.1)
 
 
 def test_unnormalized_psi0_rejected():
     cfg = TrajectoryConfig(dt=0.01, n_traj=1, seed=4, t_span=(0.0, 1.0))
     with pytest.raises(ValueError):
-        evolve_trajectory(2.0 * PSI_EG, MODEL, cfg, 0)
+        ensemble_average(2.0 * PSI_EG, MODEL, cfg)
 
 
 def _reference_mc_core(psi0, model, cfg, streams):
@@ -372,9 +383,14 @@ def _fingerprinted(states, norm2):
     return np.concatenate([_OBSERVABLES(states, norm2), _fingerprints(states)])
 
 
+# each case's trajectories one at a time: "case@k" runs stream k alone
+ONE_STREAM_CASES = [f"{case}@{k}" for case in sorted(CORE_CASES) for k in (0, 3, 11, 12345)]
+
+
 def _core_args(case):
-    model, label, cfg = CORE_CASES[case]
-    streams = np.arange(cfg.n_traj, dtype=np.uint64)
+    name, _, k = case.partition("@")
+    model, label, cfg = CORE_CASES[name]
+    streams = np.array([int(k)] if k else np.arange(cfg.n_traj), dtype=np.uint64)
     return composite_ket(label), model, cfg, streams
 
 
@@ -385,20 +401,22 @@ def _core_reference(case):
     return _reference_sums(*_core_args(case))
 
 
-@pytest.mark.parametrize("case", sorted(CORE_CASES))
+@pytest.mark.parametrize("case", sorted(CORE_CASES) + ONE_STREAM_CASES)
 def test_mc_core_matches_per_row_reference(case, monkeypatch):
     # every trajectory's jump history and state, bit for bit; the sums of
-    # norms, populations and P2^2 up to the order of their additions
-    cfg = CORE_CASES[case][2]
+    # norms, populations and P2^2 up to the order of their additions, which
+    # one trajectory alone does not have
+    args = _core_args(case)
+    cfg, streams = args[2:]
     monkeypatch.setattr(tj, "_observables", _fingerprinted)
-    got, steps, trajs = tj._mc_core(*_core_args(case))
+    got, steps, trajs = tj._mc_core(*args)
     ref, ref_steps, ref_trajs = _core_reference(case)
     n_records = time_grid(cfg.t_span, cfg.dt)[:: cfg.record_stride].size
     assert got.shape == ref.shape == (n_records, 7)
     assert np.array_equal(got[:, 4:], ref[:, 4:])
-    np.testing.assert_allclose(got[:, :4], ref[:, :4], rtol=1e-14)
+    np.testing.assert_allclose(got[:, :4], ref[:, :4], rtol=1e-14 if streams.size > 1 else 0.0)
     assert np.array_equal(_histories(steps, trajs), _histories(ref_steps, ref_trajs))
-    assert 0 < steps.size
+    assert 0 < steps.size or streams.size == 1  # a trajectory alone may not jump
 
 
 @pytest.mark.parametrize(
@@ -433,14 +451,3 @@ def test_ensemble_average_matches_per_row_reference(case, monkeypatch):
     np.testing.assert_allclose(var_got, var_ref, rtol=1e-14, atol=1e-15)
     assert np.all(np.isfinite(got.sem_p2)) and (cfg.n_traj > 1 or not got.sem_p2.any())
 
-
-@pytest.mark.parametrize("case", sorted(CORE_CASES))
-def test_evolve_trajectory_matches_per_row_reference(case, monkeypatch):
-    model, label, cfg = CORE_CASES[case]
-    streams = (0, 3, 11, 12345)
-    got = [evolve_trajectory(composite_ket(label), model, cfg, k) for k in streams]
-    monkeypatch.setattr(tj, "_mc_core", _reference_sums)
-    ref = [evolve_trajectory(composite_ket(label), model, cfg, k) for k in streams]
-    for g, r in zip(got, ref):
-        for name in ("times", "norms", "p1", "p2", "jump_times"):
-            assert np.array_equal(getattr(g, name), getattr(r, name)), name

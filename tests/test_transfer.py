@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +214,27 @@ def test_transfer_improvement_sweep(ratio):
     # reaches system 2 before production starts
     before = comp.on.times < spec.t_s
     assert before.sum() > 1000 and np.all(comp.on.p2[before] == 0.0)
+
+
+TRANSDUCTION = Path(__file__).parent.parent / ".github/ci-configs/transfer_transduction.json"
+
+
+def test_transduction_between_different_frequencies():
+    # U frequency-translates the packet that system 1 emits at omega1 = 3 for
+    # system 2 at omega2 = 5, in the lab frame: with the derived omega0 =
+    # omega2 + omega1/alpha = 6.5, P2_on peaks as in the rotating frame, and a
+    # mis-set omega0 loses the transfer.  P2_off is not compared: its drive
+    # still reads the emitted packet without the travel time X/c
+    cfg = json.loads(TRANSDUCTION.read_text())
+
+    def on(model, transform):
+        model, spec, t = resolved_transfer(model, transform, **cfg["numerics"])
+        return spec.omega0, transfer_experiment(model, spec, t).on.p2_max
+
+    omega0, lab = on(cfg["model"], cfg["transform"])
+    assert omega0 == 6.5 and lab > 0.999
+    assert abs(lab - on({**cfg["model"], "rotating_frame": True}, cfg["transform"])[1]) < 1e-8
+    assert on(cfg["model"], {**cfg["transform"], "omega0": 5.0})[1] < 0.5
 
 
 def test_smooth_driving_across_phase_boundaries():
