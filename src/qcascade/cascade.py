@@ -38,8 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import ladder_two_level, validate_density_matrix
-
 __all__ = [
     "CascadeModel",
     "MasterRun",
@@ -57,10 +55,15 @@ __all__ = [
     "integrate_master",
 ]
 
-_SM, _SP, _SZ = ladder_two_level()
+# One two-level system on (|e>, |g>): sigma- |e> = |g>, sigma+ its conjugate
+# transpose, sigma_z = diag(+1, -1).  The composite basis is |ee>, |eg>, |ge>,
+# |gg> at indices 0..3: system 1 is the left Kronecker factor.
+_SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+_SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 
-# Composite two-level pair operators, system 1 on the left.
+# Composite two-level pair operators.
 SIGMA1_MINUS = np.kron(_SM, _I2)
 SIGMA1_PLUS = np.kron(_SP, _I2)
 SIGMA1_Z = np.kron(_SZ, _I2)
@@ -77,7 +80,7 @@ _READOUT = np.stack(
     [op.T.reshape(-1) for op in (NUMBER1, NUMBER2, SIGMA1_MINUS, SIGMA2_MINUS, IDENT4)], axis=1
 )
 
-# number of excitations of |ee>, |eg>, |ge>, |gg>, and the row-major vec(rho)
+# number of excitations of each basis state, and the row-major vec(rho)
 # entries that couple two different such sectors
 _SECTOR = np.array([2, 1, 1, 0])
 _CROSS = (_SECTOR[:, None] != _SECTOR).reshape(-1)
@@ -96,8 +99,8 @@ class CascadeModel:
     tau            : propagation delay between the systems (time, >= 0)
     beta           : coherent input amplitude (sqrt(1/time)), a
                      rotating-frame constant
-    rotating_frame : if True the omegas entering H_sys are zero; the
-                     stored values remain available for the transform
+    rotating_frame : if True the omegas entering H_sys are zero, and the
+                     stored values enter nothing (`frame_omegas`)
     """
 
     gamma1: float
@@ -444,6 +447,27 @@ class MasterRun:
         return self.min_eig
 
 
+# rho0's largest elementwise Hermiticity deviation and |tr rho0 - 1|, and its
+# least eigenvalue (slightly negative values are round-off)
+_HERM_TOL, _RHO0_TRACE_TOL, _EIG_FLOOR = 1e-12, 1e-9, -1e-9
+
+
+def _check_rho0(rho0: np.ndarray) -> None:
+    """ValueError naming rho0 unless it is a 4x4 density matrix, to the tolerances above."""
+    if rho0.shape != (4, 4):
+        raise ValueError(f"rho0 must be 4x4 for the two-level pair, got {rho0.shape}")
+    why = "rho0 is not a density matrix: density matrix"
+    herm_dev = float(np.max(np.abs(rho0 - rho0.conj().T)))
+    if herm_dev > _HERM_TOL:
+        raise ValueError(f"{why} Hermiticity deviation {herm_dev} > {_HERM_TOL}")
+    trace_dev = abs(complex(np.trace(rho0)) - 1.0)
+    if trace_dev > _RHO0_TRACE_TOL:
+        raise ValueError(f"{why} trace deviation {trace_dev} > {_RHO0_TRACE_TOL}")
+    min_eig = float(np.min(np.linalg.eigvalsh((rho0 + rho0.conj().T) / 2.0)))
+    if min_eig < _EIG_FLOOR:
+        raise ValueError(f"{why} eigenvalue {min_eig} below floor {_EIG_FLOOR}")
+
+
 def integrate_master(
     rho0: np.ndarray,
     model: CascadeModel,
@@ -456,8 +480,8 @@ def integrate_master(
 
     dt and t_span are checked by `time_grid`.  rho0 is the composite 4x4
     density matrix at t_span[0]: Hermitian, unit-trace and positive, or
-    ValueError naming rho0, before any step
-    (`hilbert.validate_density_matrix`).  The run is on lab time only.
+    ValueError naming rho0, before any step (`_check_rho0`).  The run is
+    on lab time only.
     With min_eig, each rho's least eigenvalue is taken too
     (`MasterRun.min_eigenvalues`); a 4x4 eigensolve per row costs more than
     the scan, so it is left out by default.  Whether the run keeps the
@@ -471,12 +495,7 @@ def integrate_master(
     """
     times = time_grid(t_span, dt)
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (4, 4):
-        raise ValueError(f"rho0 must be 4x4 for the two-level pair, got {rho0.shape}")
-    try:
-        validate_density_matrix(rho0)
-    except ValueError as exc:  # a bad rho0 is not an integrator failure
-        raise ValueError(f"rho0 is not a density matrix: {exc}") from exc
+    _check_rho0(rho0)
     lmat = liouvillian(model)
     sectored = _keeps_sectors(lmat, rho0)
     least = (lambda r: _least_eig(r, sectored)) if min_eig else None

@@ -41,7 +41,6 @@ import numpy as np
 from . import cascade, trajectory, transfer, wavepacket
 from .cascade import CascadeModel, IntegrationAbort
 from .floatrepr import repr_bytes
-from .hilbert import composite_ket, density_from_ket, two_level_ket
 from .svgplot import line_plot
 from .wavepacket import TransformSpec, matched_timing
 
@@ -303,7 +302,8 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
     if given is not None:
         num = attempt(_construct, "numerics", Numerics,
                       **{**given, **_experiment_defaults(exp, model, spec, given)})
-    # timemap integrates nothing, so only the integrators take the rate bound
+    # every experiment that integrates or samples the emitted packet at dt takes the
+    # rate bound; timemap only samples the piecewise-linear clock maps
     if num is not None and model is not None and given["dt"] is not None and exp != "timemap":
         scale = max(model.gamma1, model.gamma2, abs(model.beta) ** 2)
         if num.dt * scale > 0.1:
@@ -515,8 +515,10 @@ def _fork_part(columns, lo: int, hi: int):
     return pid, tmp
 
 
-def _write_csv(path: Path, comments: list[str], header: list[str], columns) -> None:
-    """Write equal-length columns under '#' comments; _format_rows formats the rows.
+def _write_csv(path: Path, comments: list[str], table: dict) -> None:
+    """Write a table {header: column} of equal-length columns under '#' comments.
+
+    The header row is the table's keys; _format_rows formats the rows.
 
     A table of at least 2 * _CSV_BLOCK rows is split into contiguous
     parts on multiples of _CSV_BLOCK rows, one per usable CPU.  This
@@ -529,11 +531,12 @@ def _write_csv(path: Path, comments: list[str], header: list[str], columns) -> N
     tables on two CPUs; on lindblad's tables it gains or loses with the
     load on the second CPU.
     """
+    columns = list(table.values())
     n = len(columns[0])
     parts = min(_usable_cpus(), n // _CSV_BLOCK) if hasattr(os, "fork") else 1
     with open(path, "wb") as fh:
         fh.writelines(f"# {c}\n".encode() for c in comments)
-        fh.write((",".join(header) + "\n").encode())
+        fh.write((",".join(table) + "\n").encode())
         if parts < 2:
             _format_rows(columns, 0, n, fh)
             return
@@ -579,15 +582,23 @@ def _schedule_comments(spec: TransformSpec, names=("t_i", "t_s", "t_f", "t_a")) 
 
 
 def _initial_ket(name: str) -> np.ndarray:
+    """The named state in cascade's basis |ee>, |eg>, |ge>, |gg>; plus_g is (|e> + |g>)|g>/sqrt2."""
     if name == "plus_g":
-        plus = (two_level_ket("e") + two_level_ket("g")) / math.sqrt(2.0)
-        return np.kron(plus, two_level_ket("g"))
-    return composite_ket(name)
+        return np.array([0.0, 1.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    return np.eye(4, dtype=complex)[("ee", "eg", "ge", "gg").index(name)]
+
+
+def _density(psi: np.ndarray) -> np.ndarray:  # |psi><psi| / <psi|psi>
+    return np.outer(psi, psi.conj()) / float(np.real(psi.conj() @ psi))
+
+
+def _complex(name: str, values: np.ndarray) -> dict:  # columns re_<name>, im_<name>
+    return {f"re_{name}": values.real, f"im_{name}": values.imag}
 
 
 def _decay(p: _Plan):
     model, num = p.model, p.numerics
-    eg, plus = (cascade.integrate_master(density_from_ket(_initial_ket(name)), model,
+    eg, plus = (cascade.integrate_master(_density(_initial_ket(name)), model,
                                          num.t_span, num.dt) for name in ("eg", "plus_g"))
     times = eg.times
     ratio = plus.sigma1 / plus.sigma1[0]
@@ -598,10 +609,8 @@ def _decay(p: _Plan):
             "free decay: P columns from |e,g>, decay_* = <sigma1->(t)/<sigma1->(0) "
             "from ((|e>+|g>)/sqrt2) (x) |g>",
         ],
-        ["t", "P1", "P2", "re_sigma1", "im_sigma1", "re_sigma2", "im_sigma2",
-         "decay_re", "decay_im"],
-        [times, eg.p1, eg.p2, eg.sigma1.real, eg.sigma1.imag, eg.sigma2.real, eg.sigma2.imag,
-         ratio.real, ratio.imag],
+        {"t": times, "P1": eg.p1, "P2": eg.p2, **_complex("sigma1", eg.sigma1),
+         **_complex("sigma2", eg.sigma2), "decay_re": ratio.real, "decay_im": ratio.imag},
     )
     series = [(times, eg.p1, "P1"), (times, eg.p2, "P2"), (times, np.abs(ratio), "|decay|")]
     return [table], (series, "free decay", "t (1/gamma1)", "probability / amplitude")
@@ -609,7 +618,7 @@ def _decay(p: _Plan):
 
 def _lindblad(p: _Plan):
     model, num = p.model, p.numerics
-    rho0 = density_from_ket(_initial_ket(num.initial_state))
+    rho0 = _density(_initial_ket(num.initial_state))
     run_ = cascade.integrate_master(rho0, model, num.t_span, num.dt, min_eig=True)
     comments = [_units_comment(model), f"initial state {num.initial_state}"]
     if p.spec is None:
@@ -621,10 +630,9 @@ def _lindblad(p: _Plan):
     table = (
         "lindblad",
         comments,
-        ["t", "tilde_t", "P1", "P2", "re_sigma1", "im_sigma1", "re_sigma2",
-         "im_sigma2", "trace_dev", "min_eig"],
-        [run_.times, tilde, run_.p1, run_.p2, run_.sigma1.real, run_.sigma1.imag,
-         run_.sigma2.real, run_.sigma2.imag, run_.trace_deviation(), run_.min_eigenvalues()],
+        {"t": run_.times, "tilde_t": tilde, "P1": run_.p1, "P2": run_.p2,
+         **_complex("sigma1", run_.sigma1), **_complex("sigma2", run_.sigma2),
+         "trace_dev": run_.trace_deviation(), "min_eig": run_.min_eigenvalues()},
     )
     series = [(run_.times, run_.p1, "P1"), (run_.times, run_.p2, "P2")]
     return [table], (series, "master equation", "t (1/gamma1)", "excitation probability")
@@ -634,7 +642,7 @@ def _trajectories(p: _Plan):
     model, tcfg = p.model, p.trajectories
     psi0 = _initial_ket(p.numerics.initial_state)
     ens = trajectory.ensemble_average(psi0, model, tcfg)
-    master = cascade.integrate_master(density_from_ket(psi0), model, tcfg.t_span, tcfg.dt)
+    master = cascade.integrate_master(_density(psi0), model, tcfg.t_span, tcfg.dt)
     p2_me = master.p2[:: tcfg.record_stride][: ens.times.size]
     dev = np.abs(ens.p2 - p2_me)
     edges = np.linspace(tcfg.t_span[0], tcfg.t_span[1], 51)
@@ -648,14 +656,13 @@ def _trajectories(p: _Plan):
                 f"mean_jumps = {ens.mean_jumps!r}",
                 f"max_abs_dev = {float(np.max(dev))!r}",
             ],
-            ["t", "P1", "P2", "sem_P2", "P2_master", "abs_dev"],
-            [ens.times, ens.p1, ens.p2, ens.sem_p2, p2_me, dev],
+            {"t": ens.times, "P1": ens.p1, "P2": ens.p2, "sem_P2": ens.sem_p2,
+             "P2_master": p2_me, "abs_dev": dev},
         ),
         (
             "trajectories_jumps",
             ["jump-time histogram"],
-            ["bin_lo", "bin_hi", "count"],
-            [edges[:-1], edges[1:], _integer_column(counts)],
+            {"bin_lo": edges[:-1], "bin_hi": edges[1:], "count": _integer_column(counts)},
         ),
     ]
     series = [(ens.times, ens.p2, "P2 ensemble"), (ens.times, p2_me, "P2 master")]
@@ -688,15 +695,11 @@ def _transform(p: _Plan):
             f"norm_out = {out_env.squared_norm()!r}",
             f"n_zero_filled = {out_env.n_zero_filled}",
         ],
-        ["segment", "t", "re", "im", "abs"],
-        [
-            Categorical(np.repeat([0, 1], [at_device.samples.size, out_env.samples.size]),
-                        ("in", "out")),
-            np.concatenate([at_device.times, out_env.times]),
-            samples.real,
-            samples.imag,
-            np.hypot(samples.real, samples.imag),  # abs() per element, as in phases
-        ],
+        {"segment": Categorical(np.repeat([0, 1], [at_device.samples.size, out_env.samples.size]),
+                                ("in", "out")),
+         "t": np.concatenate([at_device.times, out_env.times]),
+         "re": samples.real, "im": samples.imag,
+         "abs": np.hypot(samples.real, samples.imag)},  # abs() per element, as in phases
     )
     series = [
         (at_device.times, np.abs(at_device.samples), "|in| at device"),
@@ -724,17 +727,12 @@ def _phases(p: _Plan):
             *_schedule_comments(spec),
             "snapshot_times = " + ",".join(repr(float(s)) for s in snaps),
         ],
-        ["snapshot", "t", "x", "abs", "re", "im", "tag"],
-        [
-            _integer_column(np.repeat(np.arange(len(snaps)), xs.size)),
-            np.repeat(np.asarray(snaps, dtype=float), xs.size),
-            np.tile(xs, len(snaps)),
-            mags,
-            amps.real,
-            amps.imag,
-            Categorical(np.concatenate([tags for _, tags in fields]),
-                        tuple(tag.value for tag in wavepacket.PhaseTag)),
-        ],
+        {"snapshot": _integer_column(np.repeat(np.arange(len(snaps)), xs.size)),
+         "t": np.repeat(np.asarray(snaps, dtype=float), xs.size),
+         "x": np.tile(xs, len(snaps)),
+         "abs": mags, "re": amps.real, "im": amps.imag,
+         "tag": Categorical(np.concatenate([tags for _, tags in fields]),
+                            tuple(tag.value for tag in wavepacket.PhaseTag))},
     )
     series = [
         (xs, mags[k * xs.size : (k + 1) * xs.size], f"t = {t_snap:.6g}")
@@ -759,8 +757,7 @@ def _timemap(p: _Plan):
             "horizontal_gap = " + repr(horizontal),
             "vertical_gap = " + repr(vertical),
         ],
-        ["t", "f", "f_slope", "f_inv", "f_inv_slope"],
-        [ts, f, f_slope, f_inv, f_inv_slope],
+        {"t": ts, "f": f, "f_slope": f_slope, "f_inv": f_inv, "f_inv_slope": f_inv_slope},
     )
     series = [(ts, f, "f(t)"), (ts, f_inv, "f_inv(t)")]
     return [table], (series, "system-1 clock maps", "t (1/gamma1)", "mapped time")
@@ -784,15 +781,14 @@ def _transfer(p: _Plan):
             f"fidelity_off = {off.fidelity!r} (equal superposition |a|^2 = |b|^2 = 1/2)",
             f"fidelity_on = {on.fidelity!r} (equal superposition |a|^2 = |b|^2 = 1/2)",
         ],
-        ["t", "P2_off", "P2_on"],
-        [off.times, off.p2, on.p2],
+        {"t": off.times, "P2_off": off.p2, "P2_on": on.p2},
     )
     series = [(off.times, off.p2, "transform off"), (on.times, on.p2, "transform on")]
     return [table], (series, "state transfer", "t (1/gamma1)", "P2")
 
 
 # Each experiment maps the resolved plan to (tables, plot): tables is a
-# list of (stem, comments, header, columns) written as <stem>.csv, each
+# list of (stem, comments, {header: column}) written as <stem>.csv, each
 # column a float64 array or a Categorical (integer codes into label texts:
 # phase tags, segments, counts); plot is (series, title, xlabel, ylabel)
 # drawn as <experiment>.svg.
@@ -823,9 +819,9 @@ def run(cfg: RunConfig) -> list[Path]:
     out_dir = Path(plan.output.directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for stem, comments, header, columns in tables:
+    for stem, comments, table in tables:
         paths.append(out_dir / f"{stem}.csv")
-        _write_csv(paths[-1], [_provenance(cfg), *comments], header, columns)
+        _write_csv(paths[-1], [_provenance(cfg), *comments], table)
     if plan.output.emit_svg:
         paths.append(out_dir / f"{cfg.experiment}.svg")
         line_plot(paths[-1], series, title=title, xlabel=xlabel, ylabel=ylabel)

@@ -64,7 +64,6 @@ from .cascade import (
     checked_step_matrix,
     time_grid,
 )
-from .hilbert import validate_state_vector
 
 __all__ = [
     "TrajectoryConfig",
@@ -299,7 +298,7 @@ def _mc_core(
             _apply(jop_prop, block[i, :, dim:], block[i + 1])
         mag2 = np.abs(block) ** 2
         jj = _rowsum(mag2[..., :dim])
-        n2 = np.concatenate([_norm2(states)[None], _rowsum(mag2[:-1, :, dim:])])
+        n2 = _rowsum(mag2[:-1, :, dim:])  # the squared norm after each step
         # a member jumps at the first step whose squared norm falls below
         # its threshold, among the steps after which J psi != 0; the
         # running minimum of those norms is non-increasing, so the
@@ -307,7 +306,7 @@ def _mc_core(
         # exceed the last running minimum, each at its first crossing
         step = np.arange(w)[:, None]
         inside = step < span
-        low = np.minimum.accumulate(np.where(inside & (jj[1:] > 0.0), n2[1:], np.inf))
+        low = np.minimum.accumulate(np.where(inside & (jj[1:] > 0.0), n2, np.inf))
         last = -low[-1]
         count = _bisect(start, start + size, lambda k: neg[k] < last) - start
         total = int(count.sum())
@@ -322,7 +321,7 @@ def _mc_core(
         # records of the states after each step, weighted by the members left
         index = begin + step + 1
         sampled = (inside & (left > 0) & (index % record_stride == 0)).reshape(-1)
-        seen = _observables(block[:-1, :, dim:].reshape(-1, dim), n2[1:].reshape(-1))
+        seen = _observables(block[:-1, :, dim:].reshape(-1, dim), n2.reshape(-1))
         slots = [np.where(sampled, index.reshape(-1) // record_stride, 0)]
         values = [np.where(sampled, seen * left.reshape(-1), 0.0)]
         # the jumpers of each row at each step become one new row holding
@@ -358,6 +357,9 @@ def _mc_core(
     return records.T, steps[order], trajs[order]
 
 
+_NORM_TOL = 1e-9  # the largest |norm - 1| of psi0
+
+
 def ensemble_average(
     psi0: np.ndarray, model: CascadeModel, cfg: TrajectoryConfig
 ) -> EnsembleResult:
@@ -376,8 +378,15 @@ def ensemble_average(
     stream alone.  The means are size-weighted sums over rows, so they
     equal the mean of the single trajectories up to the order of the
     additions.  Repeated runs are byte-identical.
+
+    psi0 must be a 1-d ket of norm 1 to within _NORM_TOL, else ValueError.
     """
-    validate_state_vector(psi0)
+    psi = np.asarray(psi0, dtype=complex)
+    if psi.ndim != 1:
+        raise ValueError(f"state vector must be 1-d, got shape {psi.shape}")
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > _NORM_TOL:
+        raise ValueError(f"state vector norm {norm} deviates from 1 by more than {_NORM_TOL}")
     n = cfg.n_traj
     streams = np.arange(n, dtype=np.uint64)
     records, steps, _ = _mc_core(psi0, model, cfg, streams)

@@ -4,6 +4,9 @@ Each definition here checks a shipped solver against an independent
 route to the same quantity, so it lives beside the tests rather than in
 the package.
 
+* `two_level_ket`, `composite_ket` and `density_from_ket` -- kets by
+  subsystem labels, built as Kronecker products, and |psi><psi| / <psi|psi>,
+  against the literal kets and densities of the CLI's initial states.
 * `lindblad_rhs` -- the master equation's right-hand side as matrix
   products, against the vectorized Liouvillian.
 * `heisenberg_consistency` -- the single-excitation amplitude equations
@@ -48,6 +51,27 @@ from qcascade.cascade import (
 from qcascade.wavepacket import Envelope, TransformSpec, _uniform_grid, derive_transform_params
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+
+
+def two_level_ket(label: str) -> np.ndarray:
+    """|e> or |g> in the (|e>, |g>) ordering."""
+    ket = np.zeros(2, dtype=complex)
+    ket[{"e": 0, "g": 1}[label]] = 1.0
+    return ket
+
+
+def composite_ket(labels: str) -> np.ndarray:
+    """Product ket for a string of two-level labels, system 1 first: 'eg' -> |e>|g>."""
+    ket = two_level_ket(labels[0])
+    for ch in labels[1:]:
+        ket = np.kron(ket, two_level_ket(ch))
+    return ket
+
+
+def density_from_ket(psi: np.ndarray) -> np.ndarray:
+    """Normalized density matrix |psi><psi| / <psi|psi>."""
+    psi = np.asarray(psi, dtype=complex)
+    return np.outer(psi, psi.conj()) / float(np.real(psi.conj() @ psi))
 
 
 def lindblad_rhs(rho: np.ndarray, model: CascadeModel) -> np.ndarray:

@@ -20,7 +20,6 @@ from qcascade.cascade import (
     integrate_master,
     time_grid,
 )
-from qcascade.hilbert import composite_ket, density_from_ket
 from qcascade.trajectory import TrajectoryConfig, ensemble_average
 from qcascade.transfer import (
     drive_system2,
@@ -40,6 +39,8 @@ from qcascade.wavepacket import (
 from oracles import (
     apply_u_frequency_domain,
     check_time_reversed_envelope,
+    composite_ket,
+    density_from_ket,
     envelope_to_spectrum,
     spectrum_to_envelope,
 )

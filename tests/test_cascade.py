@@ -26,10 +26,38 @@ from qcascade.cascade import (
     liouvillian,
     step_matrix,
 )
-from qcascade.hilbert import composite_ket, density_from_ket, two_level_ket
 from qcascade.wavepacket import TransformSpec, time_map
 
-from oracles import density_history, heisenberg_consistency, lindblad_rhs
+from oracles import (
+    composite_ket,
+    density_from_ket,
+    density_history,
+    heisenberg_consistency,
+    lindblad_rhs,
+    two_level_ket,
+)
+
+
+SM, SP, SZ = cascade._SM, cascade._SP, cascade._SZ
+
+
+def test_ladder_definitions():
+    e, g = two_level_ket("e"), two_level_ket("g")
+    assert np.array_equal(SM @ e, g)
+    assert np.array_equal(SP, SM.conj().T)
+    assert np.array_equal(SZ, np.diag([1.0 + 0j, -1.0]))
+    # sigma+ sigma- projects onto the excited state
+    assert np.array_equal(SP @ SM, np.outer(e, e.conj()))
+    # system 1 is the left Kronecker factor of the composite basis
+    assert np.array_equal(SIGMA1_MINUS @ composite_ket("eg"), composite_ket("gg"))
+    assert np.array_equal(SIGMA2_MINUS @ composite_ket("ge"), composite_ket("gg"))
+
+
+def test_pauli_algebra_exact():
+    assert np.array_equal(SP @ SM - SM @ SP, SZ)
+    assert np.array_equal(SZ @ SM - SM @ SZ, -2.0 * SM)
+    assert np.array_equal(SZ @ SP - SP @ SZ, 2.0 * SP)
+    assert np.array_equal(SP @ SM + SM @ SP, np.eye(2, dtype=complex))
 
 
 def plus_g_density():
@@ -296,12 +324,18 @@ def test_integrate_master_input_validation():
         integrate_master(np.eye(3) / 3.0, m, (0.0, 1.0), 0.1)
 
 
-@pytest.mark.parametrize("scale, skew", [(2.0, 0.0), (1.0, 0.25)], ids=["trace_2", "non_hermitian"])
-def test_integrate_master_rejects_a_bad_rho0(scale, skew):
+@pytest.mark.parametrize("rho0, check", [
+    (2.0 * density_from_ket(composite_ket("eg")), "trace"),
+    # np.eye(4, k=1) fills only the upper diagonal
+    (density_from_ket(composite_ket("eg")) + 0.25 * np.eye(4, k=1), "Hermiticity"),
+    (np.eye(2) / 2.0, "4x4"),
+    (np.diag([0.7, 0.7, 0.0, 0.0]), "trace"),
+    (np.diag([1.5, -0.5, 0.0, 0.0]), "eigenvalue"),
+], ids=["trace_2", "non_hermitian", "not_4x4", "trace_1.4", "negative_eigenvalue"])
+def test_integrate_master_rejects_a_bad_rho0(rho0, check):
     # a bad initial state is named as such, not reported as an integrator failure
-    # that blames the step size; np.eye(4, k=1) fills only the upper diagonal
-    rho0 = scale * density_from_ket(composite_ket("eg")) + skew * np.eye(4, k=1)
-    with pytest.raises(ValueError, match="rho0"):
+    # that blames the step size
+    with pytest.raises(ValueError, match=f"^rho0 .*{check}"):
         integrate_master(rho0, CascadeModel(1.0, 1.0), (0.0, 1.0), 1e-3)
 
 
@@ -403,7 +437,7 @@ def test_min_eigenvalues_match_per_state():
 
 
 def forbid_eigvalsh_per_row(monkeypatch):
-    # rho0's own check (hilbert.validate_density_matrix) takes one 4x4 eigvalsh;
+    # rho0's own check (cascade._check_rho0) takes one 4x4 eigvalsh;
     # a batch of them is an eigensolve per row of the run
     eigvalsh = np.linalg.eigvalsh
 

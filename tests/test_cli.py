@@ -10,9 +10,8 @@ import pytest
 
 from qcascade import cli, trajectory
 from qcascade.cascade import CascadeModel, IntegrationAbort
-from qcascade.hilbert import composite_ket
 
-from oracles import density_history
+from oracles import composite_ket, density_from_ket, density_history, two_level_ket
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -163,6 +162,20 @@ def test_decay_run_matches_analytics(tmp_path):
     assert abs(decay_re[k] - math.exp(-0.5)) < 1e-6
 
 
+@pytest.mark.parametrize("name", cli.INITIAL_STATES)
+def test_initial_states_equal_their_kronecker_construction(name):
+    # the literal kets, and their densities, bit for bit against kets built from labels
+    if name == "plus_g":
+        want = np.kron((two_level_ket("e") + two_level_ket("g")) / math.sqrt(2.0),
+                       two_level_ket("g"))
+    else:
+        want = composite_ket(name)
+    got = cli._initial_ket(name)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert cli._density(got).tobytes() == density_from_ket(want).tobytes()
+
+
 def test_decay_columns_match_einsum_readout(tmp_path):
     # every decay column against the per-observable einsums of the histories
     # of its two master-equation runs; beta = 0.3 couples the sectors
@@ -170,7 +183,7 @@ def test_decay_columns_match_einsum_readout(tmp_path):
     assert cli.main(["--config", str(path)]) == 0
     _, header, rows = read_csv(tmp_path / "out" / "decay.csv")
     model = cli.CascadeModel(gamma1=1.0, gamma2=0.5, beta=0.3)
-    eg, plus = (density_history(cli.density_from_ket(cli._initial_ket(s)), model,
+    eg, plus = (density_history(density_from_ket(cli._initial_ket(s)), model,
                                 (0.0, 10.0), 0.001) for s in ("eg", "plus_g"))
     s1 = np.einsum("nij,ji->n", eg, cli.cascade.SIGMA1_MINUS)
     s2 = np.einsum("nij,ji->n", eg, cli.cascade.SIGMA2_MINUS)
@@ -240,7 +253,7 @@ def _reference_write_csv(path, comments, header, rows):
 
 
 def _csv_columns(n):
-    """(header, columns, values): the writer's columns, and each column's values for _cell."""
+    """(table, values): the writer's table {header: column}, and each column's values for _cell."""
     specials = [math.nan, -0.0, 5e-324, 1e300, -1.0 / 3.0, math.inf, 0.0, 2.5e-310]
     floats = np.resize(np.array(specials), n)
     pairs = np.column_stack((floats[::-1], floats))
@@ -250,13 +263,13 @@ def _csv_columns(n):
     codes = np.searchsorted([4000, 4200], np.arange(n), side="right")
     codes = np.where(np.arange(n) % 7 == 3, 2, codes)
     values = [floats, counts, [labels[k] for k in codes.tolist()], pairs[:, 0]]
-    columns = [
-        floats,
-        cli._integer_column(counts),
-        cli.Categorical(codes, labels),
-        pairs[:, 0],  # strided float64 view
-    ]
-    return ["f", "count", "tag", "strided"], columns, values
+    table = {
+        "f": floats,
+        "count": cli._integer_column(counts),
+        "tag": cli.Categorical(codes, labels),
+        "strided": pairs[:, 0],  # strided float64 view
+    }
+    return table, values
 
 
 def _assert_no_child_left():
@@ -269,8 +282,8 @@ B = cli._CSV_BLOCK
 
 @pytest.mark.parametrize("n", [0, 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 5 * B + 7])
 def test_write_csv_matches_row_writer(tmp_path, monkeypatch, n):
-    header, columns, values = _csv_columns(n)
-    _reference_write_csv(tmp_path / "ref.csv", ["config {}", "units"], header, zip(*values))
+    table, values = _csv_columns(n)
+    _reference_write_csv(tmp_path / "ref.csv", ["config {}", "units"], table, zip(*values))
     ref = (tmp_path / "ref.csv").read_bytes()
     assert ref.count(b"\n") == 3 + n
     forks = []
@@ -279,7 +292,7 @@ def test_write_csv_matches_row_writer(tmp_path, monkeypatch, n):
     for cpus in (1, 2, 3):  # the split into row parts must not change a byte
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         forks.clear()
-        cli._write_csv(tmp_path / "new.csv", ["config {}", "units"], header, columns)
+        cli._write_csv(tmp_path / "new.csv", ["config {}", "units"], table)
         assert (tmp_path / "new.csv").read_bytes() == ref, cpus
         assert len(forks) == max(min(cpus, n // B) - 1, 0)
         _assert_no_child_left()
@@ -291,8 +304,8 @@ def _fail_fork():
 
 @pytest.mark.parametrize("failure", ["fork", "child"])
 def test_write_csv_failed_part_is_formatted_in_process(tmp_path, monkeypatch, failure):
-    header, columns, values = _csv_columns(3 * B)
-    _reference_write_csv(tmp_path / "ref.csv", ["c"], header, zip(*values))
+    table, values = _csv_columns(3 * B)
+    _reference_write_csv(tmp_path / "ref.csv", ["c"], table, zip(*values))
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     if failure == "fork":
         monkeypatch.setattr(cli.os, "fork", _fail_fork)
@@ -307,7 +320,7 @@ def test_write_csv_failed_part_is_formatted_in_process(tmp_path, monkeypatch, fa
         monkeypatch.setattr(cli, "_format_rows", format_rows)
     out = tmp_path / "out"
     out.mkdir()
-    cli._write_csv(out / "t.csv", ["c"], header, columns)
+    cli._write_csv(out / "t.csv", ["c"], table)
     assert (out / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     _assert_no_child_left()
     assert [p.name for p in out.iterdir()] == ["t.csv"]

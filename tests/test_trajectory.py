@@ -16,10 +16,9 @@ from qcascade.cascade import (
     step_matrix,
     time_grid,
 )
-from qcascade.hilbert import composite_ket, density_from_ket
 from qcascade.trajectory import TrajectoryConfig, ensemble_average
 
-from oracles import density_history
+from oracles import composite_ket, density_from_ket, density_history
 
 MODEL = CascadeModel(gamma1=1.0, gamma2=1.0)
 PSI_EG = composite_ket("eg")
@@ -289,8 +288,15 @@ def test_record_stride():
 
 def test_unnormalized_psi0_rejected():
     cfg = TrajectoryConfig(dt=0.01, n_traj=1, seed=4, t_span=(0.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="norm 2.0 deviates"):
         ensemble_average(2.0 * PSI_EG, MODEL, cfg)
+
+
+def test_psi0_of_two_dimensions_rejected():
+    # a density matrix is not a ket
+    cfg = TrajectoryConfig(dt=0.01, n_traj=1, seed=4, t_span=(0.0, 1.0))
+    with pytest.raises(ValueError, match="must be 1-d, got shape"):
+        ensemble_average(density_from_ket(PSI_EG), MODEL, cfg)
 
 
 def _reference_mc_core(psi0, model, cfg, streams):

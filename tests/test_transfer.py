@@ -8,7 +8,6 @@ import pytest
 
 from qcascade import cli
 from qcascade.cascade import CascadeModel, IntegrationAbort, integrate_master, time_grid
-from qcascade.hilbert import composite_ket, density_from_ket
 from qcascade.trajectory import TrajectoryConfig
 from qcascade.transfer import (
     drive_step_coefficients,
@@ -19,7 +18,7 @@ from qcascade.transfer import (
 )
 from qcascade.wavepacket import Envelope, TransformSpec, derive_transform_params, matched_timing
 
-from oracles import check_time_reversed_envelope
+from oracles import check_time_reversed_envelope, composite_ket, density_from_ket
 
 
 def grid(t0, t1, h):
