@@ -52,10 +52,10 @@ INITIAL_STATES = ("eg", "ge", "ee", "gg", "plus_g")
 # the run starts: time samples at dt, phases field points nx *
 # len(snapshot_times), and trajectories.  A master-equation run holds no
 # density history, only its (n, 5) complex readout, 80 bytes a time sample.
-# The most memory per count still goes to decay, whose two runs peak at about
-# 210 bytes a time sample with the CSV writer's, just above transfer's 200, so
-# no single array reaches 512 MiB; every shipped and benchmark config is 18x or
-# more below.
+# The most memory per count goes to decay, whose two runs peak at about 210
+# bytes a time sample with the CSV writer's (transfer, whose drives are built
+# in 4096-step slices, 110 to 130), so no single array reaches 512 MiB; every
+# shipped and benchmark config is 18x or more below.
 MAX_SAMPLES = 2**21
 # trajectories * steps must stay below this: about 4.5 min at 0.25 us per
 # trajectory-step, over 100x the 10^7 of every shipped and benchmark config

@@ -379,11 +379,13 @@ def ensemble_average(
     equal the mean of the single trajectories up to the order of the
     additions.  Repeated runs are byte-identical.
 
-    psi0 must be a 1-d ket of norm 1 to within _NORM_TOL, else ValueError.
+    psi0 must be a 1-d ket of 4 amplitudes and norm 1 to within _NORM_TOL, else ValueError.
     """
     psi = np.asarray(psi0, dtype=complex)
     if psi.ndim != 1:
         raise ValueError(f"state vector must be 1-d, got shape {psi.shape}")
+    if psi.size != 4:
+        raise ValueError(f"psi0 must hold the pair's 4 amplitudes, got {psi.size}")
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > _NORM_TOL:
         raise ValueError(f"state vector norm {norm} deviates from 1 by more than {_NORM_TOL}")

@@ -24,7 +24,9 @@ as aligned when the first and last drive points each lie within 1e-6 of
 a sample index (`Envelope.on_grid`): a spacing taken from a grid's first
 difference can miss h/2 by a few 1e-12 of a step, which over the 2.3e5
 points of the emission grid at gamma1/gamma2 = 0.25 builds up to 5e-7 of
-a sample.  Any other input is interpolated.
+a sample.  Any other input is interpolated.  Each drive is read 4096 steps
+(8193 half-step points) at a time: a transfer holds whole only the emitted
+packet, the on drive, the step inputs and the histories.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cascade import CascadeModel, IntegrationAbort, checked_step_matrix, step_history
+from .cascade import _SLICE, CascadeModel, IntegrationAbort, checked_step_matrix, step_history
 from .wavepacket import Envelope, TransformSpec, _device_phase, _uniform_grid, apply_u_time_domain
 
 __all__ = [
@@ -91,7 +93,9 @@ def emit_envelope(gamma1: float, omega1: float, t_grid: np.ndarray) -> Envelope:
     (`CascadeModel.frame_omegas`): 0 in the rotating frame.
     """
     t, h = _uniform_grid(t_grid, "t_grid")
-    vals = math.sqrt(gamma1) * np.exp(-(gamma1 / 2.0 + 1j * omega1) * t)
+    vals = -(gamma1 / 2.0 + 1j * omega1) * t
+    np.exp(vals, out=vals)
+    np.multiply(math.sqrt(gamma1), vals, out=vals)
     vals[t < 0.0] = 0.0
     return Envelope(float(t[0]), h, vals)
 
@@ -148,9 +152,12 @@ def drive_system2(
         raise ValueError("omega2 must be finite and non-negative")
     t, h = _uniform_grid(t_grid, "t_grid")
     n_steps = t.size - 1
-    xi = input_env.on_grid(float(t[0]) - tau, h / 2.0, 2 * n_steps + 1)
     r, w0, wm, w1 = drive_step_coefficients(gamma2, omega2, h)
-    u = w0 * xi[0:-1:2] + wm * xi[1::2] + w1 * xi[2::2]
+    u = np.empty(n_steps, dtype=complex)
+    for lo in range(0, n_steps, _SLICE):  # steps lo .. hi-1 read half-step points 2 lo .. 2 hi
+        hi = min(lo + _SLICE, n_steps)
+        xi = input_env.on_grid(float(t[0]) - tau, h / 2.0, 2 * n_steps + 1, 2 * lo, 2 * hi + 1)
+        u[lo:hi] = w0 * xi[0:-1:2] + wm * xi[1::2] + w1 * xi[2::2]
     c2 = step_history(np.array([[r]]), np.zeros((1, 1)), n_steps, u.reshape(-1, 1, 1)).ravel()
     p2 = np.abs(c2) ** 2
     imax = int(np.argmax(p2))
@@ -168,10 +175,11 @@ def drive_system2(
 def _transformed_drive(
     emitted: Envelope,
     spec: TransformSpec,
-    t_half: np.ndarray,
+    t0: float,
     h_half: float,
+    n: int,
 ) -> Envelope:
-    """Device-output drive on the half-step grid through the four phases.
+    """Device-output drive on the n-point half-step grid from t0 through the four phases.
 
     Retarded times are referenced to the device position; `_device_phase`
     decides the phase: the incident envelope passes untouched outside
@@ -179,14 +187,21 @@ def _transformed_drive(
     transformed packet.
     """
     at_device = emitted.shifted(spec.delay)
-    vals = at_device.on_grid(float(t_half[0]), h_half, t_half.size)
-    phase = _device_phase(t_half, spec)
-    vals[phase == 1] = 0.0
-    in_prod = phase == 2
-    if in_prod.any():
+    vals = at_device.on_grid(t0, h_half, n)
+    # t0 + h_half j rises with j, so production takes the run of `count`
+    # indices from `start`, the first at or after t_s
+    start = count = 0
+    for lo in range(0, n, _SLICE):
+        t = t0 + h_half * np.arange(lo, min(lo + _SLICE, n))
+        phase = _device_phase(t, spec)
+        vals[lo : lo + t.size][phase == 1] = 0.0
+        start += int(np.count_nonzero(t < spec.t_s))
+        count += int(np.count_nonzero(phase == 2))
+    if count:
         # apply_u_time_domain needs two samples: dt <= alpha*Delta keeps two in the window
-        vals[in_prod] = apply_u_time_domain(at_device, spec, t_out=t_half[in_prod]).samples
-    return Envelope(float(t_half[0]), h_half, vals)
+        t_prod = t0 + h_half * np.arange(start, start + count)
+        vals[start : start + count] = apply_u_time_domain(at_device, spec, t_out=t_prod).samples
+    return Envelope(t0, h_half, vals)
 
 
 def _emission_window(t0: float, t1: float, tau: float, spec: TransformSpec) -> tuple[float, float]:
@@ -211,7 +226,6 @@ def transfer_experiment(
     w1, w2 = model.frame_omegas()
     t, h = _uniform_grid(t_grid, "t_grid")
     n_steps = t.size - 1
-    t_half = t[0] + (h / 2.0) * np.arange(2 * n_steps + 1)
     half = h / 2.0
     # Emission-time grid aligned with the half-step drive grid (so the off
     # branch consumes exact samples), extended to cover the emission window.
@@ -219,10 +233,11 @@ def transfer_experiment(
     n_lead = max(0, int(math.ceil((t[0] - model.tau - start_target) / half - 1e-9)))
     n_tail = max(0, int(math.ceil((end_target - (t[-1] - model.tau)) / half - 1e-9))) + 2
     emit_t0 = t[0] - model.tau - n_lead * half
-    emit_grid = emit_t0 + half * np.arange(n_lead + 2 * n_steps + 1 + n_tail)
-    emitted = emit_envelope(model.gamma1, w1, emit_grid)
+    emitted = emit_envelope(
+        model.gamma1, w1, emit_t0 + half * np.arange(n_lead + 2 * n_steps + 1 + n_tail))
     off = drive_system2(emitted, model.gamma2, w2, model.tau, t)
-    drive_on = _transformed_drive(emitted, spec, t_half, h / 2.0)
+    drive_on = _transformed_drive(emitted, spec, float(t[0]), half, 2 * n_steps + 1)
+    del emitted  # the on drive holds all the second run reads
     on = drive_system2(drive_on, model.gamma2, w2, model.tau, t)
     ratio = on.p2_max / off.p2_max if off.p2_max > 0.0 else math.inf
     return TransferComparison(off=off, on=on, ratio=ratio)

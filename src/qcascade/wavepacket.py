@@ -32,6 +32,8 @@ from enum import Enum
 
 import numpy as np
 
+from .cascade import _SLICE
+
 __all__ = [
     "Envelope",
     "TransformSpec",
@@ -85,64 +87,71 @@ class Envelope:
         return float(np.sum(np.abs(self.samples) ** 2) * self.dt)
 
     def interp(self, t) -> np.ndarray:
-        """Cubic (4-point Lagrange) interpolation, shaped like t; zero outside the support."""
+        """Cubic (4-point Lagrange) interpolation, shaped like t; zero outside the support.
+        Evaluated _SLICE points a pass into one output: no temporary is longer."""
         samples, n = self.samples, self.samples.size
-        pos = (np.asarray(t, dtype=float) - self.t0) / self.dt
-        out = np.zeros(pos.shape, dtype=complex)
-        inside = (pos >= -1e-9) & (pos <= (n - 1) + 1e-9)
-        if not np.any(inside):
-            return out
-        p = np.clip(pos[inside], 0.0, float(n - 1))
-        if n < 4:
-            i0 = np.clip(np.floor(p).astype(int), 0, n - 2)
-            x = p - i0
-            out[inside] = (1.0 - x) * samples[i0] + x * samples[i0 + 1]
-            return out
-        base = np.clip(np.floor(p).astype(int) - 1, 0, n - 4)
-        x = p - base
-        s0 = samples[base]
-        s1 = samples[base + 1]
-        s2 = samples[base + 2]
-        s3 = samples[base + 3]
-        w0 = -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0
-        w1 = x * (x - 2.0) * (x - 3.0) / 2.0
-        w2 = -x * (x - 1.0) * (x - 3.0) / 2.0
-        w3 = x * (x - 1.0) * (x - 2.0) / 6.0
-        out[inside] = w0 * s0 + w1 * s1 + w2 * s2 + w3 * s3
+        t = np.asarray(t, dtype=float)
+        out = np.zeros(t.shape, dtype=complex)
+        flat_t, flat_out = t.reshape(-1), out.reshape(-1)
+        for lo in range(0, flat_t.size, _SLICE):
+            pos = (flat_t[lo : lo + _SLICE] - self.t0) / self.dt
+            inside = (pos >= -1e-9) & (pos <= (n - 1) + 1e-9)
+            if not np.any(inside):
+                continue
+            p = np.clip(pos[inside], 0.0, float(n - 1))
+            rows = flat_out[lo : lo + _SLICE]
+            if n < 4:
+                i0 = np.clip(np.floor(p).astype(int), 0, n - 2)
+                x = p - i0
+                rows[inside] = (1.0 - x) * samples[i0] + x * samples[i0 + 1]
+                continue
+            base = np.clip(np.floor(p).astype(int) - 1, 0, n - 4)
+            x = p - base
+            w0 = -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0
+            w1 = x * (x - 2.0) * (x - 3.0) / 2.0
+            w2 = -x * (x - 1.0) * (x - 3.0) / 2.0
+            w3 = x * (x - 1.0) * (x - 2.0) / 6.0
+            rows[inside] = (w0 * samples[base] + w1 * samples[base + 1]
+                            + w2 * samples[base + 2] + w3 * samples[base + 3])
         return out
 
-    def on_grid(self, t0: float, step: float, n: int) -> np.ndarray:
-        """Values at t0 + j step for j = 0 .. n-1; zero outside the support.
+    def on_grid(
+        self, t0: float, step: float, n: int, lo: int = 0, hi: int | None = None
+    ) -> np.ndarray:
+        """Values at t0 + j step for j = lo .. hi-1 (hi defaults to n) of the
+        grid j = 0 .. n-1; zero outside the support.
 
         The grid is this envelope's own when its first and last points each
         lie within 1e-6 of a sample index, n - 1 indices apart: then the
         samples are taken exactly.  The tolerance bounds the drift of a
         spacing taken from a grid's first difference.  Any other grid goes
-        through `interp`.
+        through `interp`.  The whole grid decides, so every index range of
+        one grid takes the same branch and the same values.
         """
+        hi = n if hi is None else hi
         first = (t0 - self.t0) / self.dt
         last = (t0 + step * (n - 1) - self.t0) / self.dt
         k = round(first) if math.isfinite(first) else 0
         if abs(first - k) < 1e-6 and abs(last - (k + n - 1)) < 1e-6:
-            vals = np.zeros(n, dtype=complex)
-            lo, hi = max(k, 0), min(k + n, self.samples.size)
-            if lo < hi:
-                vals[lo - k : hi - k] = self.samples[lo:hi]
+            vals = np.zeros(hi - lo, dtype=complex)
+            a, b = max(k + lo, 0), min(k + hi, self.samples.size)
+            if a < b:
+                vals[a - k - lo : b - k - lo] = self.samples[a:b]
             return vals
-        return self.interp(t0 + step * np.arange(n))
+        return self.interp(t0 + step * np.arange(lo, hi))
 
     def shifted(self, offset: float) -> "Envelope":
-        """Same samples with the time axis shifted by offset."""
-        return Envelope(self.t0 + offset, self.dt, self.samples.copy(), self.n_zero_filled)
+        """The same samples, shared, with the time axis shifted by offset."""
+        return Envelope(self.t0 + offset, self.dt, self.samples, self.n_zero_filled)
 
     def slice_window(self, lo: float, hi: float) -> "Envelope":
         """Sub-envelope of the samples with lo <= t <= hi (small tolerance)."""
         tol = 1e-9 * self.dt
-        mask = (self.times >= lo - tol) & (self.times <= hi + tol)
-        idx = np.nonzero(mask)[0]
+        times = self.times
+        idx = np.nonzero((times >= lo - tol) & (times <= hi + tol))[0]
         if idx.size < 2:
             raise ValueError(f"window [{lo}, {hi}] overlaps fewer than two samples")
-        return Envelope(float(self.times[idx[0]]), self.dt, self.samples[idx[0] : idx[-1] + 1])
+        return Envelope(float(times[idx[0]]), self.dt, self.samples[idx[0] : idx[-1] + 1])
 
 
 def _uniform_grid(grid, name: str) -> tuple[np.ndarray, float]:
@@ -305,7 +314,10 @@ def apply_u_time_domain(
             RuntimeWarning,
             stacklevel=2,
         )
-    out_vals = vals * np.exp(-1j * spec.omega0 * (t_arr - spec.T)) / math.sqrt(a)
+    out_vals = -1j * spec.omega0 * (t_arr - spec.T)
+    np.exp(out_vals, out=out_vals)
+    np.multiply(vals, out_vals, out=out_vals)
+    np.divide(out_vals, math.sqrt(a), out=out_vals)
     return Envelope(float(t_arr[0]), dt_out, out_vals, n_zero_filled=n_fill)
 
 

@@ -299,6 +299,15 @@ def test_psi0_of_two_dimensions_rejected():
         ensemble_average(density_from_ket(PSI_EG), MODEL, cfg)
 
 
+@pytest.mark.parametrize("psi0", [[1.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]], ids=["2", "6"])
+def test_psi0_of_other_than_4_amplitudes_rejected(psi0):
+    # a normalized ket of the wrong length is named before the core indexes it
+    cfg = TrajectoryConfig(dt=0.01, n_traj=1, seed=4, t_span=(0.0, 1.0))
+    message = f"^psi0 must hold the pair's 4 amplitudes, got {len(psi0)}$"
+    with pytest.raises(ValueError, match=message):
+        ensemble_average(np.array(psi0), MODEL, cfg)
+
+
 def _reference_mc_core(psi0, model, cfg, streams):
     # the waiting-time rule with one state per trajectory, no rows and no
     # retirement; returns per-trajectory values (records, q, trajectories)

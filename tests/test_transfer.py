@@ -18,7 +18,7 @@ from qcascade.transfer import (
 )
 from qcascade.wavepacket import Envelope, TransformSpec, derive_transform_params, matched_timing
 
-from oracles import check_time_reversed_envelope, composite_ket, density_from_ket
+from oracles import check_time_reversed_envelope, composite_ket, density_from_ket, drive_history
 
 
 def grid(t0, t1, h):
@@ -136,6 +136,22 @@ def test_drive_system2_takes_the_emitted_samples_of_the_transfer(monkeypatch):
     assert np.array_equal(res.c2, exact.c2)
 
 
+@pytest.mark.parametrize("spacing, tau", [
+    pytest.param(1e-3, 0.75, id="aligned"),  # tau a multiple of h/2: samples read exactly
+    pytest.param(1e-3, 0.75 + 3.1e-5, id="tau-off-grid"),
+    pytest.param(7.1e-4, 0.75, id="spacing-off-grid"),
+])
+def test_drive_system2_equals_the_whole_drive_bit_for_bit(spacing, tau):
+    # 10,001 steps read in slices of 4096, the last of them partial: each slice
+    # takes its points as t0 + step * j for its own j, as the whole grid does,
+    # never as a slice origin plus an offset
+    h = 2e-3
+    t = -0.3 + h * np.arange(10_002)
+    env = emit_envelope(1.5, 0.8, -1.0 + spacing * np.arange(int(22.0 / spacing)))
+    res = drive_system2(env, 1.2, 0.4, tau, t)
+    assert res.c2.tobytes() == drive_history(env, 1.2, 0.4, tau, t).tobytes()
+
+
 def test_drive_system2_long_run_matches_closed_form():
     # the exponential drive u[k] = A q^k through c <- r c + u has the closed form
     # c[n] = A (r^n - q^n)/(r - q); over 2^20 steps the scan takes its block
@@ -213,6 +229,24 @@ def test_transfer_improvement_sweep(ratio):
     # reaches system 2 before production starts
     before = comp.on.times < spec.t_s
     assert before.sum() > 1000 and np.all(comp.on.p2[before] == 0.0)
+
+
+def test_transfer_at_rate_ratio_4_holds_no_whole_drive_temporaries():
+    # 88,001 points at dt = 2.5e-4: the emitted packet (192,003 samples), the on
+    # drive (176,001) and the histories are held whole, about 11.8 MB at the
+    # peak; building either drive from its whole half-step grid peaks at 26.9 MB
+    import tracemalloc
+
+    model, spec, t = resolved_transfer({"gamma1": 4.0, "gamma2": 1.0})
+    assert t.size == 88_001
+    tracemalloc.start()
+    try:
+        comp = transfer_experiment(model, spec, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comp.ratio > 1.0
+    assert peak < 16e6
 
 
 TRANSDUCTION = Path(__file__).parent.parent / ".github/ci-configs/transfer_transduction.json"

@@ -62,6 +62,31 @@ def test_envelope_interp():
     assert env.interp(11.0) == 0.0
 
 
+def test_envelope_interp_equals_its_formula_per_point():
+    # 10,000 points, so interp takes them in three slices; about a tenth fall
+    # outside the support, and some on its first and last intervals
+    rng = np.random.default_rng(11)
+    env = Envelope(-2.0, 0.013, rng.normal(size=700) + 1j * rng.normal(size=700))
+    t = rng.uniform(env.t0 - 0.5, env.t_end + 0.5, 10_000)
+
+    def at(point):  # the cubic Lagrange formula at one point, in float64 scalars
+        n = env.samples.size
+        pos = (np.float64(point) - env.t0) / env.dt
+        if not -1e-9 <= pos <= (n - 1) + 1e-9:
+            return 0j
+        p = min(max(pos, 0.0), float(n - 1))
+        base = min(max(math.floor(p) - 1, 0), n - 4)
+        x = p - base
+        w0 = -(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0
+        w1 = x * (x - 2.0) * (x - 3.0) / 2.0
+        w2 = -x * (x - 1.0) * (x - 3.0) / 2.0
+        w3 = x * (x - 1.0) * (x - 2.0) / 6.0
+        s0, s1, s2, s3 = env.samples[base : base + 4]
+        return w0 * s0 + w1 * s1 + w2 * s2 + w3 * s3
+
+    assert env.interp(t).tobytes() == np.array([at(point) for point in t]).tobytes()
+
+
 def test_envelope_on_grid_takes_exact_samples_on_its_own_grid(monkeypatch):
     rng = np.random.default_rng(5)
     env = Envelope(-1.0, 0.25, rng.normal(size=40) + 1j * rng.normal(size=40))
@@ -71,6 +96,9 @@ def test_envelope_on_grid_takes_exact_samples_on_its_own_grid(monkeypatch):
     # a window hanging off both ends of the support is zero there
     wide = env.on_grid(env.t0 - 5 * env.dt, env.dt, 50)
     assert np.array_equal(wide, np.r_[np.zeros(5), env.samples, np.zeros(5)])
+    # an index range is that part of the whole grid, off the support or not
+    for lo, hi in ((0, 50), (0, 3), (3, 9), (17, 44), (44, 50), (48, 50)):
+        assert np.array_equal(env.on_grid(env.t0 - 5 * env.dt, env.dt, 50, lo, hi), wide[lo:hi])
     assert np.array_equal(env.on_grid(env.t_end + env.dt, env.dt, 4), np.zeros(4))
 
 
@@ -83,6 +111,14 @@ def test_envelope_on_grid_interpolates_any_other_grid():
     # aligned at the first point only: a spacing off by 1e-6 of a step drifts too far
     step = env.dt * (1.0 + 1e-6)
     assert np.array_equal(env.on_grid(0.0, step, 2001), env.interp(step * np.arange(2001)))
+    # off by 1e-9 of a step, the grid drifts 2e-6 of a step by its end, though its
+    # first 500 points stay within 1e-6: the whole grid decides, so an index range
+    # is interpolated at the whole grid's points, to the same bytes
+    step = env.dt * (1.0 + 1e-9)
+    whole = env.on_grid(0.0, step, 2001)
+    assert np.array_equal(whole, env.interp(step * np.arange(2001)))
+    for lo, hi in ((0, 500), (733, 1500), (1990, 2001)):
+        assert env.on_grid(0.0, step, 2001, lo, hi).tobytes() == whole[lo:hi].tobytes()
 
 
 def test_derive_transform_params():
