@@ -453,9 +453,10 @@ def _format_rows(columns, lo: int, hi: int, fh) -> None:
         # columns together and of each categorical column
         pieces = []
         if floats:
-            chars, sizes = repr_bytes(
-                np.stack([columns[j][start:stop] for j in floats], 1).reshape(-1))
-            pieces.append((floats, chars.reshape(rows, len(floats), -1), sizes.reshape(rows, -1)))
+            # in column order, so a time grid's runs reach repr_bytes' sort whole
+            chars, sizes = repr_bytes(np.concatenate([columns[j][start:stop] for j in floats]))
+            pieces.append((floats, chars.reshape(len(floats), rows, -1).swapaxes(0, 1),
+                           sizes.reshape(len(floats), rows).T))
         for j, (text, size) in tables.items():
             codes = columns[j].codes[start:stop]
             pieces.append(([j], text.take(codes, axis=0)[:, None], size.take(codes)[:, None]))

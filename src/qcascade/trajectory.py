@@ -1,13 +1,17 @@
 """Monte-Carlo wave-function unraveling of the cascaded master equation.
 
 Each trajectory evolves a pure state under the non-Hermitian generator
-H_eff (fixed-step RK4 as one step matrix, no renormalization, so the norm
-decays between jumps) punctuated by photon-counting jumps, drawn by the
+H_eff (fixed-step RK4 as one step matrix P, no renormalization, so the
+norm decays between jumps) punctuated by photon-counting jumps, drawn by the
 waiting-time rule (Dum, Zoller & Ritsch, PRA 45, 4879 (1992); Plenio &
 Knight, RMP 70, 101 (1998)): a trajectory holds a threshold r, uniform in
 [0, 1), and jumps at the first step after which the squared norm of its
 unnormalized state falls below r.  The state is then replaced by the
 normalized J psi of the post-step state, and the next threshold is drawn.
+Between jumps the state comes from powers of P: it is anchored when it is
+made and every _SEGMENT steps after, and m steps past its anchor it is
+P^m applied to the anchor, and J psi is J P^m applied to it, from one
+table of [J P^m; P^(m+1)], m < _SEGMENT, built once per run.
 A state with J psi = 0 cannot emit: where the step's truncation error
 alone takes its norm below r (as for |gg> in the lab frame), it keeps r.
 One fixed set is recorded: P1, P2 and P2^2 of the renormalized state and
@@ -24,30 +28,34 @@ Trajectories that share a jump history hold bitwise-equal states, so the
 ensemble propagates one state row per live jump history.  The members of
 each row form one contiguous segment of a permutation of the
 trajectories, sorted by threshold in descending order.  The rows advance
-in passes: each pending row, from the step its state belongs to, takes
-up to _WINDOW steps with the same per-step arithmetic as a step-by-step
-loop, storing the block of states, squared norms and <J+J>.  The block
-is then resolved at once.  The running minimum of the squared norms over
+in passes: each pending row, from its anchor, takes up to _WINDOW steps,
+whole segments, each segment one product of the anchor with the table,
+storing the block of states, squared norms and <J+J>.  The block is then
+resolved at once.  The running minimum of the squared norms over
 the steps after which J psi != 0 falls monotonically, so the jumpers of a
 row are the prefix of its segment whose thresholds exceed the last
 running minimum (one binary search over all segments), and each jumps at
 the first step where that minimum falls below its threshold (one more,
 vectorized over the jumpers).  The jumpers of a row at one step become a
 new row from the next step on, re-sorted by their next thresholds; the
-members left continue from the end of the window in the next pass.  A
-new row whose step leaves it bitwise unchanged, with <J+J> = 0, is a
+members left continue from the end of the window, a new anchor, in the
+next pass.  A new row made only of basis states that every power of P
+in the table keeps exactly in place, and that no J P^m reaches, is a
 fixed point that can never jump: it retires at once, and its
 size-weighted observables are added to every later record.  The window
-shrinks so that rows x steps stays under _BLOCK, which bounds the memory
-of a pass.  Work therefore scales with the live rows times the steps,
-with the bookkeeping paid once per pass; only jumps and the initial sort
-touch single trajectories.
+shrinks, a segment at a time, so that rows x steps stays under _BLOCK,
+and beyond _BLOCK // _SEGMENT live rows the rows take their passes in
+groups, which bounds the memory of a pass.
+Work therefore scales with the live rows times the steps, with the
+bookkeeping paid once per pass and the NumPy calls once per segment;
+only jumps and the initial sort touch single trajectories.
 
-Every trajectory's jump history, and so its state at every step, is
-bit-for-bit independent of the ensemble it runs in and of the window,
-and repeated runs are byte-identical.  Ensemble records are
-size-weighted sums over rows, so their additions, unlike the histories,
-are grouped by the rows and passes the ensemble holds.
+The anchors fall at fixed ages of each trajectory's own history, so its
+jump history, and its state at every step, is bit-for-bit independent
+of the ensemble it runs in and of the window, and repeated runs are
+byte-identical.  Ensemble records are size-weighted sums over rows, so
+their additions, unlike the histories, are grouped by the rows and
+passes the ensemble holds.
 """
 
 from __future__ import annotations
@@ -142,13 +150,48 @@ class EnsembleResult:
     n_traj: int
 
 
-def _apply(op: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # (op @ psi_i) row-wise with a fixed accumulation order over k, so the
-    # result is independent of how the trajectory axis is batched
-    out = np.multiply(psi[:, 0, None], op[None, :, 0], out=out)
-    for k in range(1, op.shape[1]):
-        out += psi[:, k, None] * op[None, :, k]
+def _apply(ops: np.ndarray, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # out[i, r] = ops[i] @ psi[r] for every operator i and row r, with a fixed
+    # accumulation order over k, so the result is independent of how the
+    # rows and the operators are batched
+    out = np.multiply(psi[None, :, 0, None], ops[:, None, :, 0], out=out)
+    for k in range(1, ops.shape[2]):
+        out += psi[None, :, k, None] * ops[:, None, :, k]
     return out
+
+
+def _step_table(jop: np.ndarray, prop: np.ndarray, segment: int) -> np.ndarray:
+    """table[m] = [J P^m; P^(m+1)] for m < segment, (segment, 2 dim, dim).
+
+    P^m = P^(m-1) @ P, so table[0] is [J; P] exactly.  Applied to the
+    anchor of a row, table[m] gives J psi at m steps past the anchor and
+    the state one step later; table[segment - 1] gives the next anchor.
+    """
+    dim = prop.shape[0]
+    table = np.empty((segment, 2 * dim, dim), dtype=complex)
+    table[0, :dim], table[0, dim:] = jop, prop
+    for m in range(1, segment):
+        table[m, :dim] = jop @ table[m - 1, dim:]
+        table[m, dim:] = table[m - 1, dim:] @ prop
+    return table
+
+
+def _advance(table: np.ndarray, states: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Fill block[i] with table[i % segment] applied to the anchor of segment i // segment.
+
+    The first anchors are states; each later one is the state the segment
+    before it ends on, P^segment of its anchor.  Each segment is split
+    into calls of about _CALL row-steps, which changes no bit.
+    """
+    segment, dim = table.shape[0], states.shape[1]
+    call = max(1, _CALL // len(states))
+    anchor = states
+    for lo in range(0, len(block), segment):
+        hi = min(lo + segment, len(block))
+        for i in range(lo, hi, call):
+            _apply(table[i - lo : min(i + call, hi) - lo], anchor, block[i : min(i + call, hi)])
+        anchor = block[hi - 1, :, dim:]
+    return block
 
 
 def _rowsum(a: np.ndarray) -> np.ndarray:
@@ -199,6 +242,19 @@ def checked_jump_operator(model: CascadeModel, dt: float) -> np.ndarray:
     return jop
 
 
+def _still(table: np.ndarray) -> np.ndarray:
+    """The basis states that every power of P in table keeps exactly in
+    place, and that no J P^m reaches.
+
+    A product of the table with a state made of these alone copies its
+    amplitudes and adds zeros: the state never changes and its J psi is
+    exactly 0, so it can never jump.
+    """
+    dim = table.shape[2]
+    no_jump = (table[:, :dim] == 0.0).all(axis=(0, 1))
+    return no_jump & (table[:, dim:] == np.eye(dim)).all(axis=(0, 1))
+
+
 def _observables(states: np.ndarray, norm2: np.ndarray) -> np.ndarray:
     # per row: the raw norm, then P1, P2 and P2^2 of the renormalized state,
     # in the composite basis |ee>=0, |eg>=1, |ge>=2, |gg>=3
@@ -209,10 +265,14 @@ def _observables(states: np.ndarray, norm2: np.ndarray) -> np.ndarray:
     return np.array([np.sqrt(norm2), p1, p2, p2 * p2])
 
 
-# A pass advances every pending row by up to _WINDOW steps, fewer when
-# rows x steps would exceed _BLOCK, which bounds the memory of a pass.
-_WINDOW = 64
+# A row is anchored every _SEGMENT steps.  A pass advances every pending
+# row by up to _WINDOW steps, whole segments, fewer when rows x steps would
+# exceed _BLOCK, and takes at most _BLOCK // _SEGMENT rows, which bounds
+# its memory.  The products go to NumPy about _CALL row-steps at a time.
+_SEGMENT = 16
+_WINDOW = 256
 _BLOCK = 2**15
+_CALL = 512
 
 
 def _mc_core(
@@ -235,8 +295,9 @@ def _mc_core(
     dt, record_stride = cfg.dt, cfg.record_stride
     prop = checked_step_matrix(-1j * build_h_eff(model), dt)
     jop = checked_jump_operator(model, dt)
-    # one pass over the rows gives J psi, for the jumps, and the step P psi
-    jop_prop = np.concatenate([jop, prop])
+    # one product with the anchors gives J psi, for the jumps, and the states
+    table = _step_table(jop, prop, _SEGMENT)
+    still = _still(table)
     dim = jop.shape[0]
     end = time_grid(cfg.t_span, dt).size - 1  # rows advance while their step is below end
     n = streams.size
@@ -265,10 +326,9 @@ def _mc_core(
     slots: list[np.ndarray] = []
     values: list[np.ndarray] = []
     while True:
-        # admit the new rows; one whose step leaves it bitwise unchanged,
-        # with J psi = 0, is a fixed point that can never jump: it retires
-        moved = _apply(jop_prop, new)
-        dark = (_norm2(moved[:, :dim]) == 0.0) & (moved[:, dim:] == new).all(axis=1)
+        # admit the new rows; one made of still basis states alone is a
+        # fixed point that can never jump: it retires
+        dark = ~(new[:, ~still] != 0.0).any(axis=1)
         first = -(-new_begin // record_stride)
         shown = np.flatnonzero(~dark & (new_begin % record_stride == 0))
         gone = np.flatnonzero(dark & (first < n_slots))
@@ -287,15 +347,16 @@ def _mc_core(
         size = np.concatenate([size, new_size[live]])
         if not size.size:
             break
-        # advance every row by up to w steps: block[i] holds J psi and
-        # P psi of the row state i steps on (the last P psi is not used)
-        rows = size.size
-        w = int(min(_WINDOW, max(1, _BLOCK // rows), (end - begin).max()))
+        # the first _BLOCK // _SEGMENT rows take this pass, the others wait
+        rows = min(size.size, _BLOCK // _SEGMENT)
+        waiting = states[rows:], begin[rows:], start[rows:], size[rows:]
+        states, begin, start, size = states[:rows], begin[:rows], start[:rows], size[:rows]
+        # advance every row, from its anchor, by up to w steps, whole
+        # segments: block[i] holds J psi at i steps on and the state one
+        # step later (the last state is not used)
+        w = int(min(_WINDOW, _BLOCK // rows // _SEGMENT * _SEGMENT, (end - begin).max()))
         span = np.minimum(end - begin, w)
-        block = np.empty((w + 1, rows, 2 * dim), dtype=complex)
-        _apply(jop_prop, states, block[0])
-        for i in range(w):
-            _apply(jop_prop, block[i, :, dim:], block[i + 1])
+        block = _advance(table, states, np.empty((w + 1, rows, 2 * dim), dtype=complex))
         mag2 = np.abs(block) ** 2
         jj = _rowsum(mag2[..., :dim])
         n2 = _rowsum(mag2[:-1, :, dim:])  # the squared norm after each step
@@ -341,13 +402,17 @@ def _mc_core(
         new_begin = begin[hrow] + hat
         new_start = pos[heads]
         new_size = np.diff(heads, append=total)
-        # the members left continue from the end of the window
+        # the members left continue from the end of the window, a new
+        # anchor, after the rows that waited
         states = block[span - 1, np.arange(rows), dim:]
         begin = begin + span
         start = start + count
         size = size - count
         keep = (size > 0) & (begin < end)
-        states, begin, start, size = states[keep], begin[keep], start[keep], size[keep]
+        states, begin, start, size = (
+            np.concatenate([old, now[keep]])
+            for old, now in zip(waiting, (states, begin, start, size))
+        )
     records = sums[:, :n_slots] + np.cumsum(sums[:, n_slots:], axis=1)
     if not np.isfinite(records).all():  # P1 and P2 of a norm 0 are 0/0
         raise IntegrationAbort(f"a state's norm fell to 0 without a jump; reduce dt={dt:g}")
@@ -367,17 +432,21 @@ def ensemble_average(
 
     Jumps follow the waiting-time rule.  The ensemble is propagated as
     one state row per live jump history, the members of each row a
-    threshold-sorted segment of one permutation.  The rows advance in
-    passes of up to _WINDOW steps, fewer when rows x steps would exceed
-    _BLOCK, and the jumps of a pass are resolved once for the whole block;
-    rows at a fixed point retire when they are made (see the module
-    docstring).  The work scales with the live rows, not with n_traj.
+    threshold-sorted segment of one permutation.  Between jumps a row's
+    state is P^m of its anchor, taken when the row is made and every
+    _SEGMENT steps after.  The rows advance in passes of up to _WINDOW
+    steps, whole segments, fewer when rows x steps would exceed _BLOCK,
+    and in groups beyond _BLOCK // _SEGMENT rows; the jumps of a pass are
+    resolved once for the whole block, and rows at a fixed point retire
+    when they are made (see the module docstring).  The work scales with
+    the live rows, not with n_traj.
 
     Every trajectory's jump history is bit-for-bit independent of the
-    ensemble it runs in: it is the history of `_mc_core` run on its
-    stream alone.  The means are size-weighted sums over rows, so they
-    equal the mean of the single trajectories up to the order of the
-    additions.  Repeated runs are byte-identical.
+    ensemble it runs in: its anchors fall at fixed ages of its own
+    history, so it is the history of `_mc_core` run on its stream alone.
+    The means are size-weighted sums over rows, so they equal the mean
+    of the single trajectories up to the order of the additions.
+    Repeated runs are byte-identical.
 
     psi0 must be a 1-d ket of 4 amplitudes and norm 1 to within _NORM_TOL, else ValueError.
     """

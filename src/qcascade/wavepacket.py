@@ -158,10 +158,18 @@ def _uniform_grid(grid, name: str) -> tuple[np.ndarray, float]:
     """(grid as a float array, its spacing); ValueError naming the grid
     unless it is a uniform 1-d grid of at least two points."""
     arr = np.asarray(grid, dtype=float)
-    step = np.diff(arr.reshape(-1))
-    if arr.ndim != 1 or arr.size < 2 or not np.all(np.abs(step - step[0]) <= 1e-9 * abs(step[0])):
+    uniform = arr.ndim == 1 and arr.size >= 2
+    if uniform:
+        step = arr[1] - arr[0]
+        for lo in range(0, arr.size - 1, _SLICE):  # no temporary as long as the grid
+            dev = np.diff(arr[lo : lo + _SLICE + 1])
+            dev -= step
+            uniform = np.all(np.abs(dev, out=dev) <= 1e-9 * abs(step))
+            if not uniform:
+                break
+    if not uniform:
         raise ValueError(f"{name} must be a uniform 1-d grid of at least two points")
-    return arr, float(step[0])
+    return arr, float(step)
 
 
 @dataclass(frozen=True)

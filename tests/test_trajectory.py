@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -308,15 +309,29 @@ def test_psi0_of_other_than_4_amplitudes_rejected(psi0):
         ensemble_average(np.array(psi0), MODEL, cfg)
 
 
-def _reference_mc_core(psi0, model, cfg, streams):
+def _rowwise(ops, psi):
+    # ops[r] @ psi[r] for each row r, adding over k in the core's order
+    out = psi[:, 0, None] * ops[:, :, 0]
+    for k in range(1, psi.shape[1]):
+        out += psi[:, k, None] * ops[:, :, k]
+    return out
+
+
+def _reference_mc_core(psi0, model, cfg, streams, segment):
     # the waiting-time rule with one state per trajectory, no rows and no
-    # retirement; returns per-trajectory values (records, q, trajectories)
-    # of the core's observables
+    # retirement; a state is anchored when it is made and every segment
+    # steps after, and m steps past its anchor is P^m of it, from the
+    # core's table (segment 1: one step of P at a time); returns
+    # per-trajectory values (records, q, trajectories) of the core's observables
     prop = step_matrix(-1j * build_h_eff(model), cfg.dt)
     jop = build_jump_operator(model)
+    table = tj._step_table(jop, prop, segment)
+    dim = jop.shape[0]
     times = time_grid(cfg.t_span, cfg.dt)
     n = streams.size
     psi = np.tile(np.asarray(psi0, dtype=complex), (n, 1))
+    anchor = psi.copy()
+    age = np.zeros(n, dtype=np.intp)
     norm2 = np.sum(np.abs(psi) ** 2, axis=1)
     keys = tj._stream_keys(cfg.seed, streams)
     counts = np.zeros(n, dtype=np.int64)
@@ -324,15 +339,18 @@ def _reference_mc_core(psi0, model, cfg, streams):
     steps, trajs = [], []
     records = [tj._observables(psi, norm2)]
     for step in range(times.size - 1):
-        psi = tj._apply(prop, psi)
+        psi = _rowwise(table[age % segment, dim:], anchor)
+        age += 1
+        anchor[age % segment == 0] = psi[age % segment == 0]
         norm2 = np.sum(np.abs(psi) ** 2, axis=1)
         # a trajectory whose J psi is 0 cannot emit and keeps its threshold
         jump = np.flatnonzero(norm2 < thresholds)
-        jp = tj._apply(jop, psi[jump])
+        jp = _rowwise(table[age[jump] % segment, :dim], anchor[jump])
         jn2 = np.sum(np.abs(jp) ** 2, axis=1)
         jump, jp, jn2 = jump[jn2 > 0.0], jp[jn2 > 0.0], jn2[jn2 > 0.0]
         if jump.size:
-            psi[jump] = jp / np.sqrt(jn2)[:, None]
+            psi[jump] = anchor[jump] = jp / np.sqrt(jn2)[:, None]
+            age[jump] = 0
             norm2[jump] = np.sum(np.abs(psi[jump]) ** 2, axis=1)
             counts[jump] += 1
             thresholds[jump] = tj._uniforms(keys[jump], counts[jump])
@@ -344,8 +362,9 @@ def _reference_mc_core(psi0, model, cfg, streams):
 
 
 def _reference_sums(*args):
-    # the reference in the core's calling convention: sums over trajectories
-    records, steps, trajs = _reference_mc_core(*args)
+    # the reference in the core's calling convention, at the core's
+    # segment: sums over trajectories
+    records, steps, trajs = _reference_mc_core(*args, tj._SEGMENT)
     return records.sum(axis=2), steps, trajs
 
 
@@ -410,10 +429,11 @@ def _core_args(case):
 
 
 @functools.cache
-def _core_reference(case):
-    # depends on neither the window nor the block, so each case is computed once;
-    # called only with the fingerprints patched in
-    return _reference_sums(*_core_args(case))
+def _core_reference(case, segment):
+    # depends on neither the window nor the block, so each case is computed
+    # once per segment; called only with the fingerprints patched in
+    records, steps, trajs = _reference_mc_core(*_core_args(case), segment)
+    return records.sum(axis=2), steps, trajs
 
 
 @pytest.mark.parametrize("case", sorted(CORE_CASES) + ONE_STREAM_CASES)
@@ -425,7 +445,7 @@ def test_mc_core_matches_per_row_reference(case, monkeypatch):
     cfg, streams = args[2:]
     monkeypatch.setattr(tj, "_observables", _fingerprinted)
     got, steps, trajs = tj._mc_core(*args)
-    ref, ref_steps, ref_trajs = _core_reference(case)
+    ref, ref_steps, ref_trajs = _core_reference(case, tj._SEGMENT)
     n_records = time_grid(cfg.t_span, cfg.dt)[:: cfg.record_stride].size
     assert got.shape == ref.shape == (n_records, 7)
     assert np.array_equal(got[:, 4:], ref[:, 4:])
@@ -435,17 +455,65 @@ def test_mc_core_matches_per_row_reference(case, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "window, block", [(1, tj._BLOCK), (7, tj._BLOCK), (tj._WINDOW, tj._BLOCK), (tj._WINDOW, 50)]
+    "window, block",
+    [(1, tj._BLOCK), (7, tj._BLOCK), (64, tj._BLOCK), (tj._WINDOW, tj._BLOCK), (64, 50), (20, 80)],
 )
 @pytest.mark.parametrize("case", sorted(CORE_CASES))
 def test_window_cannot_change_results(case, window, block, monkeypatch):
-    # the number of steps a pass advances decides only when jumps and
-    # records are resolved: forced down to one step, to 7 (so that the
-    # windows of staggered rows end at different steps) or, through the
-    # block bound, to 50 // rows, the histories and states stay bit for bit
+    # the number of steps a pass advances, a multiple of the segment, decides
+    # only when jumps and records are resolved.  The segment is the greatest
+    # common divisor of the window and _SEGMENT: windows of 1 and 7 steps
+    # run the per-step rule (7 so that the windows of staggered rows end at
+    # different steps), 64 and _WINDOW steps whole segments of _SEGMENT, and
+    # 20 steps five segments of 4.  Through the block bound, at most
+    # 50 // 16 = 3 or 80 // 4 = 20 rows take a pass, the others waiting for
+    # the next.  The histories and states stay bit for bit.
+    monkeypatch.setattr(tj, "_SEGMENT", math.gcd(window, tj._SEGMENT))
     monkeypatch.setattr(tj, "_WINDOW", window)
     monkeypatch.setattr(tj, "_BLOCK", block)
     test_mc_core_matches_per_row_reference(case, monkeypatch)
+
+
+@pytest.mark.parametrize("case", sorted(CORE_CASES))
+def test_anchored_rule_moves_records_by_rounding_only(case, monkeypatch):
+    # against the per-step rule, which applies P once a step, the anchored
+    # powers of P change the states by rounding alone: every jump history is
+    # the same, and the sums of the observables agree to 1e-13
+    monkeypatch.setattr(tj, "_observables", _fingerprinted)
+    got, steps, trajs = tj._mc_core(*_core_args(case))
+    ref, ref_steps, ref_trajs = _core_reference(case, 1)
+    np.testing.assert_allclose(got[:, :4], ref[:, :4], rtol=1e-13)
+    assert np.array_equal(_histories(steps, trajs), _histories(ref_steps, ref_trajs))
+
+
+@pytest.mark.parametrize("case", sorted(CORE_CASES))
+def test_step_table_holds_powers_of_the_step(case):
+    # the core and the reference share the table, so it is checked here on its
+    # own: [J P^m; P^(m+1)] to 1e-13, and [J; P] exactly at m = 0
+    model, _, cfg = CORE_CASES[case]
+    prop = step_matrix(-1j * build_h_eff(model), cfg.dt)
+    jop = build_jump_operator(model)
+    table = tj._step_table(jop, prop, tj._SEGMENT)
+    assert table.shape == (tj._SEGMENT, 8, 4)
+    assert np.array_equal(table[0], np.concatenate([jop, prop]))
+    for m in range(tj._SEGMENT):
+        power = np.linalg.matrix_power(prop, m)
+        np.testing.assert_allclose(table[m, :4], jop @ power, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(table[m, 4:], power @ prop, rtol=0.0, atol=1e-13)
+
+
+def test_many_live_rows_stay_within_the_block_bound():
+    # at beta = 0.5 from ee nearly every trajectory holds its own row, so
+    # 20,000 rows are live: they take passes in turn, each within _BLOCK
+    # row-steps, and the traced peak stays under 20 MB
+    cfg = TrajectoryConfig(0.01, 20000, 3, (0.0, 1.0))
+    tracemalloc.start()
+    try:
+        ensemble_average(composite_ket("ee"), CascadeModel(1.0, 1.0, beta=0.5), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 @pytest.mark.parametrize("case", sorted(CORE_CASES))
