@@ -53,8 +53,8 @@ INITIAL_STATES = ("eg", "ge", "ee", "gg", "plus_g")
 # len(snapshot_times), and trajectories.  A master-equation run holds no
 # density history, only its (n, 5) complex readout, 80 bytes a time sample.
 # The most memory per count goes to decay, whose two runs peak at about 210
-# bytes a time sample with the CSV writer's (transfer, whose drives are built
-# in 4096-step slices, 110 to 130), so no single array reaches 512 MiB; every
+# bytes a time sample with the CSV writer's (transfer, whose drives are evaluated
+# in 4096-step slices, 100 to 110), so no single array reaches 512 MiB; every
 # shipped and benchmark config is 18x or more below.
 MAX_SAMPLES = 2**21
 # trajectories * steps must stay below this: about 4.5 min at 0.25 us per
@@ -227,10 +227,6 @@ def _typed(cls, name: str, section: dict):
     return _construct(name, cls, **_values(cls, name, section))
 
 
-def build_model(cfg: RunConfig) -> CascadeModel:
-    return _typed(CascadeModel, "model", cfg.model)
-
-
 def _transform_spec(cfg: RunConfig, model: CascadeModel) -> TransformSpec:
     """The transform section; alpha, omega0 and T may be 'auto' or left out,
     and transfer defaults Delta to 8/gamma1 and X to c*Delta."""
@@ -293,7 +289,7 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
         except ConfigError as exc:
             diags.append(str(exc))
 
-    model = attempt(build_model, cfg)
+    model = attempt(_typed, CascadeModel, "model", cfg.model)
     given = attempt(_values, Numerics, "numerics", cfg.numerics)
     output = attempt(_typed, Output, "output", cfg.output)
     spec = num = None
@@ -321,7 +317,8 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
             diags.append(f"transform.X: device position {spec.X} must satisfy 0 < X < c*tau = "
                          f"{spec.c * model.tau}")
         # the production window must hold two samples: transform and phases sample its
-        # Delta-long preimage at dt, transfer the alpha*Delta-long window at dt/2
+        # Delta-long preimage at dt; the transfer drive reads the alpha*Delta-long
+        # window at dt/2, so at dt <= alpha*Delta at least two RK4 stage points see it
         limit = {"transform": 0.5 * spec.Delta, "phases": 0.5 * spec.Delta,
                  "transfer": spec.alpha * spec.Delta}.get(exp, math.inf)
         if dt > limit:
@@ -351,10 +348,6 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
                     f"numerics.t_span: [{t0:.6g}, {t1:.6g}] does not cover the production "
                     f"window [{spec.t_s:.6g}, {spec.t_f:.6g}]"
                 )
-            # transfer_experiment's emission grid holds two samples, 32 bytes, a step
-            lo, hi = transfer._emission_window(t0, t1, model.tau, spec)
-            work["numerics.dt"] = ((hi - lo) / dt + 2.0, f"time samples over the emission "
-                                   f"window [{lo:.6g}, {hi:.6g}]")
     # each integrator's RK4 step must be stable at dt: the master equation's
     # (decay, lindblad, trajectories), the trajectories' no-jump step and the
     # transfer drive's step and coefficients, as transfer.drive_system2 takes them;

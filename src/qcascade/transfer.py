@@ -16,28 +16,31 @@ transformation (vacuum gap while the device buffers, then the
 time-reversed stretched packet), and reports excitation probabilities
 and a qubit-transfer fidelity.
 
-RK4 takes the drive at t - tau on the half-step grid.  The emitted packet
-is sampled on that grid, and the device output on the half-step grid of
-t itself, so system 2 consumes the samples of the off drive exactly, and
-those of the on drive when tau and X/c are multiples of h/2.  An input counts
-as aligned when the first and last drive points each lie within 1e-6 of
-a sample index (`Envelope.on_grid`): a spacing taken from a grid's first
-difference can miss h/2 by a few 1e-12 of a step, which over the 2.3e5
-points of the emission grid at gamma1/gamma2 = 0.25 builds up to 5e-7 of
-a sample.  Any other input is interpolated.  Each drive is read 4096 steps
-(8193 half-step points) at a time: a transfer holds whole only the emitted
-packet, the on drive, the step inputs and the histories.
+Both drives are the emitted packet's closed form, evaluated at the times
+RK4 reads: the off drive xi(t - tau), the on drive the device's output at
+t - tau, one phase at a time (`_device_output`).  No drive is sampled on
+a grid of its own, so nothing is interpolated.  RK4 takes each step's
+inputs at its start, its midpoint and its end, and reads the end one ulp
+below the grid point: a drive that jumps on a grid point (the emission
+start, t_i or t_f) then starts the next step, not the end of the one
+before.  Each drive is read 4096 steps at a time, so a transfer holds
+whole only the step inputs and the histories.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .cascade import _SLICE, CascadeModel, IntegrationAbort, checked_step_matrix, step_history
-from .wavepacket import Envelope, TransformSpec, _device_phase, _uniform_grid, apply_u_time_domain
+from .wavepacket import Envelope, TransformSpec, _device_phase, _u_output, _uniform_grid
+
+# no transfer calls it; the benchmark's layer timing wraps this module's name
+from .wavepacket import apply_u_time_domain  # noqa: F401
 
 __all__ = [
     "TransferResult",
@@ -71,17 +74,24 @@ class TransferComparison:
     ratio: float
 
 
-def qubit_transfer_fidelity(p2_max: float, excited_weight: float = 0.5) -> float:
-    """Overlap fidelity for transferring a|g> + b|e> through a pure-loss map.
+def qubit_transfer_fidelity(p2_max: float) -> float:
+    """Overlap fidelity for transferring (|g> + |e>)/sqrt 2 through a pure-loss map.
 
-    excited_weight is |b|^2.  F = |a|^4 + |b|^4 p + 2 |a|^2 |b|^2 sqrt(p)
-    with p the excitation transfer probability.
+    F = (1 + p + 2 sqrt(p))/4 with p the excitation transfer probability.
     """
-    if not 0.0 <= excited_weight <= 1.0:
-        raise ValueError("excited_weight is a probability")
     p = min(max(p2_max, 0.0), 1.0)
-    w = excited_weight
-    return (1.0 - w) ** 2 + w**2 * p + 2.0 * w * (1.0 - w) * math.sqrt(p)
+    return 0.25 + 0.25 * p + 0.5 * math.sqrt(p)
+
+
+def _emitted(gamma1: float, omega1: float, t: np.ndarray) -> np.ndarray:
+    """sqrt(gamma1) exp(-(gamma1/2 + i omega1) t) for t >= 0, zero before
+    the emission starts; the exponential is taken only where t >= 0."""
+    out = np.zeros(t.shape, dtype=complex)
+    on = t >= 0.0
+    vals = -(gamma1 / 2.0 + 1j * omega1) * t[on]
+    np.exp(vals, out=vals)
+    out[on] = math.sqrt(gamma1) * vals
+    return out
 
 
 def emit_envelope(gamma1: float, omega1: float, t_grid: np.ndarray) -> Envelope:
@@ -93,11 +103,7 @@ def emit_envelope(gamma1: float, omega1: float, t_grid: np.ndarray) -> Envelope:
     (`CascadeModel.frame_omegas`): 0 in the rotating frame.
     """
     t, h = _uniform_grid(t_grid, "t_grid")
-    vals = -(gamma1 / 2.0 + 1j * omega1) * t
-    np.exp(vals, out=vals)
-    np.multiply(math.sqrt(gamma1), vals, out=vals)
-    vals[t < 0.0] = 0.0
-    return Envelope(float(t[0]), h, vals)
+    return Envelope(float(t[0]), h, _emitted(gamma1, omega1, t))
 
 
 def drive_step_coefficients(gamma2: float, omega2: float, h: float) -> tuple[complex, ...]:
@@ -130,7 +136,7 @@ def drive_step_coefficients(gamma2: float, omega2: float, h: float) -> tuple[com
 
 
 def drive_system2(
-    input_env: Envelope,
+    drive: Callable[[np.ndarray], np.ndarray],
     gamma2: float,
     omega2: float,
     tau: float,
@@ -138,12 +144,13 @@ def drive_system2(
 ) -> TransferResult:
     """Integrate the driven amplitude equation for system 2 (RK4, c2(t0)=0).
 
-    The drive is the input envelope evaluated at t - tau; RK4 stage values
-    fall on the half-step grid, so an input whose samples lie on it (the
-    first and last stage points each within 1e-6 of a sample, see
-    `Envelope.on_grid`) is consumed exactly, and any other input by cubic
-    interpolation.  Each step is c <- r c + w0 x0 + wm xm + w1 x1 with the
-    checked coefficients of `drive_step_coefficients`, through `cascade.step_history`.
+    drive maps an array of times to the input amplitudes there, and system
+    2 reads it at t - tau.  Each step takes its inputs x0, xm, x1 at its
+    start, midpoint and end, the end read one ulp below the grid point, so
+    that a drive that jumps on a grid point enters the step that starts
+    there.  The drive is evaluated 4096 steps at a time, and each step is
+    c <- r c + w0 x0 + wm xm + w1 x1 with the checked coefficients of
+    `drive_step_coefficients`, through `cascade.step_history`.
     Returns the P2 series, its maximum and the equal-superposition fidelity.
     """
     if not gamma2 > 0.0:
@@ -156,8 +163,9 @@ def drive_system2(
     u = np.empty(n_steps, dtype=complex)
     for lo in range(0, n_steps, _SLICE):  # steps lo .. hi-1 read half-step points 2 lo .. 2 hi
         hi = min(lo + _SLICE, n_steps)
-        xi = input_env.on_grid(float(t[0]) - tau, h / 2.0, 2 * n_steps + 1, 2 * lo, 2 * hi + 1)
-        u[lo:hi] = w0 * xi[0:-1:2] + wm * xi[1::2] + w1 * xi[2::2]
+        points = float(t[0]) - tau + (h / 2.0) * np.arange(2 * lo, 2 * hi + 1)
+        xi = drive(points[:-1])  # each step's start and midpoint
+        u[lo:hi] = w0 * xi[0::2] + wm * xi[1::2] + w1 * drive(np.nextafter(points[2::2], -np.inf))
     c2 = step_history(np.array([[r]]), np.zeros((1, 1)), n_steps, u.reshape(-1, 1, 1)).ravel()
     p2 = np.abs(c2) ** 2
     imax = int(np.argmax(p2))
@@ -172,45 +180,18 @@ def drive_system2(
     )
 
 
-def _transformed_drive(
-    emitted: Envelope,
-    spec: TransformSpec,
-    t0: float,
-    h_half: float,
-    n: int,
-) -> Envelope:
-    """Device-output drive on the n-point half-step grid from t0 through the four phases.
-
-    Retarded times are referenced to the device position; `_device_phase`
-    decides the phase: the incident envelope passes untouched outside
-    [t_i, t_f), the gap [t_i, t_s) is vacuum, and [t_s, t_f) carries the
-    transformed packet.
-    """
-    at_device = emitted.shifted(spec.delay)
-    vals = at_device.on_grid(t0, h_half, n)
-    # t0 + h_half j rises with j, so production takes the run of `count`
-    # indices from `start`, the first at or after t_s
-    start = count = 0
-    for lo in range(0, n, _SLICE):
-        t = t0 + h_half * np.arange(lo, min(lo + _SLICE, n))
-        phase = _device_phase(t, spec)
-        vals[lo : lo + t.size][phase == 1] = 0.0
-        start += int(np.count_nonzero(t < spec.t_s))
-        count += int(np.count_nonzero(phase == 2))
-    if count:
-        # apply_u_time_domain needs two samples: dt <= alpha*Delta keeps two in the window
-        t_prod = t0 + h_half * np.arange(start, start + count)
-        vals[start : start + count] = apply_u_time_domain(at_device, spec, t_out=t_prod).samples
-    return Envelope(t0, h_half, vals)
-
-
-def _emission_window(t0: float, t1: float, tau: float, spec: TransformSpec) -> tuple[float, float]:
-    """(lo, hi) of the emission times the transfer over [t0, t1] reads: the
-    off drive reads t - tau, the device t - delay and its production
-    window's preimage from t_i - delay on, and lo reaches back to the
-    emission start at 0."""
-    d = spec.delay
-    return min(0.0, t0 - tau, t0 - d, spec.preimage[0] - d), max(t1 - tau, t1 - d)
+def _device_output(gamma1: float, omega1: float, spec: TransformSpec, r: np.ndarray) -> np.ndarray:
+    """The device's output at device times r, each phase (`_device_phase`)
+    evaluated on its own points: the packet emitted X/c earlier passes
+    untouched outside [t_i, t_f), the gap [t_i, t_s) is vacuum, and
+    [t_s, t_f) carries U applied to the packet's closed form."""
+    phase = _device_phase(r, spec)
+    out = np.zeros(r.shape, dtype=complex)
+    free, produced = phase == 0, phase == 2
+    out[free] = _emitted(gamma1, omega1, r[free] - spec.delay)
+    rp = r[produced]
+    out[produced] = _u_output(rp, _emitted(gamma1, omega1, (spec.T - rp) / spec.alpha - spec.delay), spec)
+    return out
 
 
 def transfer_experiment(
@@ -224,20 +205,8 @@ def transfer_experiment(
     time grid from the model when a config leaves them out.
     """
     w1, w2 = model.frame_omegas()
-    t, h = _uniform_grid(t_grid, "t_grid")
-    n_steps = t.size - 1
-    half = h / 2.0
-    # Emission-time grid aligned with the half-step drive grid (so the off
-    # branch consumes exact samples), extended to cover the emission window.
-    start_target, end_target = _emission_window(t[0], t[-1], model.tau, spec)
-    n_lead = max(0, int(math.ceil((t[0] - model.tau - start_target) / half - 1e-9)))
-    n_tail = max(0, int(math.ceil((end_target - (t[-1] - model.tau)) / half - 1e-9))) + 2
-    emit_t0 = t[0] - model.tau - n_lead * half
-    emitted = emit_envelope(
-        model.gamma1, w1, emit_t0 + half * np.arange(n_lead + 2 * n_steps + 1 + n_tail))
-    off = drive_system2(emitted, model.gamma2, w2, model.tau, t)
-    drive_on = _transformed_drive(emitted, spec, float(t[0]), half, 2 * n_steps + 1)
-    del emitted  # the on drive holds all the second run reads
-    on = drive_system2(drive_on, model.gamma2, w2, model.tau, t)
+    off = drive_system2(partial(_emitted, model.gamma1, w1), model.gamma2, w2, model.tau, t_grid)
+    on = drive_system2(partial(_device_output, model.gamma1, w1, spec),
+                       model.gamma2, w2, model.tau, t_grid)
     ratio = on.p2_max / off.p2_max if off.p2_max > 0.0 else math.inf
     return TransferComparison(off=off, on=on, ratio=ratio)

@@ -115,31 +115,6 @@ class Envelope:
                             + w2 * samples[base + 2] + w3 * samples[base + 3])
         return out
 
-    def on_grid(
-        self, t0: float, step: float, n: int, lo: int = 0, hi: int | None = None
-    ) -> np.ndarray:
-        """Values at t0 + j step for j = lo .. hi-1 (hi defaults to n) of the
-        grid j = 0 .. n-1; zero outside the support.
-
-        The grid is this envelope's own when its first and last points each
-        lie within 1e-6 of a sample index, n - 1 indices apart: then the
-        samples are taken exactly.  The tolerance bounds the drift of a
-        spacing taken from a grid's first difference.  Any other grid goes
-        through `interp`.  The whole grid decides, so every index range of
-        one grid takes the same branch and the same values.
-        """
-        hi = n if hi is None else hi
-        first = (t0 - self.t0) / self.dt
-        last = (t0 + step * (n - 1) - self.t0) / self.dt
-        k = round(first) if math.isfinite(first) else 0
-        if abs(first - k) < 1e-6 and abs(last - (k + n - 1)) < 1e-6:
-            vals = np.zeros(hi - lo, dtype=complex)
-            a, b = max(k + lo, 0), min(k + hi, self.samples.size)
-            if a < b:
-                vals[a - k - lo : b - k - lo] = self.samples[a:b]
-            return vals
-        return self.interp(t0 + step * np.arange(lo, hi))
-
     def shifted(self, offset: float) -> "Envelope":
         """The same samples, shared, with the time axis shifted by offset."""
         return Envelope(self.t0 + offset, self.dt, self.samples, self.n_zero_filled)
@@ -275,19 +250,26 @@ def _device_phase(r: np.ndarray, spec: TransformSpec) -> np.ndarray:
                      [np.int8(1), np.int8(2)], np.int8(0))
 
 
-def apply_u_time_domain(
-    env: Envelope, spec: TransformSpec, t_out: np.ndarray | None = None
-) -> Envelope:
+def _u_output(t: np.ndarray, vals: np.ndarray, spec: TransformSpec) -> np.ndarray:
+    """U's output at the production times t, e^{-i w0 (t-T)} vals / sqrt a, from
+    vals, the input at the preimage times (T - t)/a."""
+    out = -1j * spec.omega0 * (t - spec.T)
+    np.exp(out, out=out)
+    np.multiply(vals, out, out=out)
+    np.divide(out, math.sqrt(spec.alpha), out=out)
+    return out
+
+
+def apply_u_time_domain(env: Envelope, spec: TransformSpec) -> Envelope:
     """Transformed envelope out(t) = (1/sqrt a) e^{-i w0 (t-T)} env((T-t)/a).
 
-    With t_out = None the output grid is the exact image of the input
-    sample grid restricted to the production window [t_s, t_f] (spacing
-    alpha * env.dt), so no interpolation enters and the squared norm of
-    the output equals that of the consumed input window to round-off.
-    An explicit t_out grid is evaluated by cubic interpolation instead.
-    Preimage points outside the envelope support are zero-filled, counted
-    in n_zero_filled and flagged with a RuntimeWarning; an empty overlap
-    between the production window's preimage and the support is an error.
+    The output grid is the exact image of the input sample grid restricted
+    to the production window [t_s, t_f] (spacing alpha * env.dt), so no
+    interpolation enters and the squared norm of the output equals that of
+    the consumed input window to round-off.  Preimage points outside the
+    envelope support are zero-filled, counted in n_zero_filled and flagged
+    with a RuntimeWarning; an empty overlap between the production window's
+    preimage and the support is an error.
     """
     a = spec.alpha
     s_lo, s_hi = spec.preimage
@@ -297,36 +279,24 @@ def apply_u_time_domain(
             f"[{s_lo}, {s_hi}] with empty overlap against the envelope support "
             f"[{env.t0}, {env.t_end}]"
         )
-    if t_out is None:
-        h = env.dt
-        j_lo = math.ceil((s_lo - env.t0) / h - 1e-9)
-        j_hi = math.floor((s_hi - env.t0) / h + 1e-9)
-        j = np.arange(j_lo, j_hi + 1)
-        valid = (j >= 0) & (j < env.samples.size)
-        vals = np.zeros(j.size, dtype=complex)
-        vals[valid] = env.samples[j[valid]]
-        n_fill = int(np.count_nonzero(~valid))
-        # the image grid T - a (t0 + h j) falls with j, so reversed it ascends
-        t_arr = (spec.T - a * (env.t0 + h * j))[::-1]
-        vals = vals[::-1]
-        dt_out = a * h
-    else:
-        t_arr, dt_out = _uniform_grid(t_out, "t_out")
-        s = (spec.T - t_arr) / a
-        vals = env.interp(s)
-        outside = (s < env.t0 - 1e-9 * env.dt) | (s > env.t_end + 1e-9 * env.dt)
-        n_fill = int(np.count_nonzero(outside))
+    h = env.dt
+    j_lo = math.ceil((s_lo - env.t0) / h - 1e-9)
+    j_hi = math.floor((s_hi - env.t0) / h + 1e-9)
+    j = np.arange(j_lo, j_hi + 1)
+    valid = (j >= 0) & (j < env.samples.size)
+    vals = np.zeros(j.size, dtype=complex)
+    vals[valid] = env.samples[j[valid]]
+    n_fill = int(np.count_nonzero(~valid))
     if n_fill:
         warnings.warn(
             f"transformation zero-filled {n_fill} samples outside the envelope support",
             RuntimeWarning,
             stacklevel=2,
         )
-    out_vals = -1j * spec.omega0 * (t_arr - spec.T)
-    np.exp(out_vals, out=out_vals)
-    np.multiply(vals, out_vals, out=out_vals)
-    np.divide(out_vals, math.sqrt(a), out=out_vals)
-    return Envelope(float(t_arr[0]), dt_out, out_vals, n_zero_filled=n_fill)
+    # the image grid T - a (t0 + h j) falls with j, so reversed it ascends
+    t_arr = (spec.T - a * (env.t0 + h * j))[::-1]
+    out_vals = _u_output(t_arr, vals[::-1], spec)
+    return Envelope(float(t_arr[0]), a * h, out_vals, n_zero_filled=n_fill)
 
 
 def assemble_piecewise_field(

@@ -20,8 +20,8 @@ the package.
 * `heaviside`, the unit step with u(0) = 1/2.
 * `density_history` -- every rho of a master-equation run, held whole,
   against the run's slice-by-slice reduction.
-* `drive_history` -- the transfer drive from its whole half-step grid,
-  against `drive_system2`, which reads that grid a slice at a time.
+* `drive_history` -- the transfer drive evaluated on its whole half-step
+  grid, against `drive_system2`, which evaluates it a slice at a time.
 
 DFT convention: the forward transform uses the e^{+i nu t} kernel,
 F(nu) = (2 pi)^(-1/2) Int dt env(t) e^{+i nu t}, matching in-field mode
@@ -110,19 +110,20 @@ def density_history(
 
 
 def drive_history(
-    input_env: Envelope, gamma2: float, omega2: float, tau: float, t_grid: np.ndarray
+    drive, gamma2: float, omega2: float, tau: float, t_grid: np.ndarray
 ) -> np.ndarray:
     """c2 of `drive_system2`'s run, (n_steps + 1,), with the drive held whole.
 
-    One `Envelope.on_grid` over all 2 n_steps + 1 half-step points of
-    t - tau, the step inputs w0 x0 + wm xm + w1 x1 as three whole products,
-    then `step_history`.
+    drive over all 2 n_steps + 1 half-step points of t - tau in two calls
+    (each step's end one ulp below its grid point), the step inputs
+    w0 x0 + wm xm + w1 x1 as three whole products, then `step_history`.
     """
     t, h = _uniform_grid(t_grid, "t_grid")
     n_steps = t.size - 1
-    xi = input_env.on_grid(float(t[0]) - tau, h / 2.0, 2 * n_steps + 1)
+    points = float(t[0]) - tau + (h / 2.0) * np.arange(2 * n_steps + 1)
+    xi = drive(points[:-1])
     r, w0, wm, w1 = drive_step_coefficients(gamma2, omega2, h)
-    u = w0 * xi[0:-1:2] + wm * xi[1::2] + w1 * xi[2::2]
+    u = w0 * xi[0::2] + wm * xi[1::2] + w1 * drive(np.nextafter(points[2::2], -np.inf))
     return step_history(np.array([[r]]), np.zeros((1, 1)), n_steps, u.reshape(-1, 1, 1)).ravel()
 
 

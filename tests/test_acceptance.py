@@ -135,7 +135,7 @@ def test_criterion_4_cascaded_peak_two_solvers():
     start = time.perf_counter()
     t = grid(0.0, 10.0, h)
     env = emit_envelope(1.0, 0.0, grid(0.0, 10.0, h / 2.0))
-    amp = drive_system2(env, 1.0, 0.0, 0.0, t)
+    amp = drive_system2(env.interp, 1.0, 0.0, 0.0, t)
     t_amp = time.perf_counter() - start
     peak_me = float(np.max(master.p2))
     peak_amp = amp.p2_max
@@ -295,7 +295,7 @@ def test_criterion_9_transfer_improvement():
     t = grid(-40.0, 0.0, h)
     th = grid(-40.0, 0.0, h / 2.0)
     env = Envelope(float(th[0]), h / 2.0, np.exp(th / 2.0).astype(complex))
-    absorbed = drive_system2(env, 1.0, 0.0, 0.0, t)
+    absorbed = drive_system2(env.interp, 1.0, 0.0, 0.0, t)
     oracle = abs(absorbed.p2[-1] - 1.0)
     ok = ok and oracle < 1e-6
     report(

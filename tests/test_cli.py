@@ -562,8 +562,8 @@ def test_timemap_takes_a_given_dt_as_it_derives_one(tmp_path):
 
 def test_transfer_preimage_before_the_device_input(tmp_path):
     # the production window's preimage [t_i, t_s] = [-6.75, 1.25] reaches back past
-    # the device input, which starts at t0 = 0: the emission window covers it, so the
-    # transformation zero-fills nothing (a RuntimeWarning, an error here)
+    # the device input, which starts at t0 = 0: the on drive reads the packet's closed
+    # form there, zero before the emission starts, and warns of nothing (an error here)
     path = write_config(tmp_path, experiment="transfer",
                         transform={"Delta": 8.0, "X": 1.0, "T": 2.5},
                         numerics={"dt": 0.01, "t_span": None})
@@ -720,7 +720,7 @@ def test_beta_pair_parsing(tmp_path):
     )
     cfg = cli.load_config(path)
     assert cli.validate(cfg) == []
-    model = cli.build_model(cfg)
+    model = cli._resolve(cfg)[0].model
     assert model.beta == 0.3 - 0.2j
 
 
@@ -763,9 +763,8 @@ def test_exit_2_on_unknown_key(tmp_path, capsys, section, key):
         ("decay", "numerics", "t_span", [0.0, 1e300], "numerics.dt"),
         ("phases_four_stage", "numerics", "nx", 2**70, "numerics.nx"),
         ("trajectories_single_photon", "numerics", "n_traj", 2**70, "numerics.n_traj"),
-        # transfer derives its span from t_f + 10/gamma2, and its emission grid reaches back by tau
+        # transfer derives its span from t_f + 10/gamma2
         ("transfer_matched", "model", "gamma2", 1e-300, "numerics.dt"),
-        ("transfer_matched", "model", "tau", 1e300, "numerics.dt"),
         ("transfer_matched", "transform", "Delta", 1e300, "numerics.dt"),
     ],
 )

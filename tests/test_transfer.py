@@ -10,6 +10,7 @@ from qcascade import cli
 from qcascade.cascade import CascadeModel, IntegrationAbort, integrate_master, time_grid
 from qcascade.trajectory import TrajectoryConfig
 from qcascade.transfer import (
+    _device_output,
     drive_step_coefficients,
     drive_system2,
     emit_envelope,
@@ -83,7 +84,7 @@ def test_drive_system2_matched_closed_form():
     h = 1e-3
     t = grid(0.0, 10.0, h)
     env = emit_envelope(1.0, 0.0, grid(0.0, 10.0, h / 2.0))
-    res = drive_system2(env, 1.0, 0.0, 0.0, t)
+    res = drive_system2(env.interp, 1.0, 0.0, 0.0, t)
     expected = -t * np.exp(-t / 2.0)
     assert np.max(np.abs(res.c2 - expected)) < 1e-9
     assert abs(res.p2_max - 4.0 * math.exp(-2.0)) < 1e-6
@@ -94,7 +95,7 @@ def test_drive_system2_no_drive():
     h = 1e-2
     t = grid(0.0, 5.0, h)
     env = Envelope(0.0, h / 2.0, np.zeros(2 * (t.size - 1) + 1, dtype=complex))
-    res = drive_system2(env, 1.0, 0.0, 0.0, t)
+    res = drive_system2(env.interp, 1.0, 0.0, 0.0, t)
     assert np.all(res.p2 == 0.0)
 
 
@@ -106,7 +107,7 @@ def test_drive_system2_rising_exponential_absorption():
     th = grid(-40.0, 0.0, h / 2.0)
     vals = math.sqrt(g2) * np.exp(g2 * th / 2.0)
     env = Envelope(float(th[0]), h / 2.0, vals.astype(complex))
-    res = drive_system2(env, g2, 0.0, 0.0, t)
+    res = drive_system2(env.interp, g2, 0.0, 0.0, t)
     # particular solution c2 = -e^{g2 t / 2}
     assert np.max(np.abs(res.c2[200:] + np.exp(g2 * t[200:] / 2.0))) < 1e-7
     assert abs(res.p2[-1] - 1.0) < 1e-6
@@ -117,23 +118,9 @@ def test_drive_system2_interpolated_envelope():
     h = 1e-3
     t = grid(0.0, 6.0, h)
     env = emit_envelope(1.0, 0.0, grid(0.0, 8.0, 0.00071))
-    res = drive_system2(env, 1.0, 0.0, 0.0, t)
+    res = drive_system2(env.interp, 1.0, 0.0, 0.0, t)
     expected = -t * np.exp(-t / 2.0)
     assert np.max(np.abs(res.c2 - expected)) < 1e-6
-
-
-def test_drive_system2_takes_the_emitted_samples_of_the_transfer(monkeypatch):
-    # transfer_experiment's emission grid at gamma1/gamma2 = 0.25 starts at -X/c = -32
-    # on the half-step grid; its spacing, taken from the first difference, misses
-    # h/2 = 5e-4 by 2.3e-12 of a step, yet the drive consumes the samples exactly
-    half = 5e-4
-    emitted = emit_envelope(0.25, 0.0, -32.0 + half * np.arange(228_003))
-    assert abs(emitted.dt - half) > 1e-12 * half
-    t = grid(0.0, 82.0, 2.0 * half)
-    exact = drive_system2(Envelope(0.0, half, emitted.samples[64_000:228_001]), 1.0, 0.0, 0.0, t)
-    monkeypatch.setattr(Envelope, "interp", lambda self, t: pytest.fail("interpolated"))
-    res = drive_system2(emitted, 1.0, 0.0, 0.0, t)
-    assert np.array_equal(res.c2, exact.c2)
 
 
 @pytest.mark.parametrize("spacing, tau", [
@@ -148,8 +135,8 @@ def test_drive_system2_equals_the_whole_drive_bit_for_bit(spacing, tau):
     h = 2e-3
     t = -0.3 + h * np.arange(10_002)
     env = emit_envelope(1.5, 0.8, -1.0 + spacing * np.arange(int(22.0 / spacing)))
-    res = drive_system2(env, 1.2, 0.4, tau, t)
-    assert res.c2.tobytes() == drive_history(env, 1.2, 0.4, tau, t).tobytes()
+    res = drive_system2(env.interp, 1.2, 0.4, tau, t)
+    assert res.c2.tobytes() == drive_history(env.interp, 1.2, 0.4, tau, t).tobytes()
 
 
 def test_drive_system2_long_run_matches_closed_form():
@@ -160,7 +147,7 @@ def test_drive_system2_long_run_matches_closed_form():
     g1, g2, om1, om2, h = 2.0, 1.0, 3.0, 2.5, 2.5e-4
     n = 2**20
     env = emit_envelope(g1, om1, (h / 2.0) * np.arange(2 * n + 1))
-    res = drive_system2(env, g2, om2, 0.0, h * np.arange(n + 1))
+    res = drive_system2(env.interp, g2, om2, 0.0, h * np.arange(n + 1))
     r, w0, wm, w1 = drive_step_coefficients(g2, om2, h)
     lam1 = -(g1 / 2.0 + 1j * om1)
     a = math.sqrt(g1) * (w0 + wm * np.exp(lam1 * h / 2.0) + w1 * np.exp(lam1 * h))
@@ -176,7 +163,7 @@ def test_excitation_bound():
     t = grid(0.0, 12.0, h)
     th = grid(0.0, 12.0, h / 2.0)
     env = emit_envelope(2.0, 0.0, th)
-    res = drive_system2(env, 1.0, 0.0, 0.0, t)
+    res = drive_system2(env.interp, 1.0, 0.0, 0.0, t)
     consumed = np.cumsum(np.abs(env.samples[::2]) ** 2) * h
     assert np.all(res.p2 <= consumed + 1e-6)
 
@@ -186,9 +173,9 @@ def test_time_translation_covariance():
     h = 1e-3
     t = grid(0.0, 8.0, h)
     env = emit_envelope(1.0, 0.0, grid(0.0, 9.0, h / 2.0))
-    base = drive_system2(env, 1.0, 0.0, 0.0, t)
+    base = drive_system2(env.interp, 1.0, 0.0, 0.0, t)
     s = 2.0
-    shifted = drive_system2(env.shifted(s), 1.0, 0.0, -s, t)
+    shifted = drive_system2(env.shifted(s).interp, 1.0, 0.0, -s, t)
     assert np.max(np.abs(base.p2 - shifted.p2)) < 1e-15
 
 
@@ -232,9 +219,9 @@ def test_transfer_improvement_sweep(ratio):
 
 
 def test_transfer_at_rate_ratio_4_holds_no_whole_drive_temporaries():
-    # 88,001 points at dt = 2.5e-4: the emitted packet (192,003 samples), the on
-    # drive (176,001) and the histories are held whole, about 11.8 MB at the
-    # peak; building either drive from its whole half-step grid peaks at 26.9 MB
+    # 88,001 points at dt = 2.5e-4: both drives are evaluated 4096 steps at a
+    # time, so only the step inputs and the histories are held whole, about
+    # 5.7 MB at the peak
     import tracemalloc
 
     model, spec, t = resolved_transfer({"gamma1": 4.0, "gamma2": 1.0})
@@ -246,7 +233,78 @@ def test_transfer_at_rate_ratio_4_holds_no_whole_drive_temporaries():
     finally:
         tracemalloc.stop()
     assert comp.ratio > 1.0
-    assert peak < 16e6
+    assert peak < 8e6
+
+
+MATCHED = Path(__file__).parent.parent / "configs/transfer_matched.json"
+DEVICE_BETWEEN = Path(__file__).parent.parent / ".github/ci-configs/transfer_device_between.json"
+# P2 of the matched transfer: system 2 absorbs the share 1 - e^{-gamma1 Delta} of
+# the packet that U produces, at gamma1 Delta = 8, and RK4 keeps the square's digits
+P2_MATCHED = (1.0 - math.exp(-8.0)) ** 2
+
+
+def shipped(path, **numerics):
+    cfg = json.loads(path.read_text())
+    return resolved_transfer(cfg["model"], cfg.get("transform"), **{**cfg["numerics"], **numerics})
+
+
+@pytest.mark.parametrize("dt", [2e-3, 1e-3])
+@pytest.mark.parametrize("ratio", [None, 0.25, 0.5, 2.0, 4.0])
+def test_p2_max_on_is_the_closed_form(ratio, dt):
+    # transfer_matched (ratio None) and criterion 9's rate ratios: the on drive is
+    # the packet's closed form through U, so P2_on peaks at (1 - e^{-8})^2 to
+    # round-off at any step, not to the step's interpolation error
+    if ratio is None:
+        model, spec, t = shipped(MATCHED, dt=dt)
+    else:
+        model, spec, t = resolved_transfer({"gamma1": ratio, "gamma2": 1.0}, dt=dt)
+    assert model.gamma1 * spec.Delta == 8.0
+    assert abs(transfer_experiment(model, spec, t).on.p2_max - P2_MATCHED) < 1e-11
+
+
+def test_emission_start_on_a_grid_point_starts_the_next_step():
+    # at tau = 6 the emission starts on a grid point: the step ending there reads
+    # the drive one ulp below it, 0, so P2_off is the tau = 0 run's
+    model, spec, t = shipped(DEVICE_BETWEEN)
+    between = transfer_experiment(model, spec, t)
+    assert model.tau == 6.0
+    at_zero = transfer_experiment(CascadeModel(model.gamma1, model.gamma2), spec, t)
+    assert abs(between.off.p2_max - at_zero.off.p2_max) < 1e-12
+    assert abs(between.on.p2_max - P2_MATCHED) < 1e-11
+
+
+@pytest.mark.parametrize("ratio", [None, 0.25, 4.0])
+def test_on_drive_never_exceeds_the_produced_peak(ratio):
+    # U stretches the packet by alpha and scales it by 1/sqrt(alpha), so its
+    # output peaks at sqrt(gamma1/alpha) = sqrt(gamma2) when production starts;
+    # the untouched packet before t_i and after t_f stays below that.  Read at
+    # every half-step point and one ulp below it, as drive_system2 reads it
+    if ratio is None:
+        model, spec, t = shipped(MATCHED)
+    else:
+        model, spec, t = resolved_transfer({"gamma1": ratio, "gamma2": 1.0})
+    points = t[0] + (t[1] - t[0]) / 2.0 * np.arange(2 * t.size - 1)
+    bound = math.sqrt(model.gamma1 / spec.alpha) * (1.0 + 1e-12)
+    for r in (points, np.nextafter(points, -np.inf)):
+        drive = _device_output(model.gamma1, 0.0, spec, r)
+        assert np.max(np.abs(drive)) <= bound
+
+
+def test_device_output_closed_form():
+    # FIG2's device (alpha = 2, T = 54, Delta = 6, X = 12): the packet that
+    # reaches it at t - X/c passes untouched before t_i = 12 and after t_f = 30,
+    # the gap [12, 18) is vacuum, and production on [18, 30) reads it at the
+    # preimage (T - t)/alpha: exp(-((54 - t)/2 - 12)/2)/sqrt(2) for gamma1 = 1
+    spec = TransformSpec(alpha=2.0, omega0=0.0, T=54.0, Delta=6.0, X=12.0)
+    t = np.linspace(0.0, 40.0, 4001)
+    out = _device_output(1.0, 0.0, spec, t)
+    produced = (18.0 <= t) & (t < 30.0)
+    expected = np.exp(-((54.0 - t[produced]) / 2.0 - 12.0) / 2.0) / math.sqrt(2.0)
+    assert np.max(np.abs(out[produced] - expected)) < 1e-15
+    assert np.all(out[(12.0 <= t) & (t < 18.0)] == 0.0)
+    free = (t < 12.0) | (t >= 30.0)
+    untouched = np.exp(-np.maximum(t[free] - 12.0, 0.0) / 2.0) * (t[free] >= 12.0)
+    assert np.max(np.abs(out[free] - untouched)) < 1e-15
 
 
 TRANSDUCTION = Path(__file__).parent.parent / ".github/ci-configs/transfer_transduction.json"
@@ -297,7 +355,7 @@ def test_amplitude_states_weight_bound():
     h = 1e-3
     t = grid(0.0, 10.0, h)
     env = emit_envelope(1.0, 0.0, grid(0.0, 10.0, h / 2.0))
-    res = drive_system2(env, 1.0, 0.0, 0.0, t)
+    res = drive_system2(env.interp, 1.0, 0.0, 0.0, t)
     assert res.c2.size == t.size and res.c2[0] == 0.0
     # single-excitation sector: the emitter keeps c1 = exp(-gamma1 t/2), so
     # |c1|^2 + |c2|^2 <= 1 at every sample, up to integrator round-off
@@ -309,12 +367,9 @@ def test_amplitude_states_weight_bound():
 def test_fidelity_metric():
     assert qubit_transfer_fidelity(1.0) == pytest.approx(1.0)
     assert qubit_transfer_fidelity(0.0) == pytest.approx(0.25)
-    assert qubit_transfer_fidelity(1.0, excited_weight=1.0) == pytest.approx(1.0)
     assert qubit_transfer_fidelity(0.49) == pytest.approx(
         0.25 + 0.25 * 0.49 + 0.5 * 0.7
     )
-    with pytest.raises(ValueError):
-        qubit_transfer_fidelity(0.5, excited_weight=1.5)
 
 
 def test_check_time_reversed_envelope_rates():
@@ -346,7 +401,7 @@ def test_drive_system2_matches_stagewise_rk4():
     rng = np.random.default_rng(3)
     drive = np.exp(-0.3 * half + 2.0j * half) + 0.1 * rng.normal(size=half.size)
     env = Envelope(0.0, h / 2.0, drive)
-    res = drive_system2(env, 1.3, 0.7, 0.0, t)
+    res = drive_system2(env.interp, 1.3, 0.7, 0.0, t)
     ref = drive_stagewise(env.samples, 1.3, 0.7, h)
     assert np.max(np.abs(res.c2 - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -356,10 +411,10 @@ def test_drive_system2_aborts_outside_rk4_stability():
     h = 1e-3
     t = grid(0.0, 0.1, h)
     env = Envelope(0.0, h / 2.0, np.ones(2 * t.size - 1, dtype=complex))
-    assert np.all(np.isfinite(drive_system2(env, 5400.0, 0.0, 0.0, t).p2))
+    assert np.all(np.isfinite(drive_system2(env.interp, 5400.0, 0.0, 0.0, t).p2))
     for gamma2, omega2 in ((5600.0, 0.0), (1.0, 5000.0), (1.0, 1e300)):
         with pytest.raises(IntegrationAbort, match="RK4 step matrix"):
-            drive_system2(env, gamma2, omega2, 0.0, t)
+            drive_system2(env.interp, gamma2, omega2, 0.0, t)
 
 
 def test_transfer_grids_must_be_uniform():
@@ -368,7 +423,7 @@ def test_transfer_grids_must_be_uniform():
         with pytest.raises(ValueError, match="t_grid must be a uniform 1-d grid"):
             emit_envelope(1.0, 0.0, np.array(bad))
         with pytest.raises(ValueError, match="t_grid must be a uniform 1-d grid"):
-            drive_system2(env, 1.0, 0.0, 0.0, np.array(bad))
+            drive_system2(env.interp, 1.0, 0.0, 0.0, np.array(bad))
 
 
 _RHO_EG = density_from_ket(composite_ket("eg"))
@@ -389,15 +444,15 @@ _ENV = Envelope(0.0, 0.05, np.ones(21, dtype=complex))
                  "dt must be positive", id="TrajectoryConfig-dt"),
     pytest.param(lambda: TrajectoryConfig(0.1, 10, 1, (0.0, math.nan)),
                  "t_span must satisfy", id="TrajectoryConfig-t_span"),
-    pytest.param(lambda: drive_system2(_ENV, math.nan, 0.0, 0.0, grid(0.0, 1.0, 0.1)),
+    pytest.param(lambda: drive_system2(_ENV.interp, math.nan, 0.0, 0.0, grid(0.0, 1.0, 0.1)),
                  "gamma2 must be positive", id="drive_system2-gamma2"),
-    pytest.param(lambda: drive_system2(_ENV, 1.0, math.nan, 0.0, grid(0.0, 1.0, 0.1)),
+    pytest.param(lambda: drive_system2(_ENV.interp, 1.0, math.nan, 0.0, grid(0.0, 1.0, 0.1)),
                  "omega2 must be finite and non-negative", id="drive_system2-omega2"),
     pytest.param(lambda: derive_transform_params(math.nan, 1.0, 0.0, 0.0),
                  "decay rates must be positive", id="derive_transform_params-gamma1"),
     pytest.param(lambda: transfer_experiment(_PAIR, matched_spec(1.0, 1.0), np.array([0.0])),
                  "t_grid must be a uniform 1-d grid", id="transfer_experiment-t_grid"),
-    pytest.param(lambda: drive_system2(_ENV, 1.0, 0.0, 0.0, np.array([0.0, 0.1, math.nan, 0.3])),
+    pytest.param(lambda: drive_system2(_ENV.interp, 1.0, 0.0, 0.0, np.array([0.0, 0.1, math.nan, 0.3])),
                  "t_grid must be a uniform 1-d grid", id="drive_system2-t_grid"),
 ])
 def test_entry_checks_name_the_field_they_reject(call, message):
@@ -415,4 +470,4 @@ def test_drive_system2_aborts_when_a_stable_step_overflows_in_its_stages():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationAbort, match="overflows in its stages"):
-            drive_system2(env, 1.0, 1e308, 0.0, t)
+            drive_system2(env.interp, 1.0, 1e308, 0.0, t)

@@ -87,40 +87,6 @@ def test_envelope_interp_equals_its_formula_per_point():
     assert env.interp(t).tobytes() == np.array([at(point) for point in t]).tobytes()
 
 
-def test_envelope_on_grid_takes_exact_samples_on_its_own_grid(monkeypatch):
-    rng = np.random.default_rng(5)
-    env = Envelope(-1.0, 0.25, rng.normal(size=40) + 1j * rng.normal(size=40))
-    # a coinciding grid is looked up, never interpolated
-    monkeypatch.setattr(Envelope, "interp", lambda self, t: pytest.fail("interpolated"))
-    assert np.array_equal(env.on_grid(env.t0 + 3 * env.dt, env.dt, 10), env.samples[3:13])
-    # a window hanging off both ends of the support is zero there
-    wide = env.on_grid(env.t0 - 5 * env.dt, env.dt, 50)
-    assert np.array_equal(wide, np.r_[np.zeros(5), env.samples, np.zeros(5)])
-    # an index range is that part of the whole grid, off the support or not
-    for lo, hi in ((0, 50), (0, 3), (3, 9), (17, 44), (44, 50), (48, 50)):
-        assert np.array_equal(env.on_grid(env.t0 - 5 * env.dt, env.dt, 50, lo, hi), wide[lo:hi])
-    assert np.array_equal(env.on_grid(env.t_end + env.dt, env.dt, 4), np.zeros(4))
-
-
-def test_envelope_on_grid_interpolates_any_other_grid():
-    t = np.linspace(0.0, 10.0, 2001)
-    env = Envelope(0.0, t[1] - t[0], np.exp(-0.3 * t) * np.exp(1j * t))
-    # the envelope's spacing, offset by 0.3 of a step
-    t0 = 0.3 * env.dt - 2.0
-    assert np.array_equal(env.on_grid(t0, env.dt, 500), env.interp(t0 + env.dt * np.arange(500)))
-    # aligned at the first point only: a spacing off by 1e-6 of a step drifts too far
-    step = env.dt * (1.0 + 1e-6)
-    assert np.array_equal(env.on_grid(0.0, step, 2001), env.interp(step * np.arange(2001)))
-    # off by 1e-9 of a step, the grid drifts 2e-6 of a step by its end, though its
-    # first 500 points stay within 1e-6: the whole grid decides, so an index range
-    # is interpolated at the whole grid's points, to the same bytes
-    step = env.dt * (1.0 + 1e-9)
-    whole = env.on_grid(0.0, step, 2001)
-    assert np.array_equal(whole, env.interp(step * np.arange(2001)))
-    for lo, hi in ((0, 500), (733, 1500), (1990, 2001)):
-        assert env.on_grid(0.0, step, 2001, lo, hi).tobytes() == whole[lo:hi].tobytes()
-
-
 def test_derive_transform_params():
     assert derive_transform_params(1.0, 1.0, 3.0, 3.0) == (1.0, 6.0)
     alpha, omega0 = derive_transform_params(2.0, 1.0, 10.0, 7.0)
@@ -207,14 +173,6 @@ def test_apply_u_zero_fill_and_errors():
     tiny = decaying_envelope(t1=5.0)
     with pytest.raises(ValueError, match="empty overlap"):
         apply_u_time_domain(tiny, FIG2)
-
-
-def test_apply_u_explicit_grid():
-    env = decaying_envelope(dt=5e-4)
-    t_out = np.linspace(19.0, 29.0, 401)
-    out = apply_u_time_domain(env, FIG2, t_out=t_out)
-    expected = np.exp(-(54.0 - t_out) / 4.0) / math.sqrt(2.0)
-    assert np.max(np.abs(out.samples - expected)) < 1e-10
 
 
 def test_spectrum_roundtrip_and_parseval():
@@ -489,12 +447,10 @@ def test_time_maps_on_arrays_equal_the_scalar_maps(tau):
 
 
 def test_transform_grids_must_be_uniform():
-    # one grid rule, shared with transfer's emission and drive grids
+    # one grid rule, shared with the frequency-domain route and the transfer drive grid
     env = Envelope(10.0, 0.5, np.ones(20))
     spectrum = envelope_to_spectrum(env)
     for bad in ([20.0, 21.0, 23.0], [20.0], [[20.0, 21.0], [22.0, 23.0]]):
-        with pytest.raises(ValueError, match="t_out must be a uniform 1-d grid"):
-            apply_u_time_domain(env, FIG2, t_out=np.array(bad))
         with pytest.raises(ValueError, match="nu_out must be a uniform 1-d grid"):
             apply_u_frequency_domain(spectrum, FIG2, nu_out=np.array(bad))
 
