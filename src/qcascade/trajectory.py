@@ -27,7 +27,12 @@ is that of `_mc_core` run on its stream alone.
 Trajectories that share a jump history hold bitwise-equal states, so the
 ensemble propagates one state row per live jump history.  The members of
 each row form one contiguous segment of a permutation of the
-trajectories, sorted by threshold in descending order.  The rows advance
+trajectories, sorted by threshold in descending order.  Equal thresholds
+keep the order a stable sort gives them: stream order in the first sort,
+and for the jumpers of a row the order they held in the segment they
+leave.  NumPy's unstable, SIMD-dispatched argsort does the sorting, and
+any run of equal keys is then put back in that order (`_ascending`), so
+the order does not depend on the sort kernel.  The rows advance
 in passes: each pending row, from its anchor, takes up to _WINDOW steps,
 whole segments, each segment one product of the anchor with the table,
 storing the block of states, squared norms and <J+J>.  The block is then
@@ -225,6 +230,35 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, below) -> np.ndarray:
         hi = np.where(active & ~b, mid, hi)
 
 
+def _ascending(
+    neg: np.ndarray, group: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The order a stable sort puts neg in, by group first if one is given,
+    and neg in that order: np.argsort(neg, kind="stable"), or
+    np.lexsort((neg, group)).
+
+    NumPy's unstable argsort, SIMD-dispatched, does the work; a stable
+    argsort of the group ids in its order then brings each group together.
+    Only equal keys can come out in an order that depends on the sort
+    kernel: each run of them is put back in input order.
+    """
+    order = np.argsort(neg)
+    if group is not None:
+        ids = group[order]
+        by_group = np.argsort(ids, kind="stable")
+        order, ids = order[by_group], ids[by_group]
+    key = neg[order]
+    tied = key[1:] == key[:-1]
+    if group is not None:
+        tied &= ids[1:] == ids[:-1]
+    if tied.any():
+        # number the runs of equal keys, and sort the members of each by input index
+        run = np.cumsum(np.concatenate([[True], ~tied]))
+        at = np.flatnonzero(np.concatenate([tied, [False]]) | np.concatenate([[False], tied]))
+        order[at] = order[at][np.lexsort((order[at], run[at]))]
+    return order, key
+
+
 def checked_jump_operator(model: CascadeModel, dt: float) -> np.ndarray:
     """The jump operator J, checked at dt before any step is taken with it.
 
@@ -304,10 +338,9 @@ def _mc_core(
     keys = _stream_keys(cfg.seed, streams)
     jumps = np.zeros(n, dtype=np.int64)
     # perm lists the trajectories row segment by row segment; neg holds
-    # their negated thresholds, ascending within each segment
-    neg = -_uniforms(keys, 0)
-    perm = np.argsort(neg, kind="stable")
-    neg = neg[perm]
+    # their negated thresholds, ascending within each segment, equal ones
+    # in the order a stable sort keeps
+    perm, neg = _ascending(-_uniforms(keys, 0))
     n_slots = end // record_stride + 1
     # sums[:, s] adds up the rows with members at sampled step s, and
     # sums[:, n_slots + s] the rows retired from sampled step s on
@@ -386,17 +419,19 @@ def _mc_core(
         slots = [np.where(sampled, index.reshape(-1) // record_stride, 0)]
         values = [np.where(sampled, seen * left.reshape(-1), 0.0)]
         # the jumpers of each row at each step become one new row holding
-        # the normalized J psi; only they are re-sorted, by new threshold
+        # the normalized J psi; only they are re-sorted, by new threshold,
+        # ties in the order they held
         traj = perm[pos]
         jump_steps.append(begin[row] + at)
         jumped.append(traj)
         jumps[traj] += 1
         thr = -_uniforms(keys[traj], jumps[traj])
         heads = np.flatnonzero(np.diff(row * w + at, prepend=-1))
-        group = np.repeat(np.arange(heads.size), np.diff(heads, append=total))
-        order = np.lexsort((thr, group))
+        # group ids as narrow as they fit: NumPy sorts 8- and 16-bit ids by radix
+        ids = np.arange(heads.size, dtype=np.min_scalar_type(heads.size))
+        group = np.repeat(ids, np.diff(heads, append=total))
+        order, neg[pos] = _ascending(thr, group)
         perm[pos] = traj[order]
-        neg[pos] = thr[order]
         hrow, hat = row[heads], at[heads] + 1
         new = block[hat, hrow, :dim] / np.sqrt(jj[hat, hrow])[:, None]
         new_begin = begin[hrow] + hat

@@ -150,6 +150,10 @@ def test_no_jump_trajectory_matches_heff_evolution():
 
 
 def test_ensemble_independent_of_batching():
+    _check_independent_of_batching()
+
+
+def _check_independent_of_batching():
     # every trajectory jumps in the ensemble exactly as it does alone; the
     # means are row-weighted sums, whose additions are grouped by row
     model = CascadeModel(gamma1=1.3, gamma2=0.8)
@@ -438,20 +442,25 @@ def _core_reference(case, segment):
 
 @pytest.mark.parametrize("case", sorted(CORE_CASES) + ONE_STREAM_CASES)
 def test_mc_core_matches_per_row_reference(case, monkeypatch):
+    monkeypatch.setattr(tj, "_observables", _fingerprinted)
+    _check_core(_core_args(case), _core_reference(case, tj._SEGMENT))
+
+
+def _check_core(args, reference):
     # every trajectory's jump history and state, bit for bit; the sums of
     # norms, populations and P2^2 up to the order of their additions, which
-    # one trajectory alone does not have
-    args = _core_args(case)
+    # one trajectory alone does not have.  Needs _observables fingerprinted;
+    # returns the core's three arrays
     cfg, streams = args[2:]
-    monkeypatch.setattr(tj, "_observables", _fingerprinted)
     got, steps, trajs = tj._mc_core(*args)
-    ref, ref_steps, ref_trajs = _core_reference(case, tj._SEGMENT)
+    ref, ref_steps, ref_trajs = reference
     n_records = time_grid(cfg.t_span, cfg.dt)[:: cfg.record_stride].size
     assert got.shape == ref.shape == (n_records, 7)
     assert np.array_equal(got[:, 4:], ref[:, 4:])
     np.testing.assert_allclose(got[:, :4], ref[:, :4], rtol=1e-14 if streams.size > 1 else 0.0)
     assert np.array_equal(_histories(steps, trajs), _histories(ref_steps, ref_trajs))
     assert 0 < steps.size or streams.size == 1  # a trajectory alone may not jump
+    return got, steps, trajs
 
 
 @pytest.mark.parametrize(
@@ -534,3 +543,58 @@ def test_ensemble_average_matches_per_row_reference(case, monkeypatch):
     np.testing.assert_allclose(var_got, var_ref, rtol=1e-14, atol=1e-15)
     assert np.all(np.isfinite(got.sem_p2)) and (cfg.n_traj > 1 or not got.sem_p2.any())
 
+
+_UNIFORMS = tj._uniforms
+
+
+def _quantized_uniforms(keys, counters):
+    # thresholds at the midpoints of a grid of 1/8: ties in every sort,
+    # which 53-bit uniforms almost never have
+    return (np.floor(_UNIFORMS(keys, counters) * 8.0) + 0.5) / 8.0
+
+
+def _stable_ascending(neg, group=None):
+    # the stable sorts that _ascending returns the order of
+    order = np.argsort(neg, kind="stable") if group is None else np.lexsort((neg, group))
+    return order, neg[order]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 10_000])
+@pytest.mark.parametrize("groups", ["none", "one", "many"])
+def test_ascending_is_the_stable_sort(n, groups):
+    # keys on a grid of 1/8 tie everywhere, so the unstable argsort leaves
+    # runs of equal keys in kernel order, and only the repair puts them back.
+    # Many groups come unsorted, about four members each, so equal keys also
+    # meet across group boundaries, and as ids as narrow as the core's
+    rng = np.random.default_rng(n)
+    neg = -np.floor(rng.random(n) * 8.0) / 8.0
+    many = n // 4 + 1
+    group = {
+        "none": None,
+        "one": np.zeros(n, dtype=np.intp),
+        "many": rng.integers(0, many, n).astype(np.min_scalar_type(many)),
+    }[groups]
+    order, key = tj._ascending(neg, group)
+    want, want_key = _stable_ascending(neg, group)
+    assert order.dtype == want.dtype
+    assert np.array_equal(order, want)
+    assert np.array_equal(key, want_key)
+
+
+@pytest.mark.parametrize("case", sorted(CORE_CASES))
+def test_mc_core_with_tied_thresholds(case, monkeypatch):
+    # with thresholds quantized to 1/8, equal thresholds share segments and
+    # jumps: the histories and states still match the reference bit for
+    # bit, and the three returned arrays are those of the stable sorts
+    monkeypatch.setattr(tj, "_uniforms", _quantized_uniforms)
+    monkeypatch.setattr(tj, "_observables", _fingerprinted)
+    args = _core_args(case)
+    records, steps, trajs = _reference_mc_core(*args, tj._SEGMENT)
+    got = _check_core(args, (records.sum(axis=2), steps, trajs))
+    monkeypatch.setattr(tj, "_ascending", _stable_ascending)
+    assert all(np.array_equal(a, b) for a, b in zip(got, tj._mc_core(*args)))
+
+
+def test_ensemble_independent_of_batching_with_tied_thresholds(monkeypatch):
+    monkeypatch.setattr(tj, "_uniforms", _quantized_uniforms)
+    _check_independent_of_batching()
