@@ -53,7 +53,7 @@ INITIAL_STATES = ("eg", "ge", "ee", "gg", "plus_g")
 # len(snapshot_times), and trajectories.  A master-equation run holds no
 # density history, only its (n, 5) complex readout, 80 bytes a time sample.
 # The most memory per count goes to decay, whose two runs peak at about 210
-# bytes a time sample with the CSV writer's (transfer, whose drives are evaluated
+# bytes a time sample with the CSV writer's (transfer, whose step inputs are formed
 # in 4096-step slices, 100 to 110), so no single array reaches 512 MiB; every
 # shipped and benchmark config is 18x or more below.
 MAX_SAMPLES = 2**21
@@ -264,7 +264,7 @@ def _experiment_defaults(exp: str, model: CascadeModel, spec, given: dict) -> di
         return {}
     span = given["t_span"] or (spec.t_i - spec.Delta, spec.t_f + spec.Delta)
     derived = {
-        "transfer": {"t_span": (0.0, spec.t_f + 10.0 / model.gamma2)},
+        "transfer": {"t_span": (0.0, spec.t_f + model.tau + 10.0 / model.gamma2)},
         "timemap": {"t_span": span, "dt": (span[1] - span[0]) / 600.0},
         "phases": {"snapshot_times": (0.5 * spec.t_i, 0.5 * (spec.t_i + spec.t_s),
                                       0.5 * (spec.t_s + spec.t_f),
@@ -317,13 +317,10 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
             diags.append(f"transform.X: device position {spec.X} must satisfy 0 < X < c*tau = "
                          f"{spec.c * model.tau}")
         # the production window must hold two samples: transform and phases sample its
-        # Delta-long preimage at dt; the transfer drive reads the alpha*Delta-long
-        # window at dt/2, so at dt <= alpha*Delta at least two RK4 stage points see it
-        limit = {"transform": 0.5 * spec.Delta, "phases": 0.5 * spec.Delta,
-                 "transfer": spec.alpha * spec.Delta}.get(exp, math.inf)
-        if dt > limit:
-            diags.append(f"numerics.dt: {dt:.6g} exceeds {limit:.6g}, so the production window "
-                         "can hold fewer than two samples")
+        # Delta-long preimage at dt (the transfer integrates its drive exactly at any dt)
+        if exp in ("transform", "phases") and dt > 0.5 * spec.Delta:
+            diags.append(f"numerics.dt: {dt:.6g} exceeds {0.5 * spec.Delta:.6g}, so the "
+                         "production window can hold fewer than two samples")
         covered = t0 + shift <= pre_lo + 1e-9 and t1 + shift >= pre_hi - 1e-9
         if exp in ("transform", "phases") and not covered:
             diags.append(
@@ -348,11 +345,11 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
                     f"numerics.t_span: [{t0:.6g}, {t1:.6g}] does not cover the production "
                     f"window [{spec.t_s:.6g}, {spec.t_f:.6g}]"
                 )
-    # each integrator's RK4 step must be stable at dt: the master equation's
-    # (decay, lindblad, trajectories), the trajectories' no-jump step and the
-    # transfer drive's step and coefficients, as transfer.drive_system2 takes them;
-    # the trajectories' jump probability per step stays under 0.1, as _mc_core checks.
-    # A stable step's generator is then screened for accuracy over the run
+    # each RK4 integrator's step must be stable at dt: the master equation's
+    # (decay, lindblad, trajectories) and the trajectories' no-jump step; the
+    # trajectories' jump probability per step stays under 0.1, as _mc_core checks.
+    # A stable step's generator is then screened for accuracy over the run.  The
+    # transfer takes no RK4 step: it integrates its drive exactly at any dt
     checks = {}  # what -> (check, the generator it steps or None)
     if exp in ("decay", "lindblad", "trajectories"):
         lmat = cascade.liouvillian(model)
@@ -361,11 +358,6 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
         heff = -1j * cascade.build_h_eff(model)
         checks["no-jump"] = (lambda: cascade.checked_step_matrix(heff, dt), heff)
         checks["trajectory"] = (lambda: trajectory.checked_jump_operator(model, dt), None)
-    if exp == "transfer":
-        w2 = model.frame_omegas()[1]
-        checks["transfer drive"] = (
-            lambda: transfer.drive_step_coefficients(model.gamma2, w2, dt),
-            np.array([[-(model.gamma2 / 2.0 + 1j * w2)]]))
     for what, (check, generator) in checks.items():
         try:
             check()

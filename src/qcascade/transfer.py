@@ -16,28 +16,26 @@ transformation (vacuum gap while the device buffers, then the
 time-reversed stretched packet), and reports excitation probabilities
 and a qubit-transfer fidelity.
 
-Both drives are the emitted packet's closed form, evaluated at the times
-RK4 reads: the off drive xi(t - tau), the on drive the device's output at
-t - tau, one phase at a time (`_device_output`).  No drive is sampled on
-a grid of its own, so nothing is interpolated.  RK4 takes each step's
-inputs at its start, its midpoint and its end, and reads the end one ulp
-below the grid point: a drive that jumps on a grid point (the emission
-start, t_i or t_f) then starts the next step, not the end of the one
-before.  Each drive is read 4096 steps at a time, so a transfer holds
-whole only the step inputs and the histories.
+Each drive is a list of pieces (a, b, A, mu), the drive A e^(mu (r - a))
+on device times a <= r < b and zero outside every piece: the off drive is
+the emitted packet, one piece; the on drive is the packet that reaches
+the device X/c later, untouched before t_i and after t_f, and U's output
+of it on the production window, itself one exponential.  The rate of
+system 2 is constant, so each step's input is the exact integral of the
+drive over the step, and c2 on the grid is exact to rounding wherever a
+piece starts or ends.  The inputs are formed 4096 steps at a time, so a
+transfer holds whole only them and the histories.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
-from .cascade import _SLICE, CascadeModel, IntegrationAbort, checked_step_matrix, step_history
-from .wavepacket import Envelope, TransformSpec, _device_phase, _u_output, _uniform_grid
+from .cascade import _SLICE, CascadeModel, step_history
+from .wavepacket import Envelope, TransformSpec, _u_output, _uniform_grid
 
 # no transfer calls it; the benchmark's layer timing wraps this module's name
 from .wavepacket import apply_u_time_domain  # noqa: F401
@@ -47,7 +45,6 @@ __all__ = [
     "TransferComparison",
     "qubit_transfer_fidelity",
     "emit_envelope",
-    "drive_step_coefficients",
     "drive_system2",
     "transfer_experiment",
 ]
@@ -106,51 +103,42 @@ def emit_envelope(gamma1: float, omega1: float, t_grid: np.ndarray) -> Envelope:
     return Envelope(float(t[0]), h, _emitted(gamma1, omega1, t))
 
 
-def drive_step_coefficients(gamma2: float, omega2: float, h: float) -> tuple[complex, ...]:
-    """(r, w0, wm, w1) of one RK4 step of the drive, c <- r c + w0 x0 + wm xm + w1 x1.
+def _phi1(z: np.ndarray) -> np.ndarray:
+    """expm1(z)/z elementwise, from its series 1 + z/2 + z^2/6 where |z| < 1e-5 (z = 0 too)."""
+    big = np.abs(z) >= 1e-5
+    small = np.where(big, 0.0, z)
+    return np.divide(np.expm1(z), z, out=1.0 + small * (0.5 + small / 6.0), where=big)
 
-    The rate lam = -(gamma2/2 + i omega2) is constant, so the step is
-    linear in (c, x0, xm, x1) with fixed coefficients.  The step of the
-    1x1 generator [[lam]] must pass `cascade.checked_step_matrix`, the
-    stability rule of every integrator here, and the coefficients must be
-    finite, or IntegrationAbort.
-    """
-    lam = -(gamma2 / 2.0 + 1j * omega2)
-    checked_step_matrix(np.array([[lam]]), h)
-    g = math.sqrt(gamma2)
 
-    def rk4_step(c, x0, xm, x1):
-        k1 = lam * c - g * x0
-        k2 = lam * (c + 0.5 * h * k1) - g * xm
-        k3 = lam * (c + 0.5 * h * k2) - g * xm
-        k4 = lam * (c + h * k3) - g * x1
-        return c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    # evaluate the step on the basis vectors (r from the checked step matrix may
-    # differ in the last bit)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflows if |lam| nears the float max
-        coefficients = rk4_step(*np.eye(4, dtype=complex))
-    if not np.all(np.isfinite(coefficients)):
-        raise IntegrationAbort(f"RK4 step overflows in its stages at dt={h:g}")
-    return tuple(coefficients.tolist())
+def _step_inputs(pieces: list[tuple], lam: complex, s: np.ndarray) -> np.ndarray:
+    """Input of each step [s_n, s_n+1) between the ascending device times s:
+    the integral of e^(lam (s_n+1 - r)) times the drive over the step, piece
+    by piece over the part [lo, lo + w) that the piece covers,
+    A e^(mu (lo - a) + lam (s_n+1 - lo)) w phi1((mu - lam) w)."""
+    u = np.zeros(s.size - 1, dtype=complex)
+    for a, b, amp, mu in pieces:
+        lo = np.clip(s[:-1], a, b)
+        w = np.clip(s[1:], a, b)
+        w -= lo
+        on = w > 0.0
+        lo, w = lo[on], w[on]
+        z = (mu - lam) * w
+        u[on] += amp * np.exp(mu * (lo - a) + lam * (s[1:][on] - lo)) * w * _phi1(z)
+    return u
 
 
 def drive_system2(
-    drive: Callable[[np.ndarray], np.ndarray],
-    gamma2: float,
-    omega2: float,
-    tau: float,
-    t_grid: np.ndarray,
+    pieces: list[tuple], gamma2: float, omega2: float, tau: float, t_grid: np.ndarray
 ) -> TransferResult:
-    """Integrate the driven amplitude equation for system 2 (RK4, c2(t0)=0).
+    """Integrate the driven amplitude equation for system 2 exactly (c2(t0) = 0).
 
-    drive maps an array of times to the input amplitudes there, and system
-    2 reads it at t - tau.  Each step takes its inputs x0, xm, x1 at its
-    start, midpoint and end, the end read one ulp below the grid point, so
-    that a drive that jumps on a grid point enters the step that starts
-    there.  The drive is evaluated 4096 steps at a time, and each step is
-    c <- r c + w0 x0 + wm xm + w1 x1 with the checked coefficients of
-    `drive_step_coefficients`, through `cascade.step_history`.
+    pieces is the drive as (a, b, A, mu), each A e^(mu (r - a)) on device
+    times a <= r < b, and system 2 reads it at r = t - tau.  With lam =
+    -(gamma2/2 + i omega2), each step is c <- e^(lam h) c - sqrt(gamma2)
+    times the integral of e^(lam (t_n+1 - t)) times the drive over the
+    step, which `_step_inputs` forms in closed form, 4096 steps at a time;
+    `cascade.step_history` takes the recurrence as one blocked scan.  A
+    piece may start or end anywhere, on a grid point or inside a step.
     Returns the P2 series, its maximum and the equal-superposition fidelity.
     """
     if not gamma2 > 0.0:
@@ -159,14 +147,14 @@ def drive_system2(
         raise ValueError("omega2 must be finite and non-negative")
     t, h = _uniform_grid(t_grid, "t_grid")
     n_steps = t.size - 1
-    r, w0, wm, w1 = drive_step_coefficients(gamma2, omega2, h)
+    lam = -(gamma2 / 2.0 + 1j * omega2)
     u = np.empty(n_steps, dtype=complex)
-    for lo in range(0, n_steps, _SLICE):  # steps lo .. hi-1 read half-step points 2 lo .. 2 hi
+    for lo in range(0, n_steps, _SLICE):
         hi = min(lo + _SLICE, n_steps)
-        points = float(t[0]) - tau + (h / 2.0) * np.arange(2 * lo, 2 * hi + 1)
-        xi = drive(points[:-1])  # each step's start and midpoint
-        u[lo:hi] = w0 * xi[0::2] + wm * xi[1::2] + w1 * drive(np.nextafter(points[2::2], -np.inf))
-    c2 = step_history(np.array([[r]]), np.zeros((1, 1)), n_steps, u.reshape(-1, 1, 1)).ravel()
+        u[lo:hi] = _step_inputs(pieces, lam, t[lo : hi + 1] - tau)
+    u *= -math.sqrt(gamma2)
+    c2 = step_history(np.array([[np.exp(lam * h)]]), np.zeros((1, 1)), n_steps,
+                      u.reshape(-1, 1, 1)).ravel()
     p2 = np.abs(c2) ** 2
     imax = int(np.argmax(p2))
     p2_max = float(p2[imax])
@@ -180,18 +168,28 @@ def drive_system2(
     )
 
 
-def _device_output(gamma1: float, omega1: float, spec: TransformSpec, r: np.ndarray) -> np.ndarray:
-    """The device's output at device times r, each phase (`_device_phase`)
-    evaluated on its own points: the packet emitted X/c earlier passes
-    untouched outside [t_i, t_f), the gap [t_i, t_s) is vacuum, and
-    [t_s, t_f) carries U applied to the packet's closed form."""
-    phase = _device_phase(r, spec)
-    out = np.zeros(r.shape, dtype=complex)
-    free, produced = phase == 0, phase == 2
-    out[free] = _emitted(gamma1, omega1, r[free] - spec.delay)
-    rp = r[produced]
-    out[produced] = _u_output(rp, _emitted(gamma1, omega1, (spec.T - rp) / spec.alpha - spec.delay), spec)
-    return out
+def _on_pieces(gamma1: float, omega1: float, spec: TransformSpec) -> list[tuple]:
+    """The device's output as drive pieces: the packet reaches the device at
+    X/c and passes untouched before t_i and after t_f, the gap [t_i, t_s)
+    is vacuum, and production carries U applied to the packet read at the
+    preimage (T - r)/alpha, until that preimage reaches the emission start.
+    U's output is one exponential that grows towards its end; it is split so
+    that none of its pieces grows by more than e^512, and no A underflows."""
+    mu = -(gamma1 / 2.0 + 1j * omega1)
+    start, resume = spec.delay, max(spec.t_f, spec.delay)
+    first, last = _emitted(gamma1, omega1, np.array([0.0, resume - start])).tolist()
+    pieces = [(start, spec.t_i, first, mu)]
+    stop = min(spec.t_f, spec.T - spec.alpha * start)
+    if spec.t_s < stop:
+        n = math.ceil(gamma1 * (stop - spec.t_s) / spec.alpha / 1024.0)
+        edges = np.linspace(spec.t_s, stop, n + 1)
+        r = edges[:-1]
+        amps = _u_output(r, _emitted(gamma1, omega1, (spec.T - r) / spec.alpha - start), spec)
+        rate = -1j * spec.omega0 - mu / spec.alpha
+        pieces += [(a, b, amp, rate)
+                   for a, b, amp in zip(r.tolist(), edges[1:].tolist(), amps.tolist())]
+    pieces.append((resume, math.inf, last, mu))
+    return [piece for piece in pieces if piece[0] < piece[1]]
 
 
 def transfer_experiment(
@@ -205,8 +203,8 @@ def transfer_experiment(
     time grid from the model when a config leaves them out.
     """
     w1, w2 = model.frame_omegas()
-    off = drive_system2(partial(_emitted, model.gamma1, w1), model.gamma2, w2, model.tau, t_grid)
-    on = drive_system2(partial(_device_output, model.gamma1, w1, spec),
-                       model.gamma2, w2, model.tau, t_grid)
+    emitted = (0.0, math.inf, math.sqrt(model.gamma1), -(model.gamma1 / 2.0 + 1j * w1))
+    off = drive_system2([emitted], model.gamma2, w2, model.tau, t_grid)
+    on = drive_system2(_on_pieces(model.gamma1, w1, spec), model.gamma2, w2, model.tau, t_grid)
     ratio = on.p2_max / off.p2_max if off.p2_max > 0.0 else math.inf
     return TransferComparison(off=off, on=on, ratio=ratio)

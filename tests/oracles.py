@@ -20,8 +20,11 @@ the package.
 * `heaviside`, the unit step with u(0) = 1/2.
 * `density_history` -- every rho of a master-equation run, held whole,
   against the run's slice-by-slice reduction.
-* `drive_history` -- the transfer drive evaluated on its whole half-step
-  grid, against `drive_system2`, which evaluates it a slice at a time.
+* `drive_history` -- the transfer's exact step inputs formed over the whole
+  grid, against `drive_system2`, which forms them a slice at a time.
+* `read_pieces` -- the drive that a list of pieces describes, at any times,
+  and `device_output`, the device's output phase by phase from the emitted
+  packet's closed form and U, against the pieces of the on drive.
 
 DFT convention: the forward transform uses the e^{+i nu t} kernel,
 F(nu) = (2 pi)^(-1/2) Int dt env(t) e^{+i nu t}, matching in-field mode
@@ -50,8 +53,15 @@ from qcascade.cascade import (
     step_matrix,
     time_grid,
 )
-from qcascade.transfer import drive_step_coefficients
-from qcascade.wavepacket import Envelope, TransformSpec, _uniform_grid, derive_transform_params
+from qcascade.transfer import _emitted
+from qcascade.wavepacket import (
+    Envelope,
+    TransformSpec,
+    _device_phase,
+    _u_output,
+    _uniform_grid,
+    derive_transform_params,
+)
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -110,21 +120,58 @@ def density_history(
 
 
 def drive_history(
-    drive, gamma2: float, omega2: float, tau: float, t_grid: np.ndarray
+    pieces, gamma2: float, omega2: float, tau: float, t_grid: np.ndarray
 ) -> np.ndarray:
-    """c2 of `drive_system2`'s run, (n_steps + 1,), with the drive held whole.
+    """c2 of `drive_system2`'s run, (n_steps + 1,), with the step inputs formed whole.
 
-    drive over all 2 n_steps + 1 half-step points of t - tau in two calls
-    (each step's end one ulp below its grid point), the step inputs
-    w0 x0 + wm xm + w1 x1 as three whole products, then `step_history`.
+    Over all steps [s_n, s_n+1) of s = t - tau at once, each piece (a, b, A, mu)
+    adds A e^(mu (lo - a) + lam (s_n+1 - lo)) w (e^(z) - 1)/z, z = (mu - lam) w,
+    on the part [lo, lo + w) of the step it covers (the last factor from its
+    series 1 + z/2 + z^2/6 where |z| < 1e-5); the sum times -sqrt(gamma2)
+    goes to `step_history` with the step factor e^(lam h).
     """
     t, h = _uniform_grid(t_grid, "t_grid")
-    n_steps = t.size - 1
-    points = float(t[0]) - tau + (h / 2.0) * np.arange(2 * n_steps + 1)
-    xi = drive(points[:-1])
-    r, w0, wm, w1 = drive_step_coefficients(gamma2, omega2, h)
-    u = w0 * xi[0::2] + wm * xi[1::2] + w1 * drive(np.nextafter(points[2::2], -np.inf))
-    return step_history(np.array([[r]]), np.zeros((1, 1)), n_steps, u.reshape(-1, 1, 1)).ravel()
+    s = t - tau
+    lam = -(gamma2 / 2.0 + 1j * omega2)
+    u = np.zeros(t.size - 1, dtype=complex)
+    for a, b, amp, mu in pieces:
+        lo = np.clip(s[:-1], a, b)
+        w = np.clip(s[1:], a, b) - lo
+        on = w > 0.0
+        lo, w = lo[on], w[on]
+        z = (mu - lam) * w
+        phi = np.empty_like(z)
+        big = np.abs(z) >= 1e-5
+        phi[big] = np.expm1(z[big]) / z[big]
+        phi[~big] = 1.0 + z[~big] * (0.5 + z[~big] / 6.0)
+        u[on] += amp * np.exp(mu * (lo - a) + lam * (s[1:][on] - lo)) * w * phi
+    u *= -math.sqrt(gamma2)
+    return step_history(np.array([[np.exp(lam * h)]]), np.zeros((1, 1)), t.size - 1,
+                        u.reshape(-1, 1, 1)).ravel()
+
+
+def read_pieces(pieces, r: np.ndarray) -> np.ndarray:
+    """The drive that pieces (a, b, A, mu) describe at the times r: A e^(mu (r - a))
+    where a <= r < b, zero where no piece covers r."""
+    out = np.zeros(r.shape, dtype=complex)
+    for a, b, amp, mu in pieces:
+        on = (a <= r) & (r < b)
+        out[on] += amp * np.exp(mu * (r[on] - a))
+    return out
+
+
+def device_output(gamma1: float, omega1: float, spec: TransformSpec, r: np.ndarray) -> np.ndarray:
+    """The device's output at device times r, phase by phase (`_device_phase`):
+    the packet emitted X/c earlier passes untouched outside [t_i, t_f), the gap
+    [t_i, t_s) is vacuum, and [t_s, t_f) carries U applied to the packet's
+    closed form at the preimage (T - r)/alpha, zero before the emission starts."""
+    phase = _device_phase(r, spec)
+    out = np.zeros(r.shape, dtype=complex)
+    free, produced = phase == 0, phase == 2
+    out[free] = _emitted(gamma1, omega1, r[free] - spec.delay)
+    rp = r[produced]
+    out[produced] = _u_output(rp, _emitted(gamma1, omega1, (spec.T - rp) / spec.alpha - spec.delay), spec)
+    return out
 
 
 @dataclass(eq=False)

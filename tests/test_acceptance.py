@@ -23,7 +23,6 @@ from qcascade.cascade import (
 from qcascade.trajectory import TrajectoryConfig, ensemble_average
 from qcascade.transfer import (
     drive_system2,
-    emit_envelope,
     transfer_experiment,
 )
 from qcascade.wavepacket import (
@@ -134,8 +133,7 @@ def test_criterion_4_cascaded_peak_two_solvers():
     t_master = time.perf_counter() - start
     start = time.perf_counter()
     t = grid(0.0, 10.0, h)
-    env = emit_envelope(1.0, 0.0, grid(0.0, 10.0, h / 2.0))
-    amp = drive_system2(env.interp, 1.0, 0.0, 0.0, t)
+    amp = drive_system2([(0.0, math.inf, 1.0, -0.5)], 1.0, 0.0, 0.0, t)  # the emitted packet
     t_amp = time.perf_counter() - start
     peak_me = float(np.max(master.p2))
     peak_amp = amp.p2_max
@@ -291,11 +289,8 @@ def test_criterion_9_transfer_improvement():
         ok = ok and comp.on.p2_max >= 0.99 * captured and comp.on.p2_max > comp.off.p2_max
         details.append(f"{ratio:g}: on {comp.on.p2_max:.4f} off {comp.off.p2_max:.4f}")
     # perfect-absorption oracle: rising exponential ending at t = 0
-    h = 1e-3
-    t = grid(-40.0, 0.0, h)
-    th = grid(-40.0, 0.0, h / 2.0)
-    env = Envelope(float(th[0]), h / 2.0, np.exp(th / 2.0).astype(complex))
-    absorbed = drive_system2(env.interp, 1.0, 0.0, 0.0, t)
+    t = grid(-40.0, 0.0, 1e-3)
+    absorbed = drive_system2([(-40.0, 0.0, math.exp(-20.0), 0.5)], 1.0, 0.0, 0.0, t)
     oracle = abs(absorbed.p2[-1] - 1.0)
     ok = ok and oracle < 1e-6
     report(

@@ -763,7 +763,7 @@ def test_exit_2_on_unknown_key(tmp_path, capsys, section, key):
         ("decay", "numerics", "t_span", [0.0, 1e300], "numerics.dt"),
         ("phases_four_stage", "numerics", "nx", 2**70, "numerics.nx"),
         ("trajectories_single_photon", "numerics", "n_traj", 2**70, "numerics.n_traj"),
-        # transfer derives its span from t_f + 10/gamma2
+        # transfer derives its span from t_f + tau + 10/gamma2
         ("transfer_matched", "model", "gamma2", 1e-300, "numerics.dt"),
         ("transfer_matched", "transform", "Delta", 1e300, "numerics.dt"),
     ],
@@ -791,9 +791,6 @@ def test_shipped_configs_sit_10x_below_the_work_bound():
         # the production window's preimage [t_i, t_s] must end after the packet
         # reaches the device at X/c = 4: t_s = T/3 > 4
         ("T", 12.03, 12.0, "transform.T"),
-        # the drive samples the alpha*Delta-long window at dt/2 = 0.0005: two samples
-        # need alpha*Delta = 2*Delta >= dt
-        ("Delta", 0.0005, 0.00049, "numerics.dt"),
     ],
 )
 def test_transfer_production_window_edges(tmp_path, capsys, key, valid, invalid, field):
@@ -806,6 +803,38 @@ def test_transfer_production_window_edges(tmp_path, capsys, key, valid, invalid,
     assert (tmp_path / "out" / "transfer.csv").exists()
 
 
+def transfer_csv(path):
+    """The transfer table written for the config at path, run with every warning
+    an error: its p2_max comments and its columns, each checked finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["--config", str(path), "--validate-only"]) == 0
+        assert cli.main(["--config", str(path)]) == 0
+    out = Path(json.loads(path.read_text())["output"]["directory"])
+    comments, header, rows = read_csv(out / "transfer.csv")
+    summary = {c.split(" = ")[0]: float(c.split(" = ")[1].split(" ")[0])
+               for c in comments if c.startswith("p2_max")}
+    columns = {name: np.array(column(header, rows, name)) for name in header}
+    assert all(np.all(np.isfinite(v)) for v in [*summary.values(), *columns.values()])
+    return summary, columns
+
+
+def test_transfer_production_window_inside_one_step(tmp_path):
+    # alpha*Delta = 0.00098 < dt = 0.001: the production window lies inside one
+    # step, whose input is the drive's exact integral, so the run agrees with
+    # one on a grid 4x finer at every shared point
+    runs = []
+    for dt in (1e-3, 2.5e-4):
+        path = shipped_config(tmp_path, "transfer_matched", "transform", "Delta", 0.00049)
+        cfg = json.loads(path.read_text())
+        cfg["numerics"]["dt"] = dt
+        path.write_text(json.dumps(cfg))
+        runs.append(transfer_csv(path)[1])
+    coarse, fine = runs
+    for name in ("P2_off", "P2_on"):
+        assert np.max(np.abs(coarse[name] - fine[name][::4])) < 1e-12
+
+
 @pytest.mark.parametrize("timing", [0.0, -1.0])
 def test_exit_2_when_transfer_production_precedes_the_packet(tmp_path, capsys, timing):
     path = shipped_config(tmp_path, "transfer_matched", "transform", "T", timing)
@@ -814,52 +843,40 @@ def test_exit_2_when_transfer_production_precedes_the_packet(tmp_path, capsys, t
     assert not (tmp_path / "out").exists()
 
 
-def test_exit_2_on_unstable_transfer_drive(tmp_path, capsys):
-    # |lam*dt| = 5 at omega2 = 5000 lies outside RK4's stability region: the drive
-    # used to exit 0 and write p2_max_off = p2_max_on = nan, then passed validate
-    # and exited 3 before its first step; the resolver now checks the drive's step
-    assert cli.main(["--config", str(shipped_config(tmp_path, "transfer_matched"))]) == 0
-    capsys.readouterr()
-    csv = tmp_path / "out" / "transfer.csv"
-    written = csv.read_bytes()
+def test_exit_2_on_unstable_transfer_drive(tmp_path):
+    # |lam*dt| = 5 at omega2 = 5000 lay outside RK4's stability region, so the
+    # resolver rejected these lab-frame configs (exit 2) while the transfer took
+    # RK4 steps.  Each step now multiplies by e^(lam dt) and adds the drive's
+    # exact integral, so both run, with finite outputs and no warning.  At 5000
+    # the device moves the packet from omega1 = 0 to omega2 and P2_on peaks as in
+    # the rotating frame.  At 1e300 the phases omega*t keep no digits, so only
+    # finiteness is asserted
     for omega2 in (5000.0, 1e300):
         path = shipped_config(tmp_path, "transfer_matched", "model", "omega2", omega2)
         cfg = json.loads(path.read_text())
         cfg["model"]["rotating_frame"] = False
         path.write_text(json.dumps(cfg))
-        assert cli.main(["--config", str(path), "--validate-only"]) == 2
-        out = capsys.readouterr().out
-        assert out.startswith("numerics.dt: transfer drive RK4 step matrix "), out
-        assert cli.main(["--config", str(path)]) == 2
-        assert capsys.readouterr().err == out
-        # the config is rejected before any output: the shipped run's CSV is left as it was
-        assert csv.read_bytes() == written
-        # and a fresh output directory is not created
-        fresh = tmp_path / "fresh" / "out"
-        assert cli.main(["--config", str(path), "--out", str(fresh)]) == 2
-        capsys.readouterr()
-        assert not (tmp_path / "fresh").exists()
+        summary, _ = transfer_csv(path)
+        if omega2 == 5000.0:
+            assert abs(summary["p2_max_on"] - (1.0 - math.exp(-8.0)) ** 2) < 1e-9
 
 
-def test_exit_2_when_the_transfer_drive_overflows_in_its_stages(tmp_path, capsys):
-    # h*lam = -0.005 - 1j is a stable step, but the RK4 stages multiply
-    # lam = -(5e305 + 1e308 i) by O(1) factors before h scales them: the resolver
-    # evaluates the drive's coefficients as drive_system2 does (this used to pass
-    # --validate-only and exit 3 at run)
+def test_exit_2_when_the_transfer_drive_overflows_in_its_stages(tmp_path):
+    # h*lam = -0.005 - 1j with lam = -(5e305 + 1e308 i): RK4's stages multiplied
+    # lam by O(1) factors before h scaled them and overflowed, so the resolver
+    # rejected the config (exit 2).  The exact step takes e^(h lam) and the
+    # drive's integral over each step, both finite, so the run completes and
+    # P2_on peaks at the rate-matched (1 - e^-8)^2, as at dt = 1e-3 with rates 1
     cfg = json.loads((SHIPPED / "transfer_matched.json").read_text())
     cfg["model"].update(gamma1=1e306, gamma2=1e306, omega2=1e308, rotating_frame=False)
     cfg["transform"] = {key: "auto" for key in ("alpha", "omega0", "T")}
     cfg["numerics"]["dt"] = 1e-308
-    out = tmp_path / "out"
-    cfg["output"] = {"directory": str(out), "emit_svg": True}
+    cfg["output"] = {"directory": str(tmp_path / "out"), "emit_svg": True}
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(cfg))
-    expected = "numerics.dt: transfer drive RK4 step overflows in its stages at dt=1e-308\n"
-    assert cli.main(["--config", str(path), "--validate-only"]) == 2
-    assert capsys.readouterr().out == expected
-    assert cli.main(["--config", str(path)]) == 2
-    assert capsys.readouterr().err == expected
-    assert not out.exists()
+    summary, _ = transfer_csv(path)
+    assert abs(summary["p2_max_on"] - (1.0 - math.exp(-8.0)) ** 2) < 1e-9
+    assert (tmp_path / "out" / "transfer.svg").exists()
 
 
 def test_main_resolves_a_config_once(tmp_path, monkeypatch):
@@ -933,14 +950,20 @@ LAB_FRAME = {"gamma1": 1.0, "gamma2": 1.0, "rotating_frame": False}
     ({"experiment": "trajectories", "model": {**LAB_FRAME, "omega1": 140.0, "omega2": 140.0},
       "numerics": {"dt": 0.01, "t_span": [0.0, 100.0], "n_traj": 10, "initial_state": "gg"}},
      {"master-equation": "1.33e+04", "no-jump": "440"}),
+    # the RK4 drive's estimate was 21.4; the transfer now steps exactly, so the
+    # config runs, and P2_on peaks as in the rotating frame
     ({"experiment": "transfer", "model": {**LAB_FRAME, "gamma1": 2.0, "omega2": 100.0},
-      "numerics": {"dt": 0.01}}, {"transfer drive": "21.4"}),
+      "numerics": {"dt": 0.01}}, {}),
 ])
 def test_exit_2_on_stable_but_inaccurate_steps(tmp_path, capsys, cfg, screened):
     # each RK4 step is stable at dt, but n*max|R(dt*lam) - exp(dt*lam)| over the
     # run's steps is far above cascade._RK4_TOL: these configs used to validate
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({**cfg, "output": {"directory": str(tmp_path / "out")}}))
+    if not screened:
+        summary, _ = transfer_csv(path)
+        assert abs(summary["p2_max_on"] - (1.0 - math.exp(-8.0)) ** 2) < 1e-9
+        return
     assert cli.main(["--config", str(path), "--validate-only"]) == 2
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(" RK4 error estimate ")[0] for line in lines] == [

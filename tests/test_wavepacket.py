@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from qcascade import wavepacket as wp
+from qcascade.transfer import _on_pieces
 from qcascade.wavepacket import (
     Envelope,
     PhaseTag,
@@ -322,17 +322,24 @@ def test_assemble_piecewise_field_at_the_phase_boundaries():
 
 
 def test_field_and_drive_share_the_device_phase():
-    # at x = X the retarded time is t itself, so the field's tags are the phases the
-    # transfer drive takes on its half-step grid, the boundaries 12, 18 and 30 included
+    # at x = X the retarded time is t itself, so the field's tags are the phases of
+    # the transfer's on drive at its half-step points, the boundaries 12, 18 and 30
+    # included: TRANSFORMED where a piece of U's rate covers t, INITIAL where a
+    # piece of the packet's rate does or before the packet arrives, VACUUM elsewhere
     h = 0.5
     t_half = (h / 2.0) * np.arange(2 * 80 + 1)
     env = decaying_envelope()
     transformed = apply_u_time_domain(env, FIG2)
     codes = [list(PhaseTag).index(_field_at(FIG2.X, float(t), env, transformed)[1])
              for t in t_half]
-    drive = wp._device_phase(t_half, FIG2)
+    pieces, mu = _on_pieces(1.0, 0.0, FIG2), -0.5
+
+    def covered(rate):
+        return np.any([(a <= t_half) & (t_half < b) for a, b, _, m in pieces if m == rate], axis=0)
+
+    produced = covered(-1j * FIG2.omega0 - mu / FIG2.alpha)
+    drive = np.where(produced, 2, np.where(covered(mu) | (t_half < FIG2.delay), 0, 1))
     assert codes == drive.tolist()
-    assert drive.dtype == np.int8
     assert [drive[t_half.tolist().index(edge)] for edge in (12.0, 18.0, 30.0)] == [1, 2, 0]
 
 
