@@ -175,15 +175,22 @@ def build_h_eff(model: CascadeModel) -> np.ndarray:
     return build_h0(model) - 0.5j * (j.conj().T @ j)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.kron of two square matrices, the same products as one broadcast
+    # product, without np.kron's handling of general shapes
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+
+
 def _superoperator(h0: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Matrix acting on row-major vec(rho) for the Lindblad flow."""
     dim = h0.shape[0]
     ident = np.eye(dim, dtype=complex)
     jdj = j.conj().T @ j
     return (
-        1j * (np.kron(ident, h0.T) - np.kron(h0, ident))
-        + np.kron(j, j.conj())
-        - 0.5 * (np.kron(jdj, ident) + np.kron(ident, jdj.T))
+        1j * (_kron(ident, h0.T) - _kron(h0, ident))
+        + _kron(j, j.conj())
+        - 0.5 * (_kron(jdj, ident) + _kron(ident, jdj.T))
     )
 
 

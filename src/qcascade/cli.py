@@ -328,12 +328,14 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
                 f"transformation preimage [{pre_lo - shift:.6g}, {pre_hi - shift:.6g}] "
                 "(band coverage)"
             )
-        # each phase omega*t that emission, drive and production evaluate must fit a float
+        # each phase omega*t that emission, drive and production evaluate must keep
+        # digits: from 2^52 on, a float's spacing is a radian or more
         far = 4.0 * max(abs(t0), abs(t1), model.tau, shift, abs(spec.T), abs(spec.t_f))
-        diags += [f"{field}: {w:.3g} times the run's times, up to {far:.3g}, overflows a float"
+        diags += [f"{field}: {w:.3g} times the run's times, up to {far:.3g}, reaches 2^52, "
+                  "where a phase keeps no digits"
                   for field, w in zip(("model.omega1", "model.omega2", "transform.omega0"),
                                       (*model.frame_omegas(), abs(spec.omega0)))
-                  if not math.isfinite(w * far)]
+                  if not w * far < 2.0**52]
         if exp == "transfer":
             if not pre_hi > shift:
                 diags.append(

@@ -230,6 +230,27 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, below) -> np.ndarray:
         hi = np.where(active & ~b, mid, hi)
 
 
+def _crossings(low: np.ndarray, row: np.ndarray, neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The first step k at which low[k, row[i]] falls below the threshold
+    -neg[pos[i]], for each i; every threshold must fall below it at some step.
+
+    Each column of low is non-increasing, so the keys (r, -low[k, r]) ascend
+    column by column, and one search of them all for (row[i], neg[pos[i]])
+    counts the steps before the crossing.  NumPy orders complex numbers by
+    real part, then imaginary part; the parts are set one by one, since
+    1j * -inf has a NaN real part, and the thresholds are gathered straight
+    into the needles, which are the one array per jumper.
+    """
+    steps, rows = low.shape
+    keys = np.empty((rows, steps), dtype=complex)
+    keys.real = np.arange(rows)[:, None]
+    np.negative(low.T, out=keys.imag)
+    needles = np.empty(row.size, dtype=complex)
+    needles.real = row
+    np.take(neg, pos, out=needles.imag)
+    return np.searchsorted(keys.ravel(), needles, side="right") - row * steps
+
+
 def _ascending(
     neg: np.ndarray, group: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -406,10 +427,7 @@ def _mc_core(
         total = int(count.sum())
         row = np.repeat(np.arange(rows), count)
         pos = np.repeat(start - (np.cumsum(count) - count), count) + np.arange(total)
-        thr = -neg[pos]
-        at = _bisect(
-            np.zeros(total, dtype=np.intp), np.full(total, w), lambda k: low[k, row] >= thr
-        )
+        at = _crossings(low, row, neg, pos)
         jumps_at = np.bincount(at * rows + row, minlength=w * rows).reshape(w, rows)
         left = size - np.cumsum(jumps_at, axis=0)
         # records of the states after each step, weighted by the members left

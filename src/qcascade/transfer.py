@@ -105,25 +105,37 @@ def emit_envelope(gamma1: float, omega1: float, t_grid: np.ndarray) -> Envelope:
 
 def _phi1(z: np.ndarray) -> np.ndarray:
     """expm1(z)/z elementwise, from its series 1 + z/2 + z^2/6 where |z| < 1e-5 (z = 0 too)."""
-    big = np.abs(z) >= 1e-5
-    small = np.where(big, 0.0, z)
-    return np.divide(np.expm1(z), z, out=1.0 + small * (0.5 + small / 6.0), where=big)
+    out = np.expm1(z)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at z = 0, overwritten below
+        out /= z
+    small = np.abs(z) < 1e-5
+    zs = z[small]
+    out[small] = 1.0 + zs * (0.5 + zs / 6.0)
+    return out
 
 
 def _step_inputs(pieces: list[tuple], lam: complex, s: np.ndarray) -> np.ndarray:
     """Input of each step [s_n, s_n+1) between the ascending device times s:
     the integral of e^(lam (s_n+1 - r)) times the drive over the step, piece
     by piece over the part [lo, lo + w) that the piece covers,
-    A e^(mu (lo - a) + lam (s_n+1 - lo)) w phi1((mu - lam) w)."""
+    A e^(mu (lo - a) + lam (s_n+1 - lo)) w phi1((mu - lam) w).
+
+    The steps a piece [a, b) overlaps are one range, from the step holding
+    a to the last step that starts before b."""
     u = np.zeros(s.size - 1, dtype=complex)
     for a, b, amp, mu in pieces:
-        lo = np.clip(s[:-1], a, b)
-        w = np.clip(s[1:], a, b)
+        first = max(int(np.searchsorted(s, a, "right")) - 1, 0)
+        stop = min(int(np.searchsorted(s, b)), s.size - 1)
+        ends = s[first + 1 : stop + 1]
+        lo = np.clip(s[first:stop], a, b)
+        w = np.clip(ends, a, b)
         w -= lo
+        steps = slice(first, stop)
         on = w > 0.0
-        lo, w = lo[on], w[on]
+        if not on.all():  # equal device times: a step of zero width takes no input
+            lo, w, ends, steps = lo[on], w[on], ends[on], np.arange(first, stop)[on]
         z = (mu - lam) * w
-        u[on] += amp * np.exp(mu * (lo - a) + lam * (s[1:][on] - lo)) * w * _phi1(z)
+        u[steps] += amp * np.exp(mu * (lo - a) + lam * (ends - lo)) * w * _phi1(z)
     return u
 
 

@@ -20,8 +20,9 @@ the package.
 * `heaviside`, the unit step with u(0) = 1/2.
 * `density_history` -- every rho of a master-equation run, held whole,
   against the run's slice-by-slice reduction.
-* `drive_history` -- the transfer's exact step inputs formed over the whole
-  grid, against `drive_system2`, which forms them a slice at a time.
+* `step_inputs` and `drive_history` -- the transfer's exact step inputs
+  formed over the whole grid, against `drive_system2`, which forms them a
+  slice at a time, each piece over the range of steps it overlaps.
 * `read_pieces` -- the drive that a list of pieces describes, at any times,
   and `device_output`, the device's output phase by phase from the emitted
   packet's closed form and U, against the pieces of the on drive.
@@ -119,21 +120,15 @@ def density_history(
     return rhos
 
 
-def drive_history(
-    pieces, gamma2: float, omega2: float, tau: float, t_grid: np.ndarray
-) -> np.ndarray:
-    """c2 of `drive_system2`'s run, (n_steps + 1,), with the step inputs formed whole.
+def step_inputs(pieces, lam: complex, s: np.ndarray) -> np.ndarray:
+    """The transfer's exact step inputs, formed over all steps [s_n, s_n+1) of
+    the device times s at once.
 
-    Over all steps [s_n, s_n+1) of s = t - tau at once, each piece (a, b, A, mu)
-    adds A e^(mu (lo - a) + lam (s_n+1 - lo)) w (e^(z) - 1)/z, z = (mu - lam) w,
-    on the part [lo, lo + w) of the step it covers (the last factor from its
-    series 1 + z/2 + z^2/6 where |z| < 1e-5); the sum times -sqrt(gamma2)
-    goes to `step_history` with the step factor e^(lam h).
+    Each piece (a, b, A, mu) adds A e^(mu (lo - a) + lam (s_n+1 - lo)) w (e^(z) - 1)/z,
+    z = (mu - lam) w, on the part [lo, lo + w) of the step it covers (the last
+    factor from its series 1 + z/2 + z^2/6 where |z| < 1e-5).
     """
-    t, h = _uniform_grid(t_grid, "t_grid")
-    s = t - tau
-    lam = -(gamma2 / 2.0 + 1j * omega2)
-    u = np.zeros(t.size - 1, dtype=complex)
+    u = np.zeros(s.size - 1, dtype=complex)
     for a, b, amp, mu in pieces:
         lo = np.clip(s[:-1], a, b)
         w = np.clip(s[1:], a, b) - lo
@@ -145,6 +140,20 @@ def drive_history(
         phi[big] = np.expm1(z[big]) / z[big]
         phi[~big] = 1.0 + z[~big] * (0.5 + z[~big] / 6.0)
         u[on] += amp * np.exp(mu * (lo - a) + lam * (s[1:][on] - lo)) * w * phi
+    return u
+
+
+def drive_history(
+    pieces, gamma2: float, omega2: float, tau: float, t_grid: np.ndarray
+) -> np.ndarray:
+    """c2 of `drive_system2`'s run, (n_steps + 1,), with the step inputs formed whole.
+
+    `step_inputs` over all steps of s = t - tau at once, times -sqrt(gamma2),
+    go to `step_history` with the step factor e^(lam h).
+    """
+    t, h = _uniform_grid(t_grid, "t_grid")
+    lam = -(gamma2 / 2.0 + 1j * omega2)
+    u = step_inputs(pieces, lam, t - tau)
     u *= -math.sqrt(gamma2)
     return step_history(np.array([[np.exp(lam * h)]]), np.zeros((1, 1)), t.size - 1,
                         u.reshape(-1, 1, 1)).ravel()

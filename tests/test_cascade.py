@@ -183,6 +183,24 @@ def test_liouvillian_matches_direct_rhs():
         assert np.max(np.abs(lmat @ rho.reshape(-1) - direct.reshape(-1))) < 1e-12
 
 
+@pytest.mark.parametrize("model", [
+    CascadeModel(gamma1=2.0, gamma2=0.5, beta=0.3 + 0.1j),
+    CascadeModel(gamma1=1.3, gamma2=0.7, omega1=2.0, omega2=0.5, beta=0.4,
+                 rotating_frame=False),
+], ids=["beta", "lab_frame"])
+def test_liouvillian_is_the_kron_form(model):
+    # the broadcast Kronecker products are np.kron's own products, summed alike
+    h0, j = build_h0(model), build_jump_operator(model)
+    ident = np.eye(4, dtype=complex)
+    jdj = j.conj().T @ j
+    kron_form = (
+        1j * (np.kron(ident, h0.T) - np.kron(h0, ident))
+        + np.kron(j, j.conj())
+        - 0.5 * (np.kron(jdj, ident) + np.kron(ident, jdj.T))
+    )
+    assert np.array_equal(liouvillian(model), kron_form)
+
+
 def test_integrate_master_decay():
     m = CascadeModel(gamma1=1.0, gamma2=1.0)
     run = integrate_master(density_from_ket(composite_ket("eg")), m, (0.0, 1.0), 1e-3)

@@ -843,22 +843,26 @@ def test_exit_2_when_transfer_production_precedes_the_packet(tmp_path, capsys, t
     assert not (tmp_path / "out").exists()
 
 
-def test_exit_2_on_unstable_transfer_drive(tmp_path):
+def test_exit_2_on_unstable_transfer_drive(tmp_path, capsys):
     # |lam*dt| = 5 at omega2 = 5000 lay outside RK4's stability region, so the
     # resolver rejected these lab-frame configs (exit 2) while the transfer took
     # RK4 steps.  Each step now multiplies by e^(lam dt) and adds the drive's
-    # exact integral, so both run, with finite outputs and no warning.  At 5000
-    # the device moves the packet from omega1 = 0 to omega2 and P2_on peaks as in
-    # the rotating frame.  At 1e300 the phases omega*t keep no digits, so only
-    # finiteness is asserted
-    for omega2 in (5000.0, 1e300):
+    # exact integral, so 5000 runs, with finite outputs and no warning: the
+    # device moves the packet from omega1 = 0 to omega2 and P2_on peaks as in
+    # the rotating frame.  At 1e300 the phases omega*t pass 2^52 and keep no
+    # digits, so the resolver rejects omega2 and writes nothing
+    for omega2 in (1e300, 5000.0):
         path = shipped_config(tmp_path, "transfer_matched", "model", "omega2", omega2)
         cfg = json.loads(path.read_text())
         cfg["model"]["rotating_frame"] = False
         path.write_text(json.dumps(cfg))
-        summary, _ = transfer_csv(path)
         if omega2 == 5000.0:
+            summary, _ = transfer_csv(path)
             assert abs(summary["p2_max_on"] - (1.0 - math.exp(-8.0)) ** 2) < 1e-9
+        else:
+            assert cli.main(["--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("model.omega2: ")
+            assert not (tmp_path / "out").exists()
 
 
 def test_exit_2_when_the_transfer_drive_overflows_in_its_stages(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from qcascade import cli
 from qcascade.svgplot import (
-    _BLOCK, _H, _MB, _ML, _MR, _MT, _PALETTE, _W, _fmt, _nice_ticks, line_plot,
+    _BLOCK, _H, _MB, _ML, _MR, _MT, _PALETTE, _W, _fmt, _nice_ticks, _texts, line_plot,
 )
 
 
@@ -163,10 +163,25 @@ CASES = {
     "nonmonotone_x_with_ties": [(_WALK, np.round(np.cos(_WALK), 1), "walk")],
     # every y equal, as lindblad's P1 and P2 from |gg> at beta = 0: the y range is widened to 1
     "flat_range": [(_T, np.zeros_like(_T), "P1"), (_T, np.zeros_like(_T), "P2")],
+    # y spans +-1e308, so the padded y span overflows and every screen y is NaN,
+    # written 'nan' by `%`; x alternates between the plot edges, so every point
+    # is kept and the text crosses two of its blocks
+    "y_span_past_the_float_range": [(
+        ((np.arange(2 * _BLOCK + 7) + 1) % 2).astype(float),
+        1e308 * np.cos(np.arange(2 * _BLOCK + 7.0)),
+        "huge",
+    )],
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+# the overflowed y span of y_span_past_the_float_range divides inf by inf in both writers
+_INF_OVER_INF = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(case, marks=_INF_OVER_INF) if case == "y_span_past_the_float_range" else case
+    for case in sorted(CASES)
+])
 def test_line_plot_matches_per_point_reference(tmp_path, case):
     series = CASES[case]
     line_plot(tmp_path / "new.svg", series, title="t", xlabel="x", ylabel="y")
@@ -194,6 +209,35 @@ def test_line_plot_block_boundary_is_seamless(tmp_path):
     coords = points.split('points="')[1].split('"')[0].split(" ")
     assert len(coords) == n and all(c.count(",") == 1 for c in coords)
     assert math.isclose(float(coords[-1].split(",")[0]), _W - _MR)
+
+
+def canvas_sample(rng, n):
+    """Screen coordinates the one-pass formatter takes: uniform in [32, 1024),
+    uniform over the bit patterns there, every exact hundredths tie k/8 (k odd)
+    with both its float neighbours, and the canvas ends."""
+    lo, hi = np.array([32.0, 1024.0]).view(np.int64)
+    ties = np.arange(32 * 8 + 1, 1024 * 8, 2) / 8.0
+    return np.concatenate([
+        rng.uniform(32.0, 1024.0, n),
+        rng.integers(lo, hi, n).view(np.float64),
+        ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+        [32.0, np.nextafter(1024.0, 0.0)],
+    ])
+
+
+def test_one_pass_formatter_writes_what_percent_writes():
+    rng = np.random.default_rng(20261021)
+    values = canvas_sample(rng, 20_000)
+    values = values[: values.size // 2 * 2]
+    # polylines of 1, 2, 997 and the remaining points
+    sizes = np.array([1, 2, 997])
+    cuts = np.cumsum(sizes) * 2
+    polylines = [(v[0::2], v[1::2]) for v in np.split(values, cuts)]
+    texts = _texts(polylines)
+    assert len(texts) == len(polylines)
+    for text, (cx, cy) in zip(texts, polylines):
+        assert text == " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(cx.tolist(), cy.tolist()))
+    assert _texts([(np.array([32.0]), np.array([np.nextafter(1024.0, 0.0)]))]) == ["32.00,1024.00"]
 
 
 M4_BOUND = 4 * (_W - _ML - _MR + 1)  # four points in each of the 641 columns a monotone x can reach

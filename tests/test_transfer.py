@@ -12,6 +12,7 @@ from qcascade.trajectory import TrajectoryConfig
 from qcascade.transfer import (
     _emitted,
     _on_pieces,
+    _step_inputs,
     drive_system2,
     emit_envelope,
     qubit_transfer_fidelity,
@@ -26,6 +27,7 @@ from oracles import (
     device_output,
     drive_history,
     read_pieces,
+    step_inputs,
 )
 
 
@@ -116,6 +118,18 @@ def test_drive_system2_equals_the_whole_drive_bit_for_bit(spacing, tau):
     pieces = [(a, b, math.sqrt(1.5) * np.exp(mu * (a + 1.0)), mu) for a, b in zip(edges, edges[1:])]
     res = drive_system2(pieces, 1.2, 0.4, tau, t)
     assert res.c2.tobytes() == drive_history(pieces, 1.2, 0.4, tau, t).tobytes()
+
+
+def test_step_inputs_over_repeated_device_times():
+    # t - tau can round equal neighbours to one device time: each piece's range
+    # of steps then holds steps of zero width, which take no input; pieces start
+    # before, on and between the device times and end past them
+    s = np.array([-0.5, 0.0, 0.25, 0.25, 0.25, 0.5, 1.0, 1.0, 1.75, 2.0])
+    mu, lam = -(0.6 + 0.9j), -(0.4 + 0.3j)
+    for pieces in ([(-1.0, 0.25, 1.5, mu)], [(0.25, 1.0, 0.5j, mu), (1.0, math.inf, 2.0, mu)],
+                   [(0.1, 0.3, 1.0, mu), (0.6, 1.9, -1.0, lam + 1e-9), (3.0, 4.0, 1.0, mu)],
+                   [(-2.0, -1.0, 1.0, mu)]):
+        assert _step_inputs(pieces, lam, s).tobytes() == step_inputs(pieces, lam, s).tobytes()
 
 
 def test_drive_system2_long_run_matches_closed_form():
