@@ -347,26 +347,13 @@ def _resolve(cfg: RunConfig) -> tuple[_Plan | None, list[str]]:
                     f"numerics.t_span: [{t0:.6g}, {t1:.6g}] does not cover the production "
                     f"window [{spec.t_s:.6g}, {spec.t_f:.6g}]"
                 )
-    # each RK4 integrator's step must be stable at dt: the master equation's
-    # (decay, lindblad, trajectories) and the trajectories' no-jump step; the
-    # trajectories' jump probability per step stays under 0.1, as _mc_core checks.
-    # A stable step's generator is then screened for accuracy over the run.  The
-    # transfer takes no RK4 step: it integrates its drive exactly at any dt
-    checks = {}  # what -> (check, the generator it steps or None)
-    if exp in ("decay", "lindblad", "trajectories"):
-        lmat = cascade.liouvillian(model)
-        checks["master-equation"] = (lambda: cascade.checked_step_matrix(lmat, dt), lmat)
+    # every step matrix is exact at any dt; the trajectories' jump probability per
+    # step stays under 0.1, as _mc_core checks
     if exp == "trajectories":
-        heff = -1j * cascade.build_h_eff(model)
-        checks["no-jump"] = (lambda: cascade.checked_step_matrix(heff, dt), heff)
-        checks["trajectory"] = (lambda: trajectory.checked_jump_operator(model, dt), None)
-    for what, (check, generator) in checks.items():
         try:
-            check()
-            if generator is not None:
-                cascade._screen_accuracy(generator, dt, (t1 - t0) / dt)
+            trajectory.checked_jump_operator(model, dt)
         except IntegrationAbort as exc:
-            diags.append(f"numerics.dt: {what} {exc}")
+            diags.append(f"numerics.dt: trajectory {exc}")
     if exp == "phases":
         work["numerics.nx"] = (num.nx * len(num.snapshot_times),
                                "field points nx * len(snapshot_times)")

@@ -205,7 +205,8 @@ def line_plot(
     polylines, slots = [], []
     for idx, (sx, sy, label) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        cx, cy = px(sx), py(sy)
+        with np.errstate(invalid="ignore"):  # a span past the float range: inf/inf, 'nan'
+            cx, cy = px(sx), py(sy)
         # one polyline per run of at least two finite points between non-finite ones
         cuts = [-1, *np.flatnonzero(~(np.isfinite(sx) & np.isfinite(sy))).tolist(), sx.size]
         for lo, hi in zip(cuts[:-1], cuts[1:]):

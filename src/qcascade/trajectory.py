@@ -1,19 +1,19 @@
 """Monte-Carlo wave-function unraveling of the cascaded master equation.
 
 Each trajectory evolves a pure state under the non-Hermitian generator
-H_eff (fixed-step RK4 as one step matrix P, no renormalization, so the
-norm decays between jumps) punctuated by photon-counting jumps, drawn by the
-waiting-time rule (Dum, Zoller & Ritsch, PRA 45, 4879 (1992); Plenio &
-Knight, RMP 70, 101 (1998)): a trajectory holds a threshold r, uniform in
-[0, 1), and jumps at the first step after which the squared norm of its
-unnormalized state falls below r.  The state is then replaced by the
+H_eff (the exact step e^(-i dt H_eff) as one step matrix P, no
+renormalization, so the norm decays between jumps) punctuated by
+photon-counting jumps, drawn by the waiting-time rule (Dum, Zoller &
+Ritsch, PRA 45, 4879 (1992); Plenio & Knight, RMP 70, 101 (1998)): a
+trajectory holds a threshold r, uniform in [0, 1), and jumps at the first
+step after which the squared norm of its unnormalized state falls below r.  The state is then replaced by the
 normalized J psi of the post-step state, and the next threshold is drawn.
 Between jumps the state comes from powers of P: it is anchored when it is
 made and every _SEGMENT steps after, and m steps past its anchor it is
 P^m applied to the anchor, and J psi is J P^m applied to it, from one
 table of [J P^m; P^(m+1)], m < _SEGMENT, built once per run.
-A state with J psi = 0 cannot emit: where the step's truncation error
-alone takes its norm below r (as for |gg> in the lab frame), it keeps r.
+A state with J psi = 0 cannot emit, so it keeps r even where rounding
+takes its norm below r.
 One fixed set is recorded: P1, P2 and P2^2 of the renormalized state and
 the raw decaying norm.  Averaging the per-trajectory observables over the
 ensemble converges to the master equation at the usual 1/sqrt(n_traj)
@@ -74,7 +74,7 @@ from .cascade import (
     IntegrationAbort,
     build_h_eff,
     build_jump_operator,
-    checked_step_matrix,
+    step_matrix,
     time_grid,
 )
 
@@ -114,8 +114,9 @@ def _uniforms(keys: np.ndarray, counters) -> np.ndarray:
 class TrajectoryConfig:
     """Numerics of a trajectory run.
 
-    Jumps follow the waiting-time rule, which has no first-order sampling
-    error in dt.  dt must still keep the jump probability per step under
+    The no-jump evolution is the exact step e^(-i dt H_eff), and jumps
+    follow the waiting-time rule, which has no first-order sampling error
+    in dt.  dt must still keep the jump probability per step under
     0.1 in every state (`checked_jump_operator`), or the run aborts with
     IntegrationAbort before its first step.  How many steps a pass takes
     is not a setting: it changes no result.
@@ -342,13 +343,13 @@ def _mc_core(
 
     Returns (records, jump steps, jump trajectories): jump i happened on
     trajectory jump_trajs[i] (an index into streams) at step jump_steps[i],
-    in step order.  A step matrix P that is not finite or has spectral
-    radius above 1, or a dt that lets some state's jump probability per
-    step exceed 0.1, aborts with IntegrationAbort before the first pass;
-    a state that cannot jump but whose norm the step takes to 0, after it.
+    in step order.  A step matrix P that is not finite, or a dt that lets
+    some state's jump probability per step exceed 0.1, aborts with
+    IntegrationAbort before the first pass; a state that cannot jump but
+    whose norm falls to 0, after it.
     """
     dt, record_stride = cfg.dt, cfg.record_stride
-    prop = checked_step_matrix(-1j * build_h_eff(model), dt)
+    prop = step_matrix(-1j * build_h_eff(model), dt)
     jop = checked_jump_operator(model, dt)
     # one product with the anchors gives J psi, for the jumps, and the states
     table = _step_table(jop, prop, _SEGMENT)
@@ -468,7 +469,7 @@ def _mc_core(
         )
     records = sums[:, :n_slots] + np.cumsum(sums[:, n_slots:], axis=1)
     if not np.isfinite(records).all():  # P1 and P2 of a norm 0 are 0/0
-        raise IntegrationAbort(f"a state's norm fell to 0 without a jump; reduce dt={dt:g}")
+        raise IntegrationAbort(f"a state's norm fell to 0 without a jump at dt={dt:g}")
     steps = np.concatenate([np.zeros(0, dtype=np.intp), *jump_steps])
     trajs = np.concatenate([np.zeros(0, dtype=np.intp), *jumped])
     order = np.argsort(steps, kind="stable")

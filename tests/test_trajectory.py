@@ -19,7 +19,7 @@ from qcascade.cascade import (
 )
 from qcascade.trajectory import TrajectoryConfig, ensemble_average
 
-from oracles import composite_ket, density_from_ket, density_history
+from oracles import composite_ket, density_from_ket, density_history, rk4_step_matrix
 
 MODEL = CascadeModel(gamma1=1.0, gamma2=1.0)
 PSI_EG = composite_ket("eg")
@@ -75,16 +75,15 @@ def test_dark_state_no_jumps():
     assert np.all(rec.p2 == 0.0)
 
 
-def test_lab_frame_ground_state_loses_norm_without_jumping():
-    # in the lab frame |gg> turns at (omega1 + omega2)/2, and the RK4 step
-    # shrinks its norm a little each step although J|gg> = 0: members whose
-    # thresholds the norm falls below must not jump, and records stay finite
+def test_lab_frame_ground_state_keeps_its_norm():
+    # in the lab frame |gg> turns at (omega1 + omega2)/2; the exact step
+    # keeps its norm to rounding, so it is no fixed point and stays a live
+    # row, but J|gg> = 0: it never jumps, and records stay finite
     model = CascadeModel(1.0, 1.0, omega1=50.0, omega2=50.0, rotating_frame=False)
     cfg = TrajectoryConfig(dt=0.01, n_traj=200, seed=5, t_span=(0.0, 10.0))
     rec = _alone(composite_ket("gg"), model, cfg, 0)
-    assert rec.norms[-1] ** 2 < 0.9
-    thresholds = [_uniform(cfg.seed, k, 0) for k in range(cfg.n_traj)]
-    assert max(thresholds) > rec.norms[-1] ** 2
+    assert np.max(np.abs(rec.norms - 1.0)) <= 1e-12
+    assert rec.jump_times.size == 0
     gg = ensemble_average(composite_ket("gg"), model, cfg)
     assert gg.mean_jumps == 0.0
     assert np.all(gg.p1 == 0.0) and np.all(gg.p2 == 0.0) and np.all(gg.sem_p2 == 0.0)
@@ -259,23 +258,12 @@ def test_delta_p_abort_in_core():
                     np.array([0], dtype=np.uint64))
 
 
-def test_unstable_step_aborts_in_core_before_the_first_pass():
-    # lab frame at omega = 200 and dt = 0.05: the no-jump step matrix has
-    # spectral radius about 400, so the core stops before it steps, with
-    # no overflow on the way
-    model = CascadeModel(1.0, 1.0, omega1=200.0, omega2=200.0, rotating_frame=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(IntegrationAbort, match="spectral radius"):
-            tj._mc_core(PSI_EG, model, TrajectoryConfig(0.05, 10, 1, (0.0, 10.0)),
-                        np.arange(10, dtype=np.uint64))
-
-
-def test_norm_that_falls_to_zero_aborts():
-    # in the lab frame at dt (omega1 + omega2) = 2.8, inside the RK4 stability
-    # bound, the step shrinks |gg>'s squared norm by about 8 % a step although
-    # J|gg> = 0: it reaches 0 near t = 90, where P1 and P2 would be 0/0; the run
-    # aborts, with no warning on the way
+def test_norm_that_falls_to_zero_aborts(monkeypatch):
+    # the exact step keeps |gg>'s norm; the RK4 step at dt (omega1 + omega2)
+    # = 2.8 shrinks its squared norm by about 8 % a step although J|gg> = 0:
+    # it reaches 0 near t = 90, where P1 and P2 would be 0/0; the run aborts,
+    # with no warning on the way
+    monkeypatch.setattr(tj, "step_matrix", rk4_step_matrix)
     model = CascadeModel(1.0, 1.0, omega1=140.0, omega2=140.0, rotating_frame=False)
     cfg = TrajectoryConfig(dt=0.01, n_traj=1, seed=1, t_span=(0.0, 100.0))
     with warnings.catch_warnings():
@@ -396,7 +384,7 @@ CORE_CASES = {
         "ee",
         TrajectoryConfig(0.01, 300, 8, (0.0, 5.0)),
     ),
-    # |gg> rows lose norm to the RK4 step below some thresholds, but cannot jump
+    # |gg> rows turn in place, so they stay live, but cannot jump
     "eg_lab_frame_fast": (
         CascadeModel(1.0, 1.0, omega1=50.0, omega2=50.0, rotating_frame=False),
         "eg",
