@@ -929,11 +929,13 @@ def test_trajectory_work_bound_names_n_traj(tmp_path, capsys):
         assert 100 * plan.numerics.n_traj * steps < cli.MAX_TRAJECTORY_STEPS
 
 
-def test_lab_frame_trajectories_match_the_rotating_frame(tmp_path):
+@pytest.mark.parametrize("validate_only", [False, True])
+def test_lab_frame_trajectories_match_the_rotating_frame(tmp_path, capsys, validate_only):
     # at omega = 200 and dt = 0.05 each carrier turns 10 radians a step, past
     # RK4's stability bound.  The exact steps differ from the rotating
     # frame's only by a phase on each excitation sector, which no column
-    # reads: the same jumps, and the same columns to rounding
+    # reads: the same jumps, and the same columns to rounding.  Under
+    # --validate-only the lab-frame config is accepted and writes nothing
     runs = {}
     for frame in ("rotating", "lab"):
         out = tmp_path / frame
@@ -945,6 +947,11 @@ def test_lab_frame_trajectories_match_the_rotating_frame(tmp_path):
         path.write_text(json.dumps(cfg))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if validate_only:
+                capsys.readouterr()
+                assert cli.main(["--config", str(path), "--validate-only"]) == 0
+                assert capsys.readouterr() == ("config ok\n", "")
+                assert not (out / "out").exists()
             assert cli.main(["--config", str(path)]) == 0
         # the jump histogram's header and rows, without the comments that name the frame
         runs[frame] = (read_columns(out / "out" / "trajectories.csv"),
