@@ -445,7 +445,7 @@ def _format_rows(columns, lo: int, hi: int, fh) -> None:
         # mask[m] keeps the first m bytes of a slot and its separator
         mask = np.arange(w + 1) < np.arange(w + 1)[:, None]
         mask[:, w] = True
-        fh.write(matrix[mask.take(lengths, axis=0)].tobytes())
+        fh.write(matrix[mask.take(lengths, axis=0)])
 
 
 def _usable_cpus() -> int:

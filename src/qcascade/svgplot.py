@@ -144,6 +144,8 @@ def line_plot(
         raise ValueError("nothing finite to plot")
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
+    if x_hi - x_lo == math.inf:  # past the float range: widened as the y pad widens y
+        x_lo, x_hi = -math.inf, math.inf
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
     pad = 0.05 * (y_hi - y_lo)

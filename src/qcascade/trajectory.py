@@ -7,7 +7,9 @@ photon-counting jumps, drawn by the waiting-time rule (Dum, Zoller &
 Ritsch, PRA 45, 4879 (1992); Plenio & Knight, RMP 70, 101 (1998)): a
 trajectory holds a threshold r, uniform in [0, 1), and jumps at the first
 step after which the squared norm of its unnormalized state falls below r.  The state is then replaced by the
-normalized J psi of the post-step state, and the next threshold is drawn.
+normalized J psi of the post-step state, and the next threshold is drawn,
+unless that state is a fixed point that can never jump again (below):
+such a threshold would never be read.
 Between jumps the state comes from powers of P: it is anchored when it is
 made and every _SEGMENT steps after, and m steps past its anchor it is
 P^m applied to the anchor, and J psi is J P^m applied to it, from one
@@ -42,18 +44,21 @@ row are the prefix of its segment whose thresholds exceed the last
 running minimum (one binary search over all segments), and each jumps at
 the first step where that minimum falls below its threshold (one more,
 vectorized over the jumpers).  The jumpers of a row at one step become a
-new row from the next step on, re-sorted by their next thresholds; the
-members left continue from the end of the window, a new anchor, in the
-next pass.  A new row made only of basis states that every power of P
-in the table keeps exactly in place, and that no J P^m reaches, is a
-fixed point that can never jump: it retires at once, and its
-size-weighted observables are added to every later record.  The window
+new row from the next step on; the members left continue from the end of
+the window, a new anchor, in the next pass.  A new row made only of basis
+states that every power of P in the table keeps exactly in place, and
+that no J P^m reaches, is a fixed point that can never jump: it retires
+at once, and its size-weighted observables are added to every later
+record.  The members of every other new row draw their next thresholds
+and are re-sorted by them; those of a fixed point draw none, and keep
+stale entries in the permutation that nothing reads.  The window
 shrinks, a segment at a time, so that rows x steps stays under _BLOCK,
 and beyond _BLOCK // _SEGMENT live rows the rows take their passes in
 groups, which bounds the memory of a pass.
 Work therefore scales with the live rows times the steps, with the
 bookkeeping paid once per pass and the NumPy calls once per segment;
-only jumps and the initial sort touch single trajectories.
+only the initial sort and the jumps touch single trajectories, and only
+a jump into a row that can jump again draws a threshold and is sorted.
 
 The anchors fall at fixed ages of each trajectory's own history, so its
 jump history, and its state at every step, is bit-for-bit independent
@@ -89,25 +94,37 @@ _GOLD1 = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; uint64 arithmetic wraps modulo 2^64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    # splitmix64 finalizer, in place, with one scratch array; uint64
+    # arithmetic wraps modulo 2^64
+    t = z >> np.uint64(30)
+    z ^= t
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
 
 
 def _stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
-    keys = np.uint64(seed) ^ ((streams.astype(np.uint64) + np.uint64(1)) * _GOLD1)
+    keys = streams.astype(np.uint64)  # a copy, hashed in place
+    keys += np.uint64(1)
+    keys *= _GOLD1
+    keys ^= np.uint64(seed)
     return _finalize(keys)
 
 
 def _uniforms(keys: np.ndarray, counters) -> np.ndarray:
     # counters: one int for every key, or one per key; kept as an array so
-    # the uint64 product wraps silently instead of warning as a scalar would
-    c = (np.asarray(counters, dtype=np.uint64).reshape(-1) + np.uint64(1)) * np.uint64(
-        0xD1B54A32D192ED03
-    )
+    # the uint64 product wraps silently instead of warning as a scalar would.
+    # keys is not modified: the hash works on a fresh key ^ counter array
+    c = np.array(counters, dtype=np.uint64).reshape(-1)
+    c += np.uint64(1)
+    c *= np.uint64(0xD1B54A32D192ED03)
     v = _finalize(keys ^ c)
-    return (v >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    v >>= np.uint64(11)
+    u = v.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 @dataclass(frozen=True)
@@ -373,6 +390,9 @@ def _mc_core(
     new_begin = np.zeros(1, dtype=np.intp)
     new_start = np.zeros(1, dtype=np.intp)
     new_size = np.array([n], dtype=np.intp)
+    # a new row made of still basis states alone is a fixed point that can
+    # never jump: it retires on admission
+    dark = (new[:, ~still] == 0.0).all(axis=1)
     # the pending rows, which have steps left
     states = np.empty((0, dim), dtype=complex)
     begin = start = size = np.zeros(0, dtype=np.intp)
@@ -381,9 +401,7 @@ def _mc_core(
     slots: list[np.ndarray] = []
     values: list[np.ndarray] = []
     while True:
-        # admit the new rows; one made of still basis states alone is a
-        # fixed point that can never jump: it retires
-        dark = ~(new[:, ~still] != 0.0).any(axis=1)
+        # admit the new rows; the dark ones retire
         first = -(-new_begin // record_stride)
         shown = np.flatnonzero(~dark & (new_begin % record_stride == 0))
         gone = np.flatnonzero(dark & (first < n_slots))
@@ -438,24 +456,29 @@ def _mc_core(
         slots = [np.where(sampled, index.reshape(-1) // record_stride, 0)]
         values = [np.where(sampled, seen * left.reshape(-1), 0.0)]
         # the jumpers of each row at each step become one new row holding
-        # the normalized J psi; only they are re-sorted, by new threshold,
-        # ties in the order they held
+        # the normalized J psi
         traj = perm[pos]
         jump_steps.append(begin[row] + at)
         jumped.append(traj)
-        jumps[traj] += 1
-        thr = -_uniforms(keys[traj], jumps[traj])
         heads = np.flatnonzero(np.diff(row * w + at, prepend=-1))
-        # group ids as narrow as they fit: NumPy sorts 8- and 16-bit ids by radix
-        ids = np.arange(heads.size, dtype=np.min_scalar_type(heads.size))
-        group = np.repeat(ids, np.diff(heads, append=total))
-        order, neg[pos] = _ascending(thr, group)
-        perm[pos] = traj[order]
         hrow, hat = row[heads], at[heads] + 1
         new = block[hat, hrow, :dim] / np.sqrt(jj[hat, hrow])[:, None]
         new_begin = begin[hrow] + hat
         new_start = pos[heads]
         new_size = np.diff(heads, append=total)
+        dark = (new[:, ~still] == 0.0).all(axis=1)
+        # only the members of a row that can jump again draw their next
+        # threshold and are re-sorted by it, ties in the order they held;
+        # those of a dark row keep stale entries in perm and neg, which
+        # nothing reads, since the row retires on admission
+        lively = np.repeat(~dark, new_size)
+        pos, traj, sizes = pos[lively], traj[lively], new_size[~dark]
+        jumps[traj] += 1
+        thr = -_uniforms(keys[traj], jumps[traj])
+        # group ids as narrow as they fit: NumPy sorts 8- and 16-bit ids by radix
+        ids = np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size))
+        order, neg[pos] = _ascending(thr, np.repeat(ids, sizes))
+        perm[pos] = traj[order]
         # the members left continue from the end of the window, a new
         # anchor, after the rows that waited
         states = block[span - 1, np.arange(rows), dim:]

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -189,6 +190,19 @@ def test_line_plot_matches_per_point_reference(tmp_path, case):
     new = (tmp_path / "new.svg").read_bytes()
     assert new == (tmp_path / "ref.svg").read_bytes()
     assert b"<polyline" in new
+
+
+def test_line_plot_x_span_past_the_float_range(tmp_path):
+    # x spans +-1e308, so x_hi - x_lo overflows: the x span becomes (-inf, inf),
+    # as the y pad widens y, every screen x is NaN, written 'nan', and y is drawn
+    x = np.array([-1e308, 0.0, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line_plot(tmp_path / "x.svg", [(x, np.array([0.0, 1.0, 0.5]), "wide")])
+    (points,) = re.findall(r'<polyline points="([^"]*)"', (tmp_path / "x.svg").read_text())
+    xs, ys = zip(*(p.split(",") for p in points.split(" ")))
+    assert xs == ("nan",) * 3
+    assert all(math.isfinite(float(v)) for v in ys)
 
 
 def test_line_plot_segment_count(tmp_path):

@@ -66,6 +66,48 @@ def test_counter_rng_determinism_and_range():
     assert tj._uniforms(keys, j).tolist() == [_uniform(42, k, int(c)) for k, c in enumerate(j)]
 
 
+_M64 = 2**64 - 1
+
+
+def _splitmix64(z):
+    # the splitmix64 finalizer on Python ints, reduced modulo 2^64 by hand
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
+    return z ^ (z >> 31)
+
+
+def _reference_key(seed, stream):
+    return _splitmix64(seed ^ ((stream + 1) * 0x9E3779B97F4A7C15 & _M64))
+
+
+def _reference_uniform(seed, stream, counter):
+    bits = _splitmix64(_reference_key(seed, stream) ^ ((counter + 1) * 0xD1B54A32D192ED03 & _M64))
+    return (bits >> 11) * 2.0**-53
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**63, 2**64 - 1])
+def test_stream_hash_matches_splitmix64_reference(seed):
+    # keys and uniforms against the hash on Python ints, where stream + 1 and
+    # counter + 1 wrap at 2^64; both calls leave their inputs as they were
+    streams = np.array([0, 1, 7, 2**32, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+    counters = np.array([0, 1, 5, 2**40, 2**63, 2**63 + 12345, 2**64 - 2, 2**64 - 1],
+                        dtype=np.uint64)
+    held_streams, held_counters = streams.copy(), counters.copy()
+    keys = tj._stream_keys(seed, streams)
+    assert keys.tolist() == [_reference_key(seed, s) for s in streams.tolist()]
+    held = keys.copy()
+    got = tj._uniforms(keys, counters)
+    assert got.tolist() == [
+        _reference_uniform(seed, s, c) for s, c in zip(streams.tolist(), counters.tolist())
+    ]
+    # one counter for every key
+    assert tj._uniforms(keys, 2**63 + 1).tolist() == [
+        _reference_uniform(seed, s, 2**63 + 1) for s in streams.tolist()
+    ]
+    for a, b in ((keys, held), (streams, held_streams), (counters, held_counters)):
+        assert np.array_equal(a, b)
+
+
 def test_dark_state_no_jumps():
     cfg = TrajectoryConfig(dt=0.01, n_traj=1, seed=9, t_span=(0.0, 3.0))
     rec = _alone(composite_ket("gg"), MODEL, cfg, 0)
@@ -376,6 +418,9 @@ def _fingerprints(states):
 
 CORE_CASES = {
     "beta0_eg": (CascadeModel(1.0, 1.0), "eg", TrajectoryConfig(0.01, 400, 5, (0.0, 6.0))),
+    # first jumps make live rows, second jumps |gg>, a fixed point: both kinds
+    # of new row come out of one pass
+    "beta0_ee": (CascadeModel(1.0, 0.7), "ee", TrajectoryConfig(0.01, 300, 8, (0.0, 8.0))),
     "beta03_gg": (
         CascadeModel(1.0, 1.0, beta=0.3), "gg", TrajectoryConfig(0.005, 300, 31, (0.0, 4.0))
     ),
@@ -449,6 +494,37 @@ def _check_core(args, reference):
     assert np.array_equal(_histories(steps, trajs), _histories(ref_steps, ref_trajs))
     assert 0 < steps.size or streams.size == 1  # a trajectory alone may not jump
     return got, steps, trajs
+
+
+# of the jumps of each trajectory (count), how many make rows that can jump
+# again: in the rotating frame at beta = 0, |gg> is a fixed point, so from eg
+# no jump does, and from ee only each trajectory's first; in the lab frame
+# |gg> turns, so every row stays live
+_LIVE_JUMPS = {
+    "beta0_eg": lambda count: 0,
+    "beta0_ee": np.count_nonzero,
+    "ee_lab_frame": np.sum,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIVE_JUMPS))
+def test_only_jumps_into_live_rows_draw_thresholds(case, monkeypatch):
+    # every trajectory draws its first threshold, and then one more per jump
+    # into a row that can jump again; a jump into a fixed point draws none
+    drawn = []
+
+    def counted(keys, counters):
+        u = _UNIFORMS(keys, counters)
+        drawn.append(u.size)
+        return u
+
+    monkeypatch.setattr(tj, "_uniforms", counted)
+    args = _core_args(case)
+    _, steps, trajs = tj._mc_core(*args)
+    n = args[3].size
+    count = np.bincount(trajs, minlength=n)
+    assert sum(drawn) == n + _LIVE_JUMPS[case](count)
+    assert steps.size > 0 and (case != "beta0_ee" or count.max() == 2)
 
 
 @pytest.mark.parametrize(
